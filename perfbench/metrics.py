@@ -73,9 +73,13 @@ MICRO = {
     "micro.evolve.us": ("us", "wall_s on runs and sweeps"),
     "micro.segment_duration.us": ("us", "wall_s on sweeps, then runs"),
     "micro.plan_single_shot.us": ("us", "op_p50_ms on runs (extended runs)"),
-    "micro.rk4_steps.ns_per_step": ("ns", "wall_s/op_tail_ms on oracle"),
-    "micro.sampled_law_steps.ns_per_step": ("ns", "wall_s/op_tail_ms on oracle"),
 }
+#: Kernel backends timed by the microbenchmarks, as ``_kernels.BACKENDS`` names them.
+KERNEL_BACKENDS = ("python", "numba")
+for _backend in KERNEL_BACKENDS:
+    # each kernel on each backend; the active one moves the oracle workload
+    for _kernel in ("rk4_steps", "sampled_law_steps"):
+        MICRO[f"micro.{_kernel}.{_backend}.ns_per_step"] = ("ns", "wall_s/op_tail_ms on oracle (active backend)")
 
 
 def per_layer() -> dict[str, tuple[str, str, str]]:

@@ -1,8 +1,8 @@
 """Layer microbenchmarks on fixed inputs.
 
 Each layer call is timed in blocks of repeated calls; the result is the
-median block's time per call. The two oracle kernels are timed per step.
-A layer a later change removes reads 0.
+median block's time per call. The two oracle kernels are timed per step on
+each backend. A layer a later change removes reads 0.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import statistics
 import sys
 import time
+
+from metrics import KERNEL_BACKENDS
 
 BLOCK_S = 0.02
 BLOCKS = 9
@@ -62,27 +64,28 @@ def measure(L) -> dict[str, float]:
         "micro.plan_single_shot.us": _per_call_us(lambda: L.plan_single_shot(reachable, params)),
     }
 
+    # both oracle kernels on every backend ``_kernels.BACKENDS`` offers, so the
+    # compiled-versus-interpreted comparison is kept; an absent backend reads 0
     kernels = sys.modules.get("lyapqubit._kernels")
-    rk4 = getattr(kernels, "rk4_steps", None)
-    law = getattr(kernels, "sampled_law_steps", None)
-    out["micro.rk4_steps.ns_per_step"] = (
-        _per_step_ns(lambda n: rk4(complex(a), complex(b), params.omega, 0.1, n, 2e-4), 10_000) if rk4 else 0.0
-    )
-    if law:
-        h = 1e-4
-        up = L.controlled_unitary(params, params.s_max, h)
-        um = L.controlled_unitary(params, -params.s_max, h)
-        uf = L.free_unitary(params, h)
-        stride = 1000
-        out_a = np.empty(100, dtype=np.complex128)
-        out_b = np.empty(100, dtype=np.complex128)
-        out_f = np.empty(100, dtype=np.float64)
+    backends = getattr(kernels, "BACKENDS", {})
+    h = 1e-4
+    up = L.controlled_unitary(params, params.s_max, h)
+    um = L.controlled_unitary(params, -params.s_max, h)
+    uf = L.free_unitary(params, h)
+    stride = 1000
+    out_a = np.empty(100, dtype=np.complex128)
+    out_b = np.empty(100, dtype=np.complex128)
+    out_f = np.empty(100, dtype=np.float64)
+    for backend in KERNEL_BACKENDS:
+        fns = backends.get(backend, {})
+        rk4, law = fns.get("rk4_steps"), fns.get("sampled_law_steps")
+        out[f"micro.rk4_steps.{backend}.ns_per_step"] = (
+            _per_step_ns(lambda n: rk4(complex(a), complex(b), params.omega, 0.1, n, 2e-4), 10_000) if rk4 else 0.0
+        )
 
-        def law_call(n):
+        def law_call(n, law=law):
             law(complex(a), complex(b), params.s_max, 1e-12, n, stride, up.u11, up.u12, up.u22,
                 um.u11, um.u12, um.u22, uf.u11, uf.u22, out_a, out_b, out_f)
 
-        out["micro.sampled_law_steps.ns_per_step"] = _per_step_ns(law_call, 30_000)
-    else:
-        out["micro.sampled_law_steps.ns_per_step"] = 0.0
+        out[f"micro.sampled_law_steps.{backend}.ns_per_step"] = _per_step_ns(law_call, 30_000) if law else 0.0
     return out

@@ -107,7 +107,17 @@ def main(argv=None) -> int:
     result = compose(report, setups, args.trace)
     detail = {
         key: report[key]
-        for key in ("environment", "digest", "tail_percentile", "op_samples", "passes", "traced_passes", "figures")
+        for key in (
+            "environment",
+            "digest",
+            "tail_percentile",
+            "op_samples",
+            "timed_calls",
+            "calls_by_kind",
+            "passes",
+            "traced_passes",
+            "figures",
+        )
     }
     detail.update(workload=args.workload, trace=args.trace, setup_samples=setups)
     print(json.dumps({"detail": detail}))

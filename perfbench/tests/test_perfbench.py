@@ -67,6 +67,23 @@ def test_perturbed_oracle_state_fails_the_check():
     assert figures.max_amp_dev > workloads.AMP_TOL
 
 
+def test_unexplained_nan_in_first_segment_sweep_fails_the_check():
+    import math
+
+    import lyapqubit as L
+
+    # phi = 0 and pi are cells the library legitimately skips (NaN)
+    grid = L.SweepGrid((0.5, 1.0, 2.0), (0.0, 1.0, math.pi, 4.0), (0.1,), 1.0)
+    tables = {name: table.copy() for name, table in L.sweep_first_segment(grid).tables.items()}
+    assert int(sum(map(math.isnan, tables["tau"].ravel()))) == 6
+    assert workloads.check_first_segment(L, grid, tables) == 0
+    # the same sentinel on a cell the library computes counts as a failure
+    tables["ratio_a"][1, 1] = tables["ratio_b"][1, 1] = tables["tau"][1, 1] = math.nan
+    assert workloads.check_first_segment(L, grid, tables) == 1
+    tables["ratio_b"][2, 3] = 1.5
+    assert workloads.check_first_segment(L, grid, tables) == 2
+
+
 def _copy_tree(dest, with_source: bool):
     shutil.copytree(BENCH, os.path.join(dest, "perfbench"), ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), dest)

@@ -8,8 +8,9 @@
 ``import lyapqubit`` to the end of building the seeded inputs. The timed
 phase repeats passes over the workload's fixed operation list (closed loop:
 each operation starts when the previous one returns) until ``--seconds``
-have elapsed, always finishing the pass in progress. Each operation's time
-is its best over the passes, and ``wall_s`` is one pass at those times.
+have elapsed, always finishing the pass in progress. ``wall_s`` is the
+fastest whole pass; the operation percentiles use each operation's best
+time over the passes.
 """
 
 from __future__ import annotations
@@ -88,6 +89,24 @@ def best_calls(passes: list[Pass]) -> list[float]:
     return [min(times) for times in zip(*(p.call_s for p in passes))]
 
 
+def calls_by_kind(ops, best: list[float], p50_ms: float, tail_ms: float) -> dict:
+    """Per kind of call: timed calls and operations per pass, their best
+    total time, and whether the median or tail operation time is one of
+    its calls' per-operation times (a sweep call stands for all its cells,
+    each given the call's time divided by the cell count)."""
+    out: dict[str, dict] = {}
+    for op, t in zip(ops, best):
+        kind = out.setdefault(op.kind, {"calls": 0, "ops": 0, "best_ms": 0.0, "holds": []})
+        kind["calls"] += 1
+        kind["ops"] += op.count
+        kind["best_ms"] += t * 1e3
+        per_op = t * 1e3 / op.count
+        for name, value in (("p50", p50_ms), ("tail", tail_ms)):
+            if per_op == value and name not in kind["holds"]:
+                kind["holds"].append(name)
+    return out
+
+
 def _environment(L, seed: int) -> dict:
     kernels = sys.modules.get("lyapqubit._kernels")
     backend = getattr(kernels, "active_backend", None)
@@ -120,7 +139,7 @@ def _layer_metrics(setup_layers, traced: list[Pass], untraced: list[Pass], figur
         if key in KERNELS:
             steps = sum(s.steps for s in per_pass)
             out[f"{key}.ns_per_step"] = sum(s.self_s for s in per_pass) / steps * 1e9 if steps else 0.0
-    out["trace.overhead_s"] = sum(best_calls(traced)) - sum(best_calls(untraced))
+    out["trace.overhead_s"] = min(p.wall_s for p in traced) - min(p.wall_s for p in untraced)
     for name, value in vars(figures).items():
         # 0 marks a check this workload does not exercise
         out[f"check.{name}"] = 0.0 if value is None else value
@@ -173,14 +192,18 @@ def measure(name: str, seed: int, seconds: float, trace: int, root: str, started
     op_ms = [(t * 1e3 / op.count, op.count) for t, op in zip(best, work.ops)]
     n_ops = sum(op.count for op in work.ops)
     tail = tail_percentile(n_ops)
+    p50_ms, tail_ms = weighted_rank(op_ms, 50_000), weighted_rank(op_ms, tail)
     mismatched = sum(p.digest != every[0].digest for p in every)
     return {
         "setup_s": setup_s,
-        "wall_s": sum(best),
-        "op_p50_ms": weighted_rank(op_ms, 50_000),
-        "op_tail_ms": weighted_rank(op_ms, tail),
+        # the fastest pass the program really ran, with its own pauses
+        "wall_s": min(p.wall_s for p in untraced),
+        "op_p50_ms": p50_ms,
+        "op_tail_ms": tail_ms,
         "tail_percentile": tail / 1000,
         "op_samples": n_ops,
+        "timed_calls": len(work.ops),
+        "calls_by_kind": calls_by_kind(work.ops, best, p50_ms, tail_ms),
         "passes": len(untraced),
         "traced_passes": len(traced),
         "attempted": sum(p.attempted for p in every),

@@ -13,8 +13,8 @@ Tolerances (each met by the seeded inputs with margin):
   budget or the segment safety net; design runs converge to ``1 - 1e-9``.
 - sweeps: SSC terminal fidelity at least ``ssc_fidelity_bound`` less
   ``NORM_TOL`` (the library's own rounding allowance); first-segment
-  population ratios at most 1; single-shot residual population at most
-  ``SHOT_TOL``.
+  population ratios at most 1, with a NaN only where the library skips the
+  cell; single-shot residual population at most ``SHOT_TOL``.
 - oracle: amplitude deviation below ``AMP_TOL``; the ``run_oracle`` versus
   ``run`` terminal-fidelity gap within ``GAP_TOL``.
 """
@@ -39,14 +39,18 @@ AMP_TOL = 1e-8
 #: first order in ``dt_free``; the reruns use ``dt_free = 1e-4``.
 GAP_TOL = 1e-5
 
-# Operation mix per pass. Each mix keeps the median and the tail percentile
-# (the 90th for the 104 runs, the 75th for the 56 oracle operations) inside
-# one kind of operation each, away from the boundary between kinds.
-RUNS_STANDARD = 70
-RUNS_EXTENDED = 24
-RUNS_DESIGN = 8
+# Operation mix per pass, taken from the command line's own workloads.
+# runs: ``verify`` at its default ``--count 1000`` runs max(5, min(50, 1000 //
+# 20)) = 50 seeded starts, each under the standard and the extended policy;
+# ``design`` runs one exact-steering run per call, here one for each step
+# count 1 to 8. oracle: ``verify --count 40`` (the size the CLI's own test
+# runs) does 40 closed-form-versus-RK4 cases; the tier-1 suite compares
+# ``run_oracle`` with ``run`` four times (one agreement and three step-halving
+# levels), so a pass adds four reruns.
+RUNS_VERIFY_STARTS = 50
+DESIGN_STEPS = tuple(range(1, 9))
 ORACLE_CASES = 40
-ORACLE_RERUNS = 16
+ORACLE_RERUNS = 4
 
 
 @dataclass
@@ -141,6 +145,28 @@ def check_ssc(fidelity, bound, figures: Figures) -> int:
     return int(np.count_nonzero(~(margin >= -NORM_TOL)))
 
 
+def check_first_segment(L, grid, tables) -> int:
+    """Number of first-segment cells that fail: a computed cell must have
+    population ratios at most 1 (a control segment never lowers the target
+    population) and a positive duration; a NaN cell is allowed only where
+    the library skips the analysis, at a pole or where the switching
+    function is within ``EPS_SWITCH`` of 0."""
+    ratio_a, ratio_b, tau = (np.asarray(tables[n]) for n in ("ratio_a", "ratio_b", "tau"))
+    # written so that a NaN in any table fails the cell
+    ok = (ratio_a <= 1.0 + NORM_TOL) & (ratio_b <= 1.0 + NORM_TOL) & (tau > 0.0)
+    skipped = np.isnan(ratio_a) & np.isnan(ratio_b) & np.isnan(tau)
+    bad = 0
+    for i, j in zip(*np.nonzero(~ok)):
+        gamma, phi = grid.gamma_axis[i], grid.phi_axis[j]
+        legitimate = skipped[i, j] and (
+            gamma <= 0.0
+            or gamma >= math.pi
+            or abs(L.switching_function(L.from_bloch(L.BlochAngles(gamma, phi)))) <= L.EPS_SWITCH
+        )
+        bad += not legitimate
+    return bad
+
+
 # ------------------------------------------------------------------ runs
 
 
@@ -159,19 +185,17 @@ def build_runs(L, cli, root: str, seed: int) -> Workload:
     extended = L.parse_scenario(_scenario(root, "reference_extended.ini")).sim_config()
     params = reference.params
     ops = [_run_op(L, cli, "standard", reference), _run_op(L, cli, "extended", extended)]
-    for k in range(RUNS_STANDARD):
-        # switch-budgeted like the command line's verify
-        initial = _random_angles(L, rng, 0.05, k, RUNS_STANDARD)
+    for k in range(RUNS_VERIFY_STARTS):
+        # as the command line's verify: one seeded start, run under the
+        # switch-budgeted standard policy and under the extended policy
+        initial = _random_angles(L, rng, 0.05, k, RUNS_VERIFY_STARTS)
         config = L.SimConfig(params=params, initial=initial, max_switches=200)
         ops.append(_run_op(L, cli, "standard", config))
-    for k in range(RUNS_EXTENDED):
-        initial = _random_angles(L, rng, 0.05, k, RUNS_EXTENDED)
         config = L.SimConfig(params=params, initial=initial, policy=L.Policy.EXTENDED)
         ops.append(_run_op(L, cli, "extended", config))
-    for _ in range(RUNS_DESIGN):
+    for n in DESIGN_STEPS:
         # the command line's design: exact n-step slow-switching steering
         gamma0 = rng.uniform(0.2, 0.9) * math.pi
-        n = int(rng.integers(1, 9))
         strength = L.exact_steering_strength(gamma0, 1.0, n)
         config = L.SimConfig(
             params=L.SystemParams(1.0, strength),
@@ -245,10 +269,7 @@ def build_sweeps(L, cli, root: str, seed: int) -> Workload:
     def first_call(figures, grid=grid):
         result = L.sweep_first_segment(grid)
         text = "".join(cli.table_csv(_grid_columns(grid, n, result.tables[n])) for n in ("ratio_a", "ratio_b", "tau"))
-        ratio_a, ratio_b = result.tables["ratio_a"], result.tables["ratio_b"]
-        # a control segment never lowers the target population
-        bad = (ratio_a > 1.0 + NORM_TOL) | (ratio_b > 1.0 + NORM_TOL) | (result.tables["tau"] <= 0.0)
-        return text.encode(), int(np.count_nonzero(bad))
+        return text.encode(), check_first_segment(L, grid, result.tables)
 
     ops.append(Op("sweep.first_segment", len(grid.gamma_axis) * len(grid.phi_axis), first_call))
 
