@@ -93,7 +93,7 @@ def per_layer() -> dict[str, tuple[str, str, str]]:
             out["engine.run.samples"] = ("count", "lower", "peak_rss_mb and wall_s on runs")
         if key in KERNELS:
             out[f"{key}.ns_per_step"] = ("ns", "lower", moves)
-    out["trace.overhead_s"] = ("s", "lower", "none: traced minus untraced pass time")
+    out["trace.overhead_s"] = ("s", "lower", "none: wall_s of the traced passes minus that of the untraced ones")
     for name, (better, what) in CHECKS.items():
         out[name] = ("1", better, f"none: correctness figure ({what})")
     for name, (unit, moves) in MICRO.items():

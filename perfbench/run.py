@@ -115,6 +115,7 @@ def main(argv=None) -> int:
             "timed_calls",
             "calls_by_kind",
             "passes",
+            "fastest_pass_s",
             "traced_passes",
             "figures",
         )

@@ -7,6 +7,7 @@ command exit non-zero.
 
 import cmath
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -68,8 +69,6 @@ def test_perturbed_oracle_state_fails_the_check():
 
 
 def test_unexplained_nan_in_first_segment_sweep_fails_the_check():
-    import math
-
     import lyapqubit as L
 
     # phi = 0 and pi are cells the library legitimately skips (NaN)
@@ -82,6 +81,64 @@ def test_unexplained_nan_in_first_segment_sweep_fails_the_check():
     assert workloads.check_first_segment(L, grid, tables) == 1
     tables["ratio_b"][2, 3] = 1.5
     assert workloads.check_first_segment(L, grid, tables) == 2
+
+
+def test_row_by_row_sweep_stacks_to_the_whole_grid():
+    import lyapqubit as L
+    import numpy as np
+
+    grid = L.SweepGrid((0.5, 1.0, 2.0), (0.3, 1.0, math.pi, 4.0), (0.1,), 1.0)
+    stacked = {}
+
+    def finish(tables, metadata, figures):
+        stacked.update(tables)
+        return b"", 0
+
+    ops = workloads._row_ops(L, "sweep.first_segment", grid, L.sweep_first_segment, finish)
+    assert [op.count for op in ops] == [4, 4, 4, 0]
+    for op in ops:
+        op.call(workloads.Figures())
+    whole = L.sweep_first_segment(grid).tables
+    assert stacked.keys() == whole.keys()
+    for name, table in whole.items():
+        assert np.array_equal(stacked[name], table, equal_nan=True)
+
+
+def test_collections_fall_on_the_same_operations_every_pass():
+    import gc
+
+    import lyapqubit as L
+    from lyapqubit import cli
+
+    work = workloads.build_runs(L, cli, ROOT, 1)
+    current, log = [0], []
+
+    def at(i, call):
+        def indexed(figures):
+            current[0] = i
+            return call(figures)
+
+        return indexed
+
+    # the reference run's 20k segments trigger collections of every generation
+    work.ops = [workloads.Op(op.kind, op.count, at(i, op.call)) for i, op in enumerate(work.ops[:2])]
+
+    def record(phase, info):
+        if phase == "start":
+            log.append((current[0], info["generation"]))
+
+    figures = workloads.Figures()
+    seen = []
+    gc.callbacks.append(record)
+    try:
+        for _ in range(3):
+            current[0] = -1  # the pass's own full collection comes first
+            log.clear()
+            worker._one_pass(work, figures, None)
+            seen.append(list(log))
+    finally:
+        gc.callbacks.remove(record)
+    assert seen[0] and seen[0] == seen[1] == seen[2]
 
 
 def _copy_tree(dest, with_source: bool):
