@@ -1,24 +1,18 @@
-"""Hot inner loops with a numba backend and a pure-Python fallback.
+"""The two inner loops of the verification oracle, in plain Python.
 
-The two kernels here dominate the runtime of the verification suites: a
-fixed-step fourth-order integrator and the brute-force stepper that
+A fixed-step fourth-order integrator and the brute-force stepper that
 re-evaluates the bang-bang law every step. For a constant field one
 classical RK4 step is a fixed 2x2 matrix, so the integrator takes its
 ``n_steps``-th power by repeated squaring instead of stepping; the law
-stepper has to look at every step. Both are written in scalar complex
-arithmetic so one source serves both backends: the numba dispatcher is
-built at import when numba is available, and ``LYAPQUBIT_NO_NUMBA=1``
-forces the interpreted fallback. ``BACKENDS`` exposes both for the
-benchmark script regardless of the active selection.
+stepper has to look at every step.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 
-def _rk4_steps(a, b, omega, f, n_steps, h):
+def rk4_steps(a, b, omega, f, n_steps, h):
     # n_steps of classical RK4 on i d|psi>/dt = H |psi>, H = (omega/2) sz + f sx,
     # renormalized after every step. On this linear system one step is the
     # matrix M = sum_{k<=4} (-ihH)^k / k!, and H^2 = E^2 I reduces it to
@@ -67,7 +61,7 @@ def _rk4_steps(a, b, omega, f, n_steps, h):
     return a * inv, b * inv
 
 
-def _sampled_law_steps(
+def sampled_law_steps(
     a,
     b,
     s_max,
@@ -117,33 +111,3 @@ def _sampled_law_steps(
             out_f[idx] = f
             idx += 1
     return a, b, switches
-
-
-_FORCE_PYTHON = os.environ.get("LYAPQUBIT_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-    _rk4_steps_jit = njit(cache=True)(_rk4_steps)
-    _sampled_law_steps_jit = njit(cache=True)(_sampled_law_steps)
-    BACKENDS = {
-        "python": {"rk4_steps": _rk4_steps, "sampled_law_steps": _sampled_law_steps},
-        "numba": {"rk4_steps": _rk4_steps_jit, "sampled_law_steps": _sampled_law_steps_jit},
-    }
-else:  # pragma: no cover
-    BACKENDS = {"python": {"rk4_steps": _rk4_steps, "sampled_law_steps": _sampled_law_steps}}
-
-_ACTIVE = "numba" if (_HAVE_NUMBA and not _FORCE_PYTHON) else "python"
-
-rk4_steps = BACKENDS[_ACTIVE]["rk4_steps"]
-sampled_law_steps = BACKENDS[_ACTIVE]["sampled_law_steps"]
-
-
-def active_backend() -> str:
-    """Name of the backend selected at import time."""
-    return _ACTIVE

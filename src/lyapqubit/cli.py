@@ -144,7 +144,7 @@ def cmd_sweep(args) -> int:
                 grid = SweepGrid(spec.gamma_axis, spec.phi_axis, (s,), scenario.params.omega)
                 result = sweep_ssc_fidelity(grid, s, dt_free=scenario.dt_free)
                 for name in ("fidelity", "n_max"):
-                    path = os.path.join(outdir, f"ssc_{name}_s{s:g}.csv")
+                    path = os.path.join(outdir, f"ssc_{name}_s{s!r}.csv")
                     _write_atomic(path, table_csv(_grid_long_columns(grid, name, result.tables[name])))
                     written.append(path)
         elif spec.kind == "fidelity_vs_strength":

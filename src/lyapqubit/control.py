@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.optimize import brentq
-
 from .propagator import controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
@@ -108,7 +106,7 @@ def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
 
     The closed-form candidate comes from the half-period structure of the
     switching sinusoid; it is then confirmed (and refined when floating-point
-    residue remains) by bracketed root finding on the switching function of
+    residue remains) by bisection on a bracket of the switching function of
     the actually evolved state. The result always lies in
     ``(0, pi/(2 eplus)]``.
     """
@@ -143,7 +141,19 @@ def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
         if ghi == 0.0:
             return hi
         if glo * ghi < 0.0:
-            return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+            # bisect until the bracket is 1e-14 wide or cannot be split
+            while hi - lo > 1e-14:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                gmid = g(mid)
+                if gmid == 0.0:
+                    return mid
+                if (gmid < 0.0) == (glo < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
         delta *= 4.0
     raise RuntimeError("failed to bracket the switching event")  # pragma: no cover
 

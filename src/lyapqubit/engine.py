@@ -1,30 +1,24 @@
-"""Event-driven simulation of full control runs.
+"""Execution of full control runs.
 
-``run`` alternates free trigger ticks and analytically-terminated control
-segments under either policy, recording every segment and a sampled time
-series. ``run_oracle`` re-simulates the same scenario by brute force: a
-fixed step ``h`` with the feedback law re-evaluated every step, serving as
-ground truth for the event-driven segmentation.
+``run`` executes the actions that :func:`extended.next_action` chooses,
+under either policy: it stops on convergence or on the switch or time
+budget, clips each action to the time left, counts control segments, and
+records every segment and a sampled time series. ``run_oracle``
+re-simulates the same scenario by brute force: a fixed step ``h`` with the
+feedback law re-evaluated every step, serving as ground truth for the
+event-driven segmentation.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import _kernels
-from .control import (
-    DEFAULT_DT_FREE_FACTOR,
-    EPS_SWITCH,
-    Regime,
-    classify_regime,
-    segment_duration,
-    select_field,
-)
-from .extended import plan_single_shot, reachable_by_single_control
+from .control import DEFAULT_DT_FREE_FACTOR, EPS_SWITCH, Regime, classify_regime, select_field
+from .extended import ApplyField, FreeEvolve, Kick, Policy, SingleShotPlan, advance, next_action
 from .propagator import Unitary2, controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
@@ -35,11 +29,6 @@ from .states import (
     lyapunov,
     switching_function,
 )
-
-
-class Policy(str, enum.Enum):
-    STANDARD = "standard"
-    EXTENDED = "extended"
 
 
 @dataclass(frozen=True)
@@ -202,56 +191,31 @@ def run(config: SimConfig) -> Trajectory:
         if len(rec.segments) >= max_segments:  # pragma: no cover - safety net
             truncated = True
             break
-        remaining = config.max_time - t
 
-        if fidelity(state) <= config.eps_target:
-            u = _kick_unitary(config.kick_angle)
-            new_state = evolve(state, u)
+        action = next_action(state, params, config.policy, config.dt_free, config.kick_angle, config.eps_target)
+        if isinstance(action, Kick):
+            new_state = evolve(state, _kick_unitary(action.angle))
             rec.segment(t, "kick", 0.0, 0.0, state, new_state)
             state = new_state
             continue
-
-        sw = switching_function(state)
-        if (
-            config.policy is Policy.EXTENDED
-            and abs(sw) <= EPS_SWITCH
-            and reachable_by_single_control(state, params)
-        ):
-            plan = plan_single_shot(state, params)
-            if plan.wait_time > 0.0:
-                dur = min(plan.wait_time, remaining)
-                new_state = evolve(state, free_unitary(params, dur))
+        label = ""
+        parts = (action,)
+        if isinstance(action, SingleShotPlan):
+            label = "single_shot"
+            shot = ApplyField(action.field, action.control_time)
+            parts = (FreeEvolve(action.wait_time), shot) if action.wait_time > 0.0 else (shot,)
+        for part in parts:
+            dur = min(part.duration, config.max_time - t)
+            new_state = advance(state, params, part, dur)
+            if isinstance(part, ApplyField):
+                rec.segment(t, "control", part.field, dur, state, new_state, label)
+                controls += 1
+            else:
                 rec.segment(t, "free", 0.0, dur, state, new_state)
-                state = new_state
-                t += dur
-                if dur < plan.wait_time:
-                    continue
-                remaining = config.max_time - t
-            dur = min(plan.control_time, remaining)
-            new_state = evolve(state, controlled_unitary(params, plan.field, dur))
-            rec.segment(t, "control", plan.field, dur, state, new_state, label="single_shot")
             state = new_state
             t += dur
-            controls += 1
-            continue
-
-        decision = select_field(state, params)
-        if abs(sw) <= EPS_SWITCH or decision.f == 0.0:
-            # a zero decision with a nonzero switching value only happens at
-            # s_max = 0, where free evolution is all there is
-            tick = remaining if params.s_max == 0.0 else config.dt_free
-            dur = min(tick, remaining)
-            new_state = evolve(state, free_unitary(params, dur))
-            rec.segment(t, "free", 0.0, dur, state, new_state)
-            state = new_state
-            t += dur
-        else:
-            dur = min(segment_duration(state, decision.f, params), remaining)
-            new_state = evolve(state, controlled_unitary(params, decision.f, dur))
-            rec.segment(t, "control", decision.f, dur, state, new_state)
-            state = new_state
-            t += dur
-            controls += 1
+            if dur < part.duration:
+                break
 
     if rec.segments:
         last = rec.segments[-1]

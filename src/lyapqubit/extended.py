@@ -1,4 +1,4 @@
-"""Single-shot steering: reachability, phase alignment, and the hybrid policy.
+"""Single-shot steering and the feedback policy.
 
 A state can be mapped to the target by one constant-field segment (after a
 suitable free evolution) exactly when ``|a|^2 >= cos^2(theta_max)``. For a
@@ -9,23 +9,21 @@ relative phase ``phi'`` satisfies
 (phase ``phi' + pi``, field ``-s_max``) follows from conjugating the field.
 Free evolution winds the relative phase at rate ``omega``, so any reachable
 state can be aligned and then steered exactly.
+
+:func:`next_action` is the one place that decides what a run does next:
+kick, free tick, bang field, or (under the extended policy) the wait and
+the exact shot as one :class:`SingleShotPlan`. :func:`advance` applies
+free evolution or a constant field to a state; the executors in ``engine``
+and ``sweeps`` only stop, clip, record and count.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
-from .control import (
-    DEFAULT_DT_FREE_FACTOR,
-    DEFAULT_EPS_TARGET,
-    EPS_SWITCH,
-    InfeasibleError,
-    Regime,
-    classify_regime,
-    segment_duration,
-    select_field,
-)
+from .control import EPS_SWITCH, InfeasibleError, segment_duration
 from .propagator import controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
@@ -38,6 +36,11 @@ from .states import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+class Policy(str, enum.Enum):
+    STANDARD = "standard"
+    EXTENDED = "extended"
 
 
 class AlignmentError(ValueError):
@@ -70,7 +73,7 @@ class Kick:
     angle: float
 
 
-PolicyAction = FreeEvolve | ApplyField | Kick
+PolicyAction = FreeEvolve | ApplyField | Kick | SingleShotPlan
 
 
 def reachable_by_single_control(state: PureState, params: SystemParams) -> bool:
@@ -191,32 +194,48 @@ def plan_single_shot(state: PureState, params: SystemParams) -> SingleShotPlan:
     return SingleShotPlan(wait, shot.field, shot.control_time, shot.predicted_fidelity)
 
 
-def hybrid_policy(
+def next_action(
     state: PureState,
     params: SystemParams,
-    dt_free: float | None = None,
-    eps_target: float = DEFAULT_EPS_TARGET,
-    kick_angle: float = 1e-6,
+    policy: Policy,
+    dt_free: float,
+    kick_angle: float,
+    eps_target: float,
 ) -> PolicyAction:
-    """One action of the extended policy.
+    """The one action the feedback policy takes from ``state``.
 
-    At a switching point of a reachable state the policy free-evolves to the
-    aligned phase and then fires the exact shot; at a switching point of an
-    unreachable state it inserts a trigger tick; elsewhere it falls through
-    to the standard bang law. Antipodal states get a symmetry-breaking kick.
-    Termination is guaranteed because every slow-switching step shrinks the
-    polar angle by ``2*theta_max`` until the reachable set is entered.
+    An antipodal state (fidelity at most ``eps_target``) gets a
+    symmetry-breaking kick. Under the extended policy a reachable state at a
+    switching point gets the whole :class:`SingleShotPlan`: the alignment
+    wait and the exact shot are one action, so nothing is decided again
+    after the wait. Any other switching point, and every state when
+    ``s_max = 0``, gets free evolution: a trigger tick of ``dt_free``, or
+    an unbounded one at ``s_max = 0`` (the executor clips it to its time
+    budget). Elsewhere the bang law applies its field up to the next
+    switching point. Termination of the extended policy is guaranteed
+    because every slow-switching step shrinks the polar angle by
+    ``2*theta_max`` until the reachable set is entered.
     """
-    if dt_free is None:
-        dt_free = DEFAULT_DT_FREE_FACTOR / params.omega
-    if classify_regime(state, params, eps_target) is Regime.ANTIPODAL:
+    if fidelity(state) <= eps_target:
         return Kick(kick_angle)
-    if abs(switching_function(state)) <= EPS_SWITCH:
-        if reachable_by_single_control(state, params):
-            plan = plan_single_shot(state, params)
-            if plan.wait_time > 0.0:
-                return FreeEvolve(plan.wait_time)
-            return ApplyField(plan.field, plan.control_time)
+    sw = switching_function(state)
+    at_switch = abs(sw) <= EPS_SWITCH
+    if policy is Policy.EXTENDED and at_switch and reachable_by_single_control(state, params):
+        return plan_single_shot(state, params)
+    if params.s_max == 0.0:
+        return FreeEvolve(math.inf)
+    if at_switch:
         return FreeEvolve(dt_free)
-    decision = select_field(state, params)
-    return ApplyField(decision.f, segment_duration(state, decision.f, params))
+    # dV/dt = 2 f Im(a b*): the bang sign makes it negative
+    f = -params.s_max if sw > 0.0 else params.s_max
+    return ApplyField(f, segment_duration(state, f, params))
+
+
+def advance(
+    state: PureState, params: SystemParams, action: FreeEvolve | ApplyField, duration: float
+) -> PureState:
+    """The state after ``duration`` of free evolution or of the action's
+    constant field; executors pass the action's duration or less."""
+    if isinstance(action, ApplyField):
+        return evolve(state, controlled_unitary(params, action.field, duration))
+    return evolve(state, free_unitary(params, duration))

@@ -44,7 +44,8 @@ class PureState:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         n2 = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(n2 - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(n2 - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: |a|^2 + |b|^2 = {n2!r}")
 
     @classmethod

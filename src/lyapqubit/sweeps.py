@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .control import EPS_SWITCH, segment_duration, select_field, ssc_fidelity_bound
-from .extended import plan_single_shot, required_phase
+from .extended import ApplyField, Policy, advance, next_action, plan_single_shot, required_phase
 from .propagator import controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
@@ -126,26 +126,24 @@ def _ssc_terminal(
     dt_free: float,
     eps_target: float = 1e-9,
 ) -> tuple[float, int]:
-    """Run the standard law from ``(gamma, phi)`` until the fast-switching
+    """Run the standard policy from ``(gamma, phi)`` until the fast-switching
     regime (or the target, or the antipode) is reached; returns the terminal
     fidelity and the number of control segments."""
     state = from_bloch(BlochAngles(gamma, phi))
     n_controls = 0
     if params.s_max == 0.0:
         return fidelity(state), 0
+    theta_max = params.theta_max
     for _ in range(100_000):
         f_now = fidelity(state)
         if f_now >= 1.0 - eps_target or f_now <= eps_target:
             break
-        if to_bloch(state).gamma <= params.theta_max:
+        if to_bloch(state).gamma <= theta_max:
             break
-        decision = select_field(state, params)
-        if abs(switching_function(state)) <= EPS_SWITCH or decision.f == 0.0:
-            state = evolve(state, free_unitary(params, dt_free))
-            continue
-        tau = segment_duration(state, decision.f, params)
-        state = evolve(state, controlled_unitary(params, decision.f, tau))
-        n_controls += 1
+        # the antipode stops the loop above, so the kick angle is never used
+        action = next_action(state, params, Policy.STANDARD, dt_free, 1e-6, eps_target)
+        state = advance(state, params, action, action.duration)
+        n_controls += isinstance(action, ApplyField)
     return fidelity(state), n_controls
 
 

@@ -185,6 +185,20 @@ class TestSweep:
         fid = np.array([float(r[2]) for r in rows])
         assert (fid >= 0.9902903378454601 - 1e-9).all()
 
+    def test_close_strengths_get_distinct_tables(self, tmp_path):
+        # two strengths that print alike at the default precision
+        text = SWEEP_SCENARIO.replace("s_values = 0.1, 0.05", "s_values = 0.1, 0.1000001")
+        scenario = write(tmp_path, "close.ini", text)
+        outdir = str(tmp_path / "close")
+        code, _, _ = run_cli("sweep", scenario, "--output", outdir, "--quiet")
+        assert code == 0
+        assert sorted(os.listdir(outdir)) == [
+            "ssc_fidelity_s0.1.csv",
+            "ssc_fidelity_s0.1000001.csv",
+            "ssc_n_max_s0.1.csv",
+            "ssc_n_max_s0.1000001.csv",
+        ]
+
     def test_first_segment_tables(self, tmp_path):
         text = SWEEP_SCENARIO.replace("kind = ssc_fidelity", "kind = first_segment").replace(
             "s_values = 0.1, 0.05", "s_values = 0.1"

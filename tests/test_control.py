@@ -124,6 +124,26 @@ class TestSegmentDuration:
         with pytest.raises(ValueError):
             segment_duration(fig1_state, 0.0, P)
 
+    def test_bisection_fallback_on_flat_window(self):
+        # a state from the seeded sweeps benchmark where the closed-form
+        # candidate leaves a residue and the switching function is zero to
+        # rounding over a window about 1e-13 wide, so the bracketed
+        # bisection has to finish the job
+        from lyapqubit import PureState
+
+        state = PureState(
+            0.48578736063503686 - 0.8726560733113722j,
+            0.024231990181781838 - 0.043529629126045515j,
+        )
+        params = SystemParams(1.0, 0.05)
+        tau = segment_duration(state, 0.05, params)
+        assert 3.117965297127157 <= tau <= 3.1179653011073056
+
+        def g(t):
+            return switching_function(evolve(state, controlled_unitary(params, 0.05, t)))
+
+        assert g(tau) == 0.0 or g(tau - 1e-14) * g(tau + 1e-14) < 0.0
+
     def test_pole_state_degenerate(self):
         from lyapqubit import PureState
 

@@ -11,7 +11,9 @@ from lyapqubit import (
     FreeEvolve,
     InfeasibleError,
     Kick,
+    Policy,
     PureState,
+    SingleShotPlan,
     SystemParams,
     alignment_wait_time,
     controlled_unitary,
@@ -19,8 +21,8 @@ from lyapqubit import (
     fidelity,
     free_unitary,
     from_bloch,
-    hybrid_policy,
     lyapunov,
+    next_action,
     oracle_integrate,
     plan_single_shot,
     reachable_by_single_control,
@@ -223,34 +225,56 @@ class TestPhaseRatioLaw:
         assert lyapunov(out) / lyapunov(state) < 1e-5
 
 
+def extended_action(state, params=P, dt_free=1e-4):
+    return next_action(state, params, Policy.EXTENDED, dt_free, 1e-6, 1e-9)
+
+
 class TestHybridPolicy:
     def test_reachable_at_switch_point_free_evolves(self):
+        # the alignment wait and the shot come as one plan
         state = from_bloch(BlochAngles(THETA, 0.0))
-        action = hybrid_policy(state, P)
-        assert isinstance(action, FreeEvolve)
-        assert action.duration > 0.0
+        action = extended_action(state)
+        assert isinstance(action, SingleShotPlan)
+        assert action.wait_time > 0.0
+        staged = evolve(state, free_unitary(P, action.wait_time))
+        final = evolve(staged, controlled_unitary(P, action.field, action.control_time))
+        assert fidelity(final) >= 1.0 - 1e-9
 
     def test_aligned_reachable_fires_shot(self):
         phi_star, tau = required_phase(THETA, P)
         state = from_bloch(BlochAngles(THETA, phi_star))
-        action = hybrid_policy(state, P)
+        action = extended_action(state)
         assert isinstance(action, ApplyField)
         assert action.duration == pytest.approx(tau, abs=1e-12)
 
     def test_far_state_falls_through_to_standard_law(self):
         state = from_bloch(BlochAngles(math.pi / 2, 1.0))
-        action = hybrid_policy(state, P)
+        action = extended_action(state)
         assert isinstance(action, ApplyField)
         assert action.field == select_field(state, P).f
 
     def test_unreachable_switch_point_ticks(self):
         state = from_bloch(BlochAngles(math.pi / 2, 0.0))
-        action = hybrid_policy(state, P, dt_free=1e-4)
+        action = extended_action(state, dt_free=1e-4)
         assert isinstance(action, FreeEvolve)
         assert action.duration == pytest.approx(1e-4, abs=1e-18)
 
+    def test_standard_policy_ticks_at_reachable_switch_point(self):
+        state = from_bloch(BlochAngles(THETA, 0.0))
+        action = next_action(state, P, Policy.STANDARD, 1e-4, 1e-6, 1e-9)
+        assert action == FreeEvolve(1e-4)
+
+    def test_zero_bound_free_evolves(self):
+        # no field can be applied, so free evolution runs until the
+        # executor's time budget ends it
+        zero = SystemParams(1.0, 0.0)
+        state = from_bloch(BlochAngles(math.pi / 2, 1.0))
+        assert switching_function(state) != 0.0
+        for policy in Policy:
+            assert next_action(state, zero, policy, 1e-4, 1e-6, 1e-9) == FreeEvolve(math.inf)
+
     def test_antipodal_kicks(self):
-        action = hybrid_policy(from_bloch(BlochAngles(math.pi, 0.0)), P)
+        action = extended_action(from_bloch(BlochAngles(math.pi, 0.0)))
         assert isinstance(action, Kick)
 
     def test_actions_never_increase_lyapunov(self):
@@ -259,10 +283,15 @@ class TestHybridPolicy:
             gamma = rng.uniform(0.01, math.pi - 0.01)
             phi = rng.uniform(0, 2 * math.pi)
             state = from_bloch(BlochAngles(gamma, phi))
-            action = hybrid_policy(state, P)
+            action = extended_action(state)
             if isinstance(action, FreeEvolve):
                 out = evolve(state, free_unitary(P, action.duration))
                 assert lyapunov(out) == pytest.approx(lyapunov(state), abs=1e-12)
             elif isinstance(action, ApplyField):
                 out = evolve(state, controlled_unitary(P, action.field, action.duration))
+                assert lyapunov(out) <= lyapunov(state) + 1e-12
+            elif isinstance(action, SingleShotPlan):
+                staged = evolve(state, free_unitary(P, action.wait_time))
+                assert lyapunov(staged) == pytest.approx(lyapunov(state), abs=1e-12)
+                out = evolve(staged, controlled_unitary(P, action.field, action.control_time))
                 assert lyapunov(out) <= lyapunov(state) + 1e-12

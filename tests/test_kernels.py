@@ -1,17 +1,13 @@
-"""The RK4 kernel against plain stepping, and backend equivalence: the numba
-kernels and the pure-Python fallbacks are the same source; their outputs
-must agree to rounding."""
+"""The RK4 kernel, which takes powers of the one-step matrix, against plain
+stepping."""
 
 import math
-import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from lyapqubit import SystemParams, controlled_unitary, free_unitary
-from lyapqubit._kernels import BACKENDS, _rk4_steps, active_backend
+from lyapqubit._kernels import rk4_steps
 
 
 def _rk4_stepping(a, b, omega, f, n_steps, h):
@@ -41,75 +37,14 @@ def test_rk4_power_matches_stepping(n_steps, f):
     # be the one n explicit steps give, on the step the oracle uses by default
     h = 1e-4 * 2 * math.pi
     args = (0.6 + 0.0j, 0.48 + 0.64j, 1.0, f, n_steps, h)
-    a1, b1 = _rk4_steps(*args)
+    a1, b1 = rk4_steps(*args)
     a2, b2 = _rk4_stepping(*args)
     assert abs(a1 - a2) <= 1e-12
     assert abs(b1 - b2) <= 1e-12
 
 
-
-@pytest.mark.skipif("numba" not in BACKENDS, reason="numba backend unavailable")
-def test_rk4_backends_agree():
-    py = BACKENDS["python"]["rk4_steps"]
-    nb = BACKENDS["numba"]["rk4_steps"]
-    args = (0.6 + 0.0j, 0.48 + 0.64j, 1.0, 0.07, 5000, 2e-4)
-    a1, b1 = py(*args)
-    a2, b2 = nb(*args)
-    assert abs(a1 - a2) < 1e-12
-    assert abs(b1 - b2) < 1e-12
-
-
-@pytest.mark.skipif("numba" not in BACKENDS, reason="numba backend unavailable")
-def test_sampled_law_backends_agree():
-    params = SystemParams(1.0, 0.1)
-    h = 1e-3
-    up = controlled_unitary(params, 0.1, h)
-    um = controlled_unitary(params, -0.1, h)
-    uf = free_unitary(params, h)
-    results = []
-    for name in ("python", "numba"):
-        out_a = np.empty(40, dtype=np.complex128)
-        out_b = np.empty(40, dtype=np.complex128)
-        out_f = np.empty(40, dtype=np.float64)
-        fn = BACKENDS[name]["sampled_law_steps"]
-        a, b, switches = fn(
-            (0.7071067811865476 + 0j),
-            (0.5 - 0.5j),
-            0.1,
-            1e-12,
-            4000,
-            100,
-            up.u11,
-            up.u12,
-            up.u22,
-            um.u11,
-            um.u12,
-            um.u22,
-            uf.u11,
-            uf.u22,
-            out_a,
-            out_b,
-            out_f,
-        )
-        results.append((a, b, switches, out_a.copy(), out_b.copy(), out_f.copy()))
-    (a1, b1, s1, oa1, ob1, of1), (a2, b2, s2, oa2, ob2, of2) = results
-    assert abs(a1 - a2) < 1e-12 and abs(b1 - b2) < 1e-12
-    assert s1 == s2
-    assert np.allclose(oa1, oa2, atol=1e-12) and np.allclose(ob1, ob2, atol=1e-12)
-    assert np.array_equal(of1, of2)
-
-
-def test_env_flag_selects_python_backend():
-    env = dict(os.environ, LYAPQUBIT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from lyapqubit._kernels import active_backend; print(active_backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_default_backend_reported():
-    assert active_backend() in ("numba", "python")
+def test_import_leaves_out_scipy_and_numba():
+    # numpy is the only dependency
+    code = "import sys, lyapqubit; print(sorted({'scipy', 'numba'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -36,6 +36,13 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(1.0, 1.0)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, complex(0.0, math.nan), complex(math.inf, 0.0)])
+    def test_constructor_rejects_non_finite(self, a):
+        with pytest.raises(ValueError):
+            PureState(a, 0.0)
+        with pytest.raises(ValueError):
+            PureState(0.0, a)
+
     def test_normalized_classmethod(self):
         s = PureState.normalized(3.0, 4.0j)
         assert abs(s.a - 0.6) < 1e-15 and abs(s.b - 0.8j) < 1e-15
