@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -46,7 +45,9 @@ def _fmt(x: float) -> str:
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # created as open() creates a file, 0o666 less the umask (mkstemp's is 0o600)
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -57,33 +58,24 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+_TRAJECTORY_ROW = "%.15g," * 8 + "%s"
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     lines = [CSV_HEADER]
     for s in traj.samples:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(s.t),
-                    _fmt(s.state.a.real),
-                    _fmt(s.state.a.imag),
-                    _fmt(s.state.b.real),
-                    _fmt(s.state.b.imag),
-                    _fmt(s.v),
-                    _fmt(s.dvdt),
-                    _fmt(s.f),
-                    s.kind,
-                )
-            )
-        )
+        a, b = s.state.a, s.state.b
+        lines.append(_TRAJECTORY_ROW % (s.t, a.real, a.imag, b.real, b.imag, s.v, s.dvdt, s.f, s.kind))
     return "\n".join(lines) + "\n"
 
 
 def table_csv(columns: dict[str, np.ndarray]) -> str:
     names = list(columns)
-    arrays = [np.asarray(columns[n]).ravel() for n in names]
+    # "%.15g" % x prints what _fmt(float(x)) prints; array scalars are formatted
+    # row by row, so no column is copied into a list of Python floats
+    row = ",".join(["%.15g"] * len(names))
     lines = [",".join(names)]
-    for row in zip(*arrays):
-        lines.append(",".join(_fmt(float(x)) for x in row))
+    lines.extend(row % cells for cells in zip(*(np.asarray(columns[n]).ravel() for n in names)))
     return "\n".join(lines) + "\n"
 
 

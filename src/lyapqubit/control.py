@@ -26,10 +26,11 @@ from .states import (
     DegenerateStateError,
     PureState,
     SystemParams,
-    dressed,
+    _dressed_terms,
     fidelity,
     from_bloch,
     gauge_fix,
+    polar_angle,
     switching_function,
     to_bloch,
 )
@@ -94,11 +95,11 @@ def select_field(state: PureState, params: SystemParams, eps: float = EPS_SWITCH
 
 
 def _switch_coefficients(state: PureState, params: SystemParams, f: float):
-    fr = dressed(params, f)
+    eplus, sin_theta, cos_theta = _dressed_terms(params, f)
     ab = state.a * state.b.conjugate()
     p = ab.imag
-    q = 0.5 * fr.sin_theta * (abs(state.a) ** 2 - abs(state.b) ** 2) - fr.cos_theta * ab.real
-    return fr, p, q
+    q = 0.5 * sin_theta * (abs(state.a) ** 2 - abs(state.b) ** 2) - cos_theta * ab.real
+    return eplus, p, q
 
 
 def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
@@ -114,7 +115,7 @@ def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
         raise ValueError("a zero field never produces a switching event")
     if abs(state.a) < 1e-12 or abs(state.b) < 1e-12:
         raise DegenerateStateError("polar states have no switching geometry")
-    fr, p, q = _switch_coefficients(state, params, f)
+    eplus, p, q = _switch_coefficients(state, params, f)
     r = math.hypot(p, q)
     if r < 1e-15:
         raise DegenerateStateError(
@@ -123,7 +124,7 @@ def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
     alpha = (-math.atan2(p, q)) % math.pi
     if alpha <= 0.0:
         alpha = math.pi
-    tau0 = alpha / (2.0 * fr.eplus)
+    tau0 = alpha / (2.0 * eplus)
 
     def g(tau: float) -> float:
         return switching_function(evolve(state, controlled_unitary(params, f, tau)))
@@ -131,7 +132,7 @@ def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
     if abs(g(tau0)) <= 1e-13 * r:
         return tau0
 
-    delta = max(1e-9 / fr.eplus, 1e-12 * tau0)
+    delta = max(1e-9 / eplus, 1e-12 * tau0)
     for _ in range(40):
         lo = max(tau0 - delta, 0.25 * tau0)
         hi = tau0 + delta
@@ -168,7 +169,7 @@ def classify_regime(
         return Regime.AT_TARGET
     if f <= eps_target:
         return Regime.ANTIPODAL
-    gamma = to_bloch(state).gamma
+    gamma = polar_angle(state)
     if 0.0 < gamma <= params.theta_max:
         return Regime.FSC
     return Regime.SSC

@@ -112,7 +112,8 @@ def _kick_unitary(angle: float) -> Unitary2:
     # relative phase pi/2, breaking the antipodal equilibrium
     c = math.cos(0.5 * angle)
     s = math.sin(0.5 * angle)
-    return Unitary2(c, -1j * s, -1j * s, c)
+    off = -1j * s
+    return Unitary2._exact(complex(c), off, off, complex(c))
 
 
 class _Recorder:

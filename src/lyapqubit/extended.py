@@ -218,12 +218,13 @@ def next_action(
     """
     if fidelity(state) <= eps_target:
         return Kick(kick_angle)
+    # decided before the single shot: with no field there is nothing to plan
+    if params.s_max == 0.0:
+        return FreeEvolve(math.inf)
     sw = switching_function(state)
     at_switch = abs(sw) <= EPS_SWITCH
     if policy is Policy.EXTENDED and at_switch and reachable_by_single_control(state, params):
         return plan_single_shot(state, params)
-    if params.s_max == 0.0:
-        return FreeEvolve(math.inf)
     if at_switch:
         return FreeEvolve(dt_free)
     # dV/dt = 2 f Im(a b*): the bang sign makes it negative

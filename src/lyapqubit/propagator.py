@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .states import NORM_TOL, PureState, SystemParams, dressed
+from .states import NORM_TOL, PureState, SystemParams, _dressed_terms
 
 #: Unitarity drift accepted when constructing a Unitary2.
 UNITARY_TOL = 1e-12
@@ -33,6 +33,15 @@ UNITARY_TOL = 1e-12
 #: Agreement required between successive step halvings in the oracle's
 #: automatic step-size mode.
 ORACLE_REFINE_TOL = 1e-10
+
+
+def _check_unitary(u11: complex, u12: complex, u21: complex, u22: complex) -> None:
+    c1 = abs(u11) ** 2 + abs(u21) ** 2
+    c2 = abs(u12) ** 2 + abs(u22) ** 2
+    cross = u11.conjugate() * u12 + u21.conjugate() * u22
+    # written so that a NaN entry fails too
+    if not (abs(c1 - 1.0) <= UNITARY_TOL and abs(c2 - 1.0) <= UNITARY_TOL and abs(cross) <= UNITARY_TOL):
+        raise ValueError("entries do not form a unitary matrix")
 
 
 @dataclass(frozen=True)
@@ -47,11 +56,19 @@ class Unitary2:
     def __post_init__(self):
         for name in ("u11", "u12", "u21", "u22"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        c1 = abs(self.u11) ** 2 + abs(self.u21) ** 2
-        c2 = abs(self.u12) ** 2 + abs(self.u22) ** 2
-        cross = self.u11.conjugate() * self.u12 + self.u21.conjugate() * self.u22
-        if max(abs(c1 - 1.0), abs(c2 - 1.0), abs(cross)) > UNITARY_TOL:
-            raise ValueError("entries do not form a unitary matrix")
+        _check_unitary(self.u11, self.u12, self.u21, self.u22)
+
+    @classmethod
+    def _exact(cls, u11: complex, u12: complex, u21: complex, u22: complex) -> "Unitary2":
+        """Build from entries that are already ``complex`` (closed forms),
+        with the same unitarity check but no re-conversion."""
+        _check_unitary(u11, u12, u21, u22)
+        u = object.__new__(cls)
+        object.__setattr__(u, "u11", u11)
+        object.__setattr__(u, "u12", u12)
+        object.__setattr__(u, "u21", u21)
+        object.__setattr__(u, "u22", u22)
+        return u
 
     def adjoint(self) -> "Unitary2":
         return Unitary2(
@@ -81,35 +98,36 @@ def controlled_unitary(params: SystemParams, f: float, t: float) -> Unitary2:
     ``f`` must respect the strength bound; a signed field gives a signed
     mixing angle so one formula covers both bang values.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"duration must be non-negative, got {t!r}")
-    fr = dressed(params, f)
-    c = math.cos(fr.eplus * t)
-    s = math.sin(fr.eplus * t)
-    st, ct = fr.sin_theta, fr.cos_theta
+    eplus, st, ct = _dressed_terms(params, f)
+    c = math.cos(eplus * t)
+    s = math.sin(eplus * t)
     off = -1j * s * st
-    return Unitary2(c - 1j * s * ct, off, off, c + 1j * s * ct)
+    return Unitary2._exact(c - 1j * s * ct, off, off, c + 1j * s * ct)
 
 
 def free_unitary(params: SystemParams, t: float) -> Unitary2:
     """Diagonal propagator ``diag(e^{-i omega t/2}, e^{i omega t/2})``."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"duration must be non-negative, got {t!r}")
     ph = cmath.exp(-0.5j * params.omega * t)
-    return Unitary2(ph, 0.0, 0.0, ph.conjugate())
+    return Unitary2._exact(ph, 0j, 0j, ph.conjugate())
 
 
 def evolve(state: PureState, u: Unitary2) -> PureState:
     """Apply ``u`` to ``state``; renormalizes defensively if drift exceeds
-    the normalization tolerance. The global phase is kept."""
+    the normalization tolerance. The global phase is kept. A NaN, infinite
+    or zero norm raises ``ValueError``."""
     a = u.u11 * state.a + u.u12 * state.b
     b = u.u21 * state.a + u.u22 * state.b
     n2 = abs(a) ** 2 + abs(b) ** 2
-    if abs(n2 - 1.0) > NORM_TOL:
-        inv = 1.0 / math.sqrt(n2)
-        a *= inv
-        b *= inv
-    return PureState(a, b)
+    if abs(n2 - 1.0) <= NORM_TOL:
+        return PureState._checked_by_caller(a, b)
+    if not 0.0 < n2 < math.inf:
+        raise ValueError(f"evolved state has norm^2 {n2!r}")
+    inv = 1.0 / math.sqrt(n2)
+    return PureState(a * inv, b * inv)
 
 
 def default_oracle_step(params: SystemParams) -> float:

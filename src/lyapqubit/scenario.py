@@ -132,15 +132,46 @@ class _Reader:
 
 
 def _parse_float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _parse_positive(raw: str) -> float:
+    value = _parse_float(raw)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
+
+
+def _parse_non_negative(raw: str) -> float:
+    value = _parse_float(raw)
+    if not value >= 0.0:
+        raise ValueError("must be non-negative")
+    return value
+
+
+def _parse_fraction(raw: str) -> float:
+    value = _parse_float(raw)
+    if not 0.0 < value < 1.0:
+        raise ValueError("must lie in (0, 1)")
+    return value
 
 
 def _parse_pi_angle(raw: str) -> float:
-    return float(raw) * math.pi
+    return _parse_float(raw) * math.pi
 
 
 def _parse_int(raw: str) -> int:
     value = int(raw)
+    return value
+
+
+def _parse_positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be at least 1")
     return value
 
 
@@ -150,7 +181,7 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
         raise ValueError("empty list")
     # a strictly increasing axis is required downstream; listing order in the
     # file carries no meaning
-    return tuple(sorted(set(float(p) for p in parts)))
+    return tuple(sorted(set(_parse_float(p) for p in parts)))
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -178,14 +209,9 @@ def parse_scenario(path: str) -> Scenario:
         reader.complain("system", None, "required section is missing")
         raise ScenarioError(reader.diagnostics)
 
-    omega = reader.get("system", "omega", _parse_float, required=True)
-    s_max = reader.get("system", "s_max", _parse_float, required=True)
-    params = None
-    if omega is not None and s_max is not None:
-        try:
-            params = SystemParams(omega, s_max)
-        except ValueError as exc:
-            reader.complain("system", None, str(exc))
+    omega = reader.get("system", "omega", _parse_positive, required=True)
+    s_max = reader.get("system", "s_max", _parse_non_negative, required=True)
+    params = SystemParams(omega, s_max) if omega is not None and s_max is not None else None
 
     initial = None
     if parser.has_section("initial"):
@@ -205,18 +231,19 @@ def parse_scenario(path: str) -> Scenario:
         except ValueError:
             reader.complain("policy", "kind", f"expected 'standard' or 'extended', got {raw!r}")
 
-    dt_free = reader.get("simulation", "dt_free", _parse_float) if parser.has_section("simulation") else None
+    # the same ranges SimConfig enforces, reported here with their keys
+    dt_free = reader.get("simulation", "dt_free", _parse_positive) if parser.has_section("simulation") else None
     kick_angle = 1e-6
     sample_interval = None
     eps_target = 1e-9
     max_switches = 10_000
     max_time = None
     if parser.has_section("simulation"):
-        kick_angle = reader.get("simulation", "kick_angle", _parse_float, default=1e-6)
-        sample_interval = reader.get("simulation", "sample_interval", _parse_float)
-        eps_target = reader.get("simulation", "eps_target", _parse_float, default=1e-9)
-        max_switches = reader.get("simulation", "max_switches", _parse_int, default=10_000)
-        max_time = reader.get("simulation", "max_time", _parse_float)
+        kick_angle = reader.get("simulation", "kick_angle", _parse_positive, default=1e-6)
+        sample_interval = reader.get("simulation", "sample_interval", _parse_positive)
+        eps_target = reader.get("simulation", "eps_target", _parse_fraction, default=1e-9)
+        max_switches = reader.get("simulation", "max_switches", _parse_positive_int, default=10_000)
+        max_time = reader.get("simulation", "max_time", _parse_positive)
 
     sweep = None
     if parser.has_section("sweep"):

@@ -49,6 +49,15 @@ class PureState:
             raise ValueError(f"state not normalized: |a|^2 + |b|^2 = {n2!r}")
 
     @classmethod
+    def _checked_by_caller(cls, a: complex, b: complex) -> "PureState":
+        """Wrap complex amplitudes whose norm the caller has just found within
+        ``NORM_TOL`` (see ``propagator.evolve``), without testing it again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "a", a)
+        object.__setattr__(state, "b", b)
+        return state
+
+    @classmethod
     def normalized(cls, a: complex, b: complex) -> "PureState":
         """Build a state from arbitrary amplitudes, rescaling to unit norm."""
         n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
@@ -108,31 +117,36 @@ class SystemParams:
 @dataclass(frozen=True)
 class DressedFrame:
     """Per-field derived quantities: the field value, its mixing angle
-    ``theta = arctan(2f/omega)`` and the positive eigenvalue
-    ``eplus = sqrt(omega^2/4 + f^2)``."""
+    ``theta = arctan(2f/omega)``, the positive eigenvalue
+    ``eplus = sqrt(omega^2/4 + f^2)`` and ``sin(theta)``, ``cos(theta)``."""
 
     f: float
     theta: float
     eplus: float
+    sin_theta: float
+    cos_theta: float
 
-    @property
-    def sin_theta(self) -> float:
-        return self.f / self.eplus
 
-    @property
-    def cos_theta(self) -> float:
-        # algebraic forms keep tan(theta) = 2f/omega exact
-        return math.sqrt(self.eplus**2 - self.f**2) / self.eplus
+def _dressed_terms(params: SystemParams, f: float) -> tuple[float, float, float]:
+    """``(eplus, sin(theta), cos(theta))`` for a constant field ``f``; raises
+    :class:`FieldBoundError` for a non-finite ``f`` or ``|f| > s_max``."""
+    f = float(f)
+    # written so that a NaN field fails too
+    if not (abs(f) <= params.s_max * (1.0 + 1e-12) and math.isfinite(f)):
+        raise FieldBoundError(
+            f"|f| = {abs(f)!r} is not finite or exceeds the bound s_max = {params.s_max!r}"
+        )
+    eplus = math.hypot(0.5 * params.omega, f)
+    # algebraic forms keep tan(theta) = 2f/omega exact
+    return eplus, f / eplus, math.sqrt(eplus**2 - f**2) / eplus
 
 
 def dressed(params: SystemParams, f: float) -> DressedFrame:
-    """Derived quantities for a constant field ``f``; rejects ``|f| > s_max``."""
+    """Derived quantities for a constant field ``f``; rejects a non-finite
+    ``f`` and ``|f| > s_max``."""
     f = float(f)
-    if abs(f) > params.s_max * (1.0 + 1e-12):
-        raise FieldBoundError(
-            f"|f| = {abs(f)!r} exceeds the bound s_max = {params.s_max!r}"
-        )
-    return DressedFrame(f, math.atan2(2.0 * f, params.omega), math.hypot(0.5 * params.omega, f))
+    eplus, sin_theta, cos_theta = _dressed_terms(params, f)
+    return DressedFrame(f, math.atan2(2.0 * f, params.omega), eplus, sin_theta, cos_theta)
 
 
 def from_bloch(angles: BlochAngles) -> PureState:
@@ -141,13 +155,17 @@ def from_bloch(angles: BlochAngles) -> PureState:
     return PureState(math.cos(half), cmath.exp(1j * angles.phi) * math.sin(half))
 
 
+def polar_angle(state: PureState) -> float:
+    """Polar angle ``gamma = 2 acos(|a|)`` in [0, pi]; phase-invariant."""
+    return 2.0 * math.acos(min(abs(state.a), 1.0))
+
+
 def to_bloch(state: PureState) -> BlochAngles:
     """Inverse of :func:`from_bloch`; ``phi = 0`` by convention at the poles.
 
     Phase-invariant: only ``|a|`` and the relative phase enter.
     """
-    mag_a = min(abs(state.a), 1.0)
-    gamma = 2.0 * math.acos(mag_a)
+    gamma = polar_angle(state)
     if abs(state.a) < POLE_TOL or abs(state.b) < POLE_TOL:
         return BlochAngles(gamma, 0.0)
     return BlochAngles(gamma, cmath.phase(state.b) - cmath.phase(state.a))

@@ -23,8 +23,8 @@ from .states import (
     fidelity,
     from_bloch,
     lyapunov,
+    polar_angle,
     switching_function,
-    to_bloch,
 )
 
 #: Sweeps default to a tighter trigger tick than single runs: the recursion
@@ -138,7 +138,7 @@ def _ssc_terminal(
         f_now = fidelity(state)
         if f_now >= 1.0 - eps_target or f_now <= eps_target:
             break
-        if to_bloch(state).gamma <= theta_max:
+        if polar_angle(state) <= theta_max:
             break
         # the antipode stops the loop above, so the kick angle is never used
         action = next_action(state, params, Policy.STANDARD, dt_free, 1e-6, eps_target)

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from lyapqubit import ScenarioError, parse_scenario
-from lyapqubit.cli import main
+from lyapqubit.cli import _fmt, _write_atomic, main, table_csv
 
 FIG1_SCENARIO = """\
 # angles in units of pi
@@ -84,6 +85,21 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             parse_scenario("/nonexistent/path.ini")
 
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("eps_target = 1e-9", "eps_target = 2", "[simulation] eps_target:"),
+            ("s_max = 0.1", "s_max = inf", "[system] s_max:"),
+            ("phi = 1.75", "phi = nan", "[initial] phi:"),
+        ],
+    )
+    def test_out_of_range_value_exits_one_with_its_key(self, tmp_path, old, new, where):
+        scenario = write(tmp_path, "bad.ini", FIG1_SCENARIO.replace(old, new))
+        code, _, err = run_cli("simulate", scenario, "--output", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert where in err
+        assert not os.path.exists(tmp_path / "x.csv")
+
 
 class TestSimulate:
     def test_fig1_run_csv_contract(self, tmp_path):
@@ -147,6 +163,26 @@ class TestSimulate:
         run_cli("simulate", scenario, "--output", a, "--quiet")
         run_cli("simulate", scenario, "--output", b, "--quiet")
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_output_file_gets_the_umask_mode(tmp_path):
+    path = str(tmp_path / "out.csv")
+    previous = os.umask(0o027)
+    try:
+        _write_atomic(path, "x\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_table_rows_format_like_fmt():
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1, 1.0 / 3.0, 123456789012345678.0]
+    columns = {"x": np.array(values), "n": np.arange(len(values)), "y": np.array(values[::-1])}
+    expected = ["x,n,y"] + [
+        ",".join(_fmt(float(columns[c][i])) for c in columns) for i in range(len(values))
+    ]
+    assert table_csv(columns) == "\n".join(expected) + "\n"
 
 
 SWEEP_SCENARIO = """\

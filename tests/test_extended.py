@@ -13,6 +13,7 @@ from lyapqubit import (
     Kick,
     Policy,
     PureState,
+    SimConfig,
     SingleShotPlan,
     SystemParams,
     alignment_wait_time,
@@ -27,6 +28,7 @@ from lyapqubit import (
     plan_single_shot,
     reachable_by_single_control,
     required_phase,
+    run,
     segment_duration,
     select_field,
     single_shot,
@@ -272,6 +274,22 @@ class TestHybridPolicy:
         assert switching_function(state) != 0.0
         for policy in Policy:
             assert next_action(state, zero, policy, 1e-4, 1e-6, 1e-9) == FreeEvolve(math.inf)
+
+    def test_zero_bound_extended_run_near_target(self):
+        # within 1e-12 of the target, so counted reachable, yet outside
+        # eps_target: the zero bound is decided before any single shot
+        config = SimConfig(
+            params=SystemParams(1.0, 0.0),
+            initial=BlochAngles(1e-6, 0.0),
+            policy=Policy.EXTENDED,
+            eps_target=1e-15,
+        )
+        assert reachable_by_single_control(from_bloch(config.initial), config.params)
+        traj = run(config)
+        assert traj.truncated and not traj.converged
+        assert [seg.kind for seg in traj.segments] == ["free"]
+        assert traj.total_time == config.max_time
+        assert traj.terminal_fidelity == pytest.approx(fidelity(from_bloch(config.initial)), abs=1e-15)
 
     def test_antipodal_kicks(self):
         action = extended_action(from_bloch(BlochAngles(math.pi, 0.0)))

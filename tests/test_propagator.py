@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lyapqubit import (
     BlochAngles,
     FieldBoundError,
+    PureState,
     SystemParams,
     Unitary2,
     controlled_unitary,
@@ -21,6 +22,7 @@ from lyapqubit import (
     oracle_integrate,
     to_bloch,
 )
+from lyapqubit.states import NORM_TOL
 
 P = SystemParams(1.0, 0.1)
 
@@ -41,6 +43,55 @@ class TestDressed:
     def test_bound_enforced(self):
         with pytest.raises(FieldBoundError):
             dressed(P, 0.11)
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, f):
+        for params in (P, SystemParams(1.0, math.inf)):
+            with pytest.raises(FieldBoundError):
+                dressed(params, f)
+
+    def test_frame_terms_match_mixing_angle(self):
+        for f in (-0.1, 0.0, 0.07):
+            fr = dressed(P, f)
+            assert fr.sin_theta == pytest.approx(math.sin(fr.theta), abs=1e-15)
+            assert fr.cos_theta == pytest.approx(math.cos(fr.theta), abs=1e-15)
+
+
+def _raw_unitary(u11, u12, u21, u22) -> Unitary2:
+    # bypasses every check, to reach evolve's own guard
+    u = object.__new__(Unitary2)
+    for name, value in zip(("u11", "u12", "u21", "u22"), (u11, u12, u21, u22)):
+        object.__setattr__(u, name, complex(value))
+    return u
+
+
+class TestUnitary2:
+    @pytest.mark.parametrize("entries", [(math.nan, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, complex(0.0, math.nan))])
+    def test_nan_entry_rejected(self, entries):
+        with pytest.raises(ValueError, match="unitary"):
+            Unitary2(*entries)
+        with pytest.raises(ValueError, match="unitary"):
+            Unitary2._exact(*(complex(x) for x in entries))
+
+    def test_exact_rejects_non_unitary_like_public(self):
+        entries = (1.0 + 1e-9j, 1e-6 + 0j, 0j, 1 + 0j)
+        with pytest.raises(ValueError) as public:
+            Unitary2(*entries)
+        with pytest.raises(ValueError) as exact:
+            Unitary2._exact(*entries)
+        assert str(exact.value) == str(public.value)
+
+    def test_closed_forms_equal_public_construction(self):
+        for u in (
+            controlled_unitary(P, 0.1, 0.37),
+            controlled_unitary(P, -0.03, 12.5),
+            controlled_unitary(P, 0.0, 2.0),
+            free_unitary(P, 1.3),
+            free_unitary(P, 0.0),
+        ):
+            public = Unitary2(u.u11, u.u12, u.u21, u.u22)
+            assert u == public
+            assert all(type(getattr(u, n)) is complex for n in ("u11", "u12", "u21", "u22"))
 
 
 class TestControlledUnitary:
@@ -82,6 +133,29 @@ class TestControlledUnitary:
         with pytest.raises(FieldBoundError):
             controlled_unitary(P, 0.2, 1.0)
 
+    def test_nan_field_rejected(self):
+        with pytest.raises(FieldBoundError):
+            controlled_unitary(P, math.nan, 1.0)
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration"):
+            controlled_unitary(P, 0.1, math.nan)
+        with pytest.raises(ValueError, match="duration"):
+            free_unitary(P, math.nan)
+
+    @given(
+        st.floats(min_value=-0.1, max_value=0.1),
+        st.floats(min_value=0.0, max_value=1e6),
+        st.floats(min_value=0.0, max_value=math.pi),
+        st.floats(min_value=0.0, max_value=2 * math.pi),
+    )
+    def test_long_durations_stay_unitary_and_normalized(self, f, t, gamma, phi):
+        state = from_bloch(BlochAngles(gamma, phi))
+        for u in (controlled_unitary(P, f, t), free_unitary(P, t)):
+            assert unitarity_defect(u) < 1e-12
+            out = evolve(state, u)
+            assert abs(abs(out.a) ** 2 + abs(out.b) ** 2 - 1.0) <= NORM_TOL
+
 
 class TestFreeUnitary:
     def test_zero_duration_identity(self):
@@ -117,6 +191,29 @@ class TestEvolve:
         one_step = evolve(s, controlled_unitary(P, f, t1 + t2))
         assert abs(two_steps.a - one_step.a) < 1e-10
         assert abs(two_steps.b - one_step.b) < 1e-10
+
+    def test_result_equals_public_construction(self):
+        s = from_bloch(BlochAngles(2.2, 1.1))
+        out = evolve(s, controlled_unitary(P, 0.1, 5.0))
+        assert out == PureState(out.a, out.b)
+        assert type(out.a) is complex and type(out.b) is complex
+
+    def test_drift_beyond_tolerance_is_renormalized(self):
+        # state and unitary each just inside their tolerance, the product outside
+        scale = math.sqrt(1.0 + 0.9e-12)
+        s = PureState(scale, 0.0)
+        u = Unitary2(scale, 0.0, 0.0, scale)
+        a = scale * scale
+        assert abs(a * a - 1.0) > NORM_TOL
+        out = evolve(s, u)
+        assert out.a == pytest.approx(1.0, abs=1e-15) and out.b == 0.0
+        assert abs(abs(out.a) ** 2 + abs(out.b) ** 2 - 1.0) <= NORM_TOL
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 0.0])
+    def test_non_finite_or_zero_norm_raises(self, entry):
+        s = from_bloch(BlochAngles(1.0, 0.5))
+        with pytest.raises(ValueError):
+            evolve(s, _raw_unitary(entry, 0.0, 0.0, entry))
 
     def test_normalization_preserved(self):
         s = from_bloch(BlochAngles(2.2, 1.1))

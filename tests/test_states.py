@@ -11,6 +11,7 @@ from lyapqubit import (
     from_bloch,
     gauge_fix,
     lyapunov,
+    polar_angle,
     switching_function,
     to_bloch,
 )
@@ -42,6 +43,10 @@ class TestPureState:
             PureState(a, 0.0)
         with pytest.raises(ValueError):
             PureState(0.0, a)
+
+    def test_constructor_for_evolve_equals_public(self):
+        a, b = 0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(-1.1j)
+        assert PureState._checked_by_caller(a, b) == PureState(a, b)
 
     def test_normalized_classmethod(self):
         s = PureState.normalized(3.0, 4.0j)
@@ -91,6 +96,24 @@ class TestToBloch:
         b = to_bloch(from_bloch(BlochAngles(gamma, phi)))
         assert abs(b.gamma - gamma) < 1e-10
         assert min(abs(b.phi - phi), 2 * math.pi - abs(b.phi - phi)) < 1e-10
+
+
+class TestPolarAngle:
+    @given(
+        st.floats(min_value=0.0, max_value=math.pi),
+        st.floats(min_value=0.0, max_value=2 * math.pi - 1e-9),
+        st.floats(min_value=0.0, max_value=2 * math.pi),
+    )
+    def test_matches_to_bloch_under_global_phase(self, gamma, phi, global_phase):
+        s = from_bloch(BlochAngles(gamma, phi))
+        rotated = PureState(s.a * cmath.exp(1j * global_phase), s.b * cmath.exp(1j * global_phase))
+        assert polar_angle(s) == to_bloch(s).gamma
+        assert polar_angle(rotated) == to_bloch(rotated).gamma
+        assert abs(polar_angle(s) - gamma) < 1e-7
+
+    def test_poles(self):
+        assert polar_angle(PureState(1.0, 0.0)) == 0.0
+        assert polar_angle(PureState(0.0, 1.0)) == pytest.approx(math.pi)
 
 
 class TestScalars:
