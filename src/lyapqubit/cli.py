@@ -15,18 +15,10 @@ import sys
 import numpy as np
 
 from .control import exact_steering_strength
-from .engine import Policy, SimConfig, Trajectory, run, run_oracle
-from .extended import reachable_by_single_control
-from .propagator import controlled_unitary, evolve, oracle_integrate
+from .engine import Policy, SimConfig, Trajectory, run
+from .propagator import controlled_unitary, default_oracle_step, evolve, oracle_integrate
 from .scenario import Scenario, ScenarioError, parse_scenario
-from .states import (
-    BlochAngles,
-    PureState,
-    SystemParams,
-    fidelity,
-    from_bloch,
-    switching_function,
-)
+from .states import BlochAngles, SystemParams, from_bloch
 from .sweeps import (
     SweepGrid,
     fidelity_vs_strength,
@@ -107,6 +99,27 @@ def cmd_simulate(args) -> int:
     return 0 if traj.converged else 2
 
 
+def _sweep_files(scenario: Scenario) -> list[tuple[str, dict[str, np.ndarray]]]:
+    """Run the scenario's sweep; returns ``(file name, columns)`` per output table."""
+    spec, omega = scenario.sweep, scenario.params.omega
+    if spec.kind == "first_segment":
+        grid = SweepGrid(spec.gamma_axis, spec.phi_axis, spec.s_values, omega)
+        tables = sweep_first_segment(grid).tables
+        return [(f"first_segment_{n}.csv", _grid_long_columns(grid, n, t)) for n, t in tables.items()]
+    if spec.kind == "ssc_fidelity":
+        files = []
+        for s in spec.s_values:
+            grid = SweepGrid(spec.gamma_axis, spec.phi_axis, (s,), omega)
+            tables = sweep_ssc_fidelity(grid, s, dt_free=scenario.dt_free).tables
+            files += [(f"ssc_{n}_s{s!r}.csv", _grid_long_columns(grid, n, t)) for n, t in tables.items()]
+        return files
+    if spec.kind == "fidelity_vs_strength":
+        result = fidelity_vs_strength(spec.s_values, scenario.initial, omega, dt_free=scenario.dt_free)
+        return [("fidelity_vs_strength.csv", {"s": np.asarray(result.grid.s_values), **result.tables})]
+    result = phase_alignment_table(spec.gamma_axis, scenario.params)
+    return [("phase_alignment.csv", {"gamma": np.asarray(result.grid.gamma_axis), **result.tables})]
+
+
 def cmd_sweep(args) -> int:
     if not args.output:
         print("sweep: --output is required", file=sys.stderr)
@@ -119,67 +132,15 @@ def cmd_sweep(args) -> int:
     if scenario.sweep is None:
         print("sweep: scenario has no [sweep] section", file=sys.stderr)
         return 1
-    spec = scenario.sweep
-    outdir = args.output
-    os.makedirs(outdir, exist_ok=True)
-    written: list[str] = []
     try:
-        if spec.kind == "first_segment":
-            grid = SweepGrid(spec.gamma_axis, spec.phi_axis, spec.s_values[:1], scenario.params.omega)
-            result = sweep_first_segment(grid)
-            for name in ("ratio_a", "ratio_b", "tau"):
-                path = os.path.join(outdir, f"first_segment_{name}.csv")
-                _write_atomic(path, table_csv(_grid_long_columns(grid, name, result.tables[name])))
-                written.append(path)
-        elif spec.kind == "ssc_fidelity":
-            for s in spec.s_values:
-                grid = SweepGrid(spec.gamma_axis, spec.phi_axis, (s,), scenario.params.omega)
-                result = sweep_ssc_fidelity(grid, s, dt_free=scenario.dt_free)
-                for name in ("fidelity", "n_max"):
-                    path = os.path.join(outdir, f"ssc_{name}_s{s!r}.csv")
-                    _write_atomic(path, table_csv(_grid_long_columns(grid, name, result.tables[name])))
-                    written.append(path)
-        elif spec.kind == "fidelity_vs_strength":
-            if scenario.initial is None:
-                print("sweep: fidelity_vs_strength needs an [initial] section", file=sys.stderr)
-                return 1
-            result = fidelity_vs_strength(
-                spec.s_values, scenario.initial, scenario.params.omega, dt_free=scenario.dt_free
-            )
-            path = os.path.join(outdir, "fidelity_vs_strength.csv")
-            _write_atomic(
-                path,
-                table_csv(
-                    {
-                        "s": np.asarray(result.grid.s_values),
-                        "fidelity": result.tables["fidelity"],
-                        "bound": result.tables["bound"],
-                    }
-                ),
-            )
-            written.append(path)
-        else:  # phase_alignment
-            result = phase_alignment_table(spec.gamma_axis, scenario.params)
-            path = os.path.join(outdir, "phase_alignment.csv")
-            _write_atomic(
-                path,
-                table_csv(
-                    {
-                        "gamma": np.asarray(result.grid.gamma_axis),
-                        "phi_star": result.tables["phi_star"],
-                        "tau_prime": result.tables["tau_prime"],
-                        "wait_time": result.tables["wait_time"],
-                        "ratio_b": result.tables["ratio_b"],
-                        "cos2_phi_star": result.tables["cos2_phi_star"],
-                    }
-                ),
-            )
-            written.append(path)
+        files = _sweep_files(scenario)
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
-    if not args.quiet:
-        for path in written:
+    for name, columns in files:
+        path = os.path.join(args.output, name)
+        _write_atomic(path, table_csv(columns))
+        if not args.quiet:
             print(path)
     return 0
 
@@ -211,7 +172,7 @@ def cmd_design(args) -> int:
 
 
 def _verify_propagator(rng: np.random.Generator, count: int, params: SystemParams):
-    h = 1e-4 * (2.0 * math.pi / params.omega)
+    h = default_oracle_step(params)
     max_dev = 0.0
     worst = None
     for _ in range(count):

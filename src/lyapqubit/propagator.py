@@ -30,10 +30,6 @@ from .states import NORM_TOL, PureState, SystemParams, _dressed_terms
 #: Unitarity drift accepted when constructing a Unitary2.
 UNITARY_TOL = 1e-12
 
-#: Agreement required between successive step halvings in the oracle's
-#: automatic step-size mode.
-ORACLE_REFINE_TOL = 1e-10
-
 
 def _check_unitary(u11: complex, u12: complex, u21: complex, u22: complex) -> None:
     c1 = abs(u11) ** 2 + abs(u21) ** 2
@@ -135,7 +131,17 @@ def default_oracle_step(params: SystemParams) -> float:
     return 1e-4 * (2.0 * math.pi / params.omega)
 
 
-def _integrate_fixed(state: PureState, params: SystemParams, f: float, t: float, h: float) -> PureState:
+def oracle_integrate(state: PureState, params: SystemParams, f: float, t: float, h: float) -> PureState:
+    """Brute-force fixed-step reference evolution at step ``h``
+    (``0 < h <= t``), independent of the closed-form propagator."""
+    if t < 0.0:
+        raise ValueError(f"duration must be non-negative, got {t!r}")
+    if t == 0.0:
+        return state
+    if h <= 0.0:
+        raise ValueError(f"step size must be positive, got {h!r}")
+    if h > t * (1.0 + 1e-12):
+        raise ValueError(f"step size {h!r} exceeds the duration {t!r}")
     n_full = int(t / h)
     rem = t - n_full * h
     a, b = state.a, state.b
@@ -144,39 +150,3 @@ def _integrate_fixed(state: PureState, params: SystemParams, f: float, t: float,
     if rem > 1e-15 * max(t, 1.0):
         a, b = _kernels.rk4_steps(a, b, params.omega, f, 1, rem)
     return PureState(a, b)
-
-
-def oracle_integrate(
-    state: PureState,
-    params: SystemParams,
-    f: float,
-    t: float,
-    h: float | None = None,
-) -> PureState:
-    """Brute-force fixed-step reference evolution, independent of the
-    closed-form propagator.
-
-    With an explicit ``h`` the integration runs at exactly that step
-    (``0 < h <= t`` required). Without one, the step starts at
-    :func:`default_oracle_step` and is halved until two successive
-    refinements agree within ``ORACLE_REFINE_TOL`` per amplitude.
-    """
-    if t < 0.0:
-        raise ValueError(f"duration must be non-negative, got {t!r}")
-    if t == 0.0:
-        return state
-    if h is not None:
-        if h <= 0.0:
-            raise ValueError(f"step size must be positive, got {h!r}")
-        if h > t * (1.0 + 1e-12):
-            raise ValueError(f"step size {h!r} exceeds the duration {t!r}")
-        return _integrate_fixed(state, params, f, t, h)
-    step = min(default_oracle_step(params), t)
-    prev = _integrate_fixed(state, params, f, t, step)
-    for _ in range(8):
-        step *= 0.5
-        cur = _integrate_fixed(state, params, f, t, step)
-        if max(abs(cur.a - prev.a), abs(cur.b - prev.b)) <= ORACLE_REFINE_TOL:
-            return cur
-        prev = cur
-    return prev

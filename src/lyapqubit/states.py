@@ -70,8 +70,8 @@ class PureState:
 class BlochAngles:
     """Polar angle ``gamma`` in [0, pi] and relative phase ``phi`` in [0, 2*pi).
 
-    ``phi`` is reduced modulo ``2*pi`` on input; ``gamma`` outside its range
-    is rejected.
+    ``phi`` is reduced modulo ``2*pi`` on input; a non-finite ``phi`` and a
+    ``gamma`` outside its range are rejected.
     """
 
     gamma: float
@@ -81,6 +81,8 @@ class BlochAngles:
         g = float(self.gamma)
         if not 0.0 <= g <= math.pi:
             raise ValueError(f"gamma must lie in [0, pi], got {g!r}")
+        if not math.isfinite(float(self.phi)):
+            raise ValueError(f"phi must be finite, got {self.phi!r}")
         p = float(self.phi) % TWO_PI
         if p >= TWO_PI:  # float modulo may round up to the period itself
             p = 0.0
@@ -90,7 +92,7 @@ class BlochAngles:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Level spacing ``omega`` (> 0) and field-strength bound ``s_max`` (>= 0)."""
+    """Finite level spacing ``omega`` (> 0) and field-strength bound ``s_max`` (>= 0)."""
 
     omega: float
     s_max: float
@@ -98,10 +100,10 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "s_max", float(self.s_max))
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
-        if self.s_max < 0.0:
-            raise ValueError(f"s_max must be non-negative, got {self.s_max!r}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
+        if not 0.0 <= self.s_max < math.inf:
+            raise ValueError(f"s_max must be non-negative and finite, got {self.s_max!r}")
 
     @property
     def theta_max(self) -> float:
@@ -131,11 +133,9 @@ def _dressed_terms(params: SystemParams, f: float) -> tuple[float, float, float]
     """``(eplus, sin(theta), cos(theta))`` for a constant field ``f``; raises
     :class:`FieldBoundError` for a non-finite ``f`` or ``|f| > s_max``."""
     f = float(f)
-    # written so that a NaN field fails too
-    if not (abs(f) <= params.s_max * (1.0 + 1e-12) and math.isfinite(f)):
-        raise FieldBoundError(
-            f"|f| = {abs(f)!r} is not finite or exceeds the bound s_max = {params.s_max!r}"
-        )
+    # s_max is finite, and the test is written so that a NaN field fails too
+    if not abs(f) <= params.s_max * (1.0 + 1e-12):
+        raise FieldBoundError(f"|f| = {abs(f)!r} exceeds the bound s_max = {params.s_max!r}")
     eplus = math.hypot(0.5 * params.omega, f)
     # algebraic forms keep tan(theta) = 2f/omega exact
     return eplus, f / eplus, math.sqrt(eplus**2 - f**2) / eplus

@@ -71,16 +71,6 @@ class SweepResult:
     metadata: Mapping[str, object]
 
 
-def default_gamma_axis(count: int = 101) -> tuple[float, ...]:
-    """Polar-angle axis trimmed away from both poles."""
-    return tuple(np.linspace(0.01, math.pi - 0.01, count))
-
-
-def default_phi_axis(count: int = 101) -> tuple[float, ...]:
-    """Phase axis covering [0, 2*pi) without the duplicate endpoint."""
-    return tuple(np.linspace(0.0, 2.0 * math.pi, count, endpoint=False))
-
-
 def _first_segment(state: PureState, params: SystemParams):
     decision = select_field(state, params)
     tau = segment_duration(state, decision.f, params)

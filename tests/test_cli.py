@@ -1,6 +1,8 @@
 import io
 import math
 import os
+import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -9,8 +11,12 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from lyapqubit import ScenarioError, parse_scenario
+from lyapqubit import BlochAngles, Policy, ScenarioError, SimConfig, SystemParams, parse_scenario
+from lyapqubit import scenario as scenario_module
 from lyapqubit.cli import _fmt, _write_atomic, main, table_csv
+from lyapqubit.scenario import SweepSpec
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 FIG1_SCENARIO = """\
 # angles in units of pi
@@ -91,6 +97,13 @@ class TestScenarioParsing:
             ("eps_target = 1e-9", "eps_target = 2", "[simulation] eps_target:"),
             ("s_max = 0.1", "s_max = inf", "[system] s_max:"),
             ("phi = 1.75", "phi = nan", "[initial] phi:"),
+            ("gamma = 0.5", "gamma = 1.5", "[initial] gamma:"),
+            (
+                "max_time = 100",
+                "max_time = 100\n[sweep]\nkind = ssc_fidelity\ngamma_count = 0",
+                "[sweep] gamma_count:",
+            ),
+            ("omega = 1.0", "omega = 1%", "[system] omega:"),
         ],
     )
     def test_out_of_range_value_exits_one_with_its_key(self, tmp_path, old, new, where):
@@ -99,6 +112,83 @@ class TestScenarioParsing:
         assert code == 1
         assert where in err
         assert not os.path.exists(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize(
+        "sweep, where",
+        [
+            # strength keys the sweep would otherwise drop
+            ("kind = first_segment\ns_values = 0.05, 0.1", "[sweep] s_values:"),
+            ("kind = first_segment\ns_min = 0.05\ns_max = 0.1\ns_count = 3", "[sweep] s_count:"),
+            ("kind = ssc_fidelity\ns_min = 0.05", "[sweep] s_min:"),
+            ("kind = ssc_fidelity\ns_max = 0.05", "[sweep] s_max:"),
+            ("kind = ssc_fidelity\ns_count = 3", "[sweep] s_count:"),
+            ("kind = ssc_fidelity\ns_values = 0.1\ns_min = 0.05\ns_max = 0.2", "[sweep] s_values:"),
+            # axis bounds and their order, against their keys
+            ("kind = ssc_fidelity\ns_values = 0.1, -0.1", "[sweep] s_values:"),
+            ("kind = ssc_fidelity\ngamma_min = 1.5", "[sweep] gamma_min:"),
+            ("kind = ssc_fidelity\nphi_max = 2.5", "[sweep] phi_max:"),
+            ("kind = ssc_fidelity\ngamma_min = 0.6\ngamma_max = 0.4", "[sweep] gamma_max:"),
+            ("kind = fidelity_vs_strength", "[initial]:"),
+        ],
+    )
+    def test_sweep_key_conflict_exits_one_with_its_key(self, tmp_path, sweep, where):
+        scenario = write(tmp_path, "bad.ini", f"[system]\nomega = 1.0\ns_max = 0.1\n[sweep]\n{sweep}\n")
+        code, _, err = run_cli("sweep", scenario, "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert where in err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_shipped_scenarios(self):
+        params = SystemParams(1.0, 0.1)
+        reference = BlochAngles(0.5 * math.pi, 1.75 * math.pi)
+        # the default axes the module docstring states
+        gamma = np.linspace(0.01, math.pi - 0.01, 101)
+        phi = np.linspace(0.0, 2.0 * math.pi, 101, endpoint=False)
+        expected = {
+            "reference_standard.ini": SimConfig(
+                params, reference, Policy.STANDARD, dt_free=1e-4, sample_interval=0.1,
+                eps_target=1e-9, max_switches=10_000, max_time=100.0,
+            ),
+            "reference_extended.ini": SimConfig(
+                params, reference, Policy.EXTENDED, dt_free=1e-4, sample_interval=0.1, eps_target=1e-9
+            ),
+            "fidelity_vs_strength.ini": SweepSpec(
+                "fidelity_vs_strength", tuple(gamma), tuple(phi), tuple(np.linspace(0.01, 0.5, 50))
+            ),
+            "phase_alignment.ini": SweepSpec(
+                "phase_alignment",
+                tuple(np.linspace(0.002 * math.pi, 0.125 * math.pi, 60)),
+                tuple(phi),
+                (0.1,),
+            ),
+            "sweep_first_segment.ini": SweepSpec("first_segment", tuple(gamma), tuple(phi), (0.1,)),
+            "sweep_ssc_fidelity.ini": SweepSpec(
+                "ssc_fidelity",
+                tuple(np.linspace(0.01, math.pi - 0.01, 50)),
+                tuple(np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)),
+                (0.05, 0.1),
+            ),
+        }
+        assert sorted(p.name for p in SCENARIOS.glob("*.ini")) == sorted(expected)
+        for name, want in expected.items():
+            scenario = parse_scenario(str(SCENARIOS / name))
+            assert scenario.params == params, name
+            if isinstance(want, SimConfig):
+                assert scenario.sweep is None and scenario.sim_config() == want, name
+            else:
+                assert scenario.sweep == want, name
+        in_plane = parse_scenario(str(SCENARIOS / "fidelity_vs_strength.ini")).initial
+        assert in_plane == BlochAngles(0.5 * math.pi, 0.0)
+
+    def test_docstring_names_exactly_the_key_table(self):
+        block = scenario_module.__doc__.split("Sections and keys::")[1].split("\n\n")[1]
+        documented = {}
+        for section, key in re.findall(r"\[(\w+)\]|(\w+)", block):
+            if section:
+                keys = documented.setdefault(section, set())
+            else:
+                keys.add(key)
+        assert documented == {section: set(table) for section, table in scenario_module._KEYS.items()}
 
 
 class TestSimulate:

@@ -46,9 +46,12 @@ class TestDressed:
 
     @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_rejected(self, f):
-        for params in (P, SystemParams(1.0, math.inf)):
-            with pytest.raises(FieldBoundError):
-                dressed(params, f)
+        with pytest.raises(FieldBoundError):
+            dressed(P, f)
+        # an infinite bound, which would let an infinite field through, is
+        # rejected where it is set
+        with pytest.raises(ValueError):
+            SystemParams(1.0, math.inf)
 
     def test_frame_terms_match_mixing_angle(self):
         for f in (-0.1, 0.0, 0.07):
@@ -252,12 +255,6 @@ class TestOracle:
         assert max(abs(coarse.a - fine.a), abs(coarse.b - fine.b)) < 1e-10
         analytic = evolve(s, controlled_unitary(P, 0.1, 5.0))
         assert max(abs(coarse.a - analytic.a), abs(coarse.b - analytic.b)) < 1e-10
-
-    def test_automatic_step_mode(self):
-        s = from_bloch(BlochAngles(0.8, 3.0))
-        out = oracle_integrate(s, P, -0.1, 2.0)
-        analytic = evolve(s, controlled_unitary(P, -0.1, 2.0))
-        assert max(abs(out.a - analytic.a), abs(out.b - analytic.b)) < 1e-9
 
     def test_analytic_matches_oracle_random_cases(self):
         rng = np.random.default_rng(424242)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from lyapqubit import (
     BlochAngles,
     PureState,
+    SystemParams,
     fidelity,
     from_bloch,
     gauge_fix,
@@ -30,6 +31,20 @@ class TestBlochAngles:
             BlochAngles(-0.1, 0.0)
         with pytest.raises(ValueError):
             BlochAngles(math.pi + 0.1, 0.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        with pytest.raises(ValueError, match="phi"):
+            BlochAngles(1.0, phi)
+
+
+class TestSystemParams:
+    @pytest.mark.parametrize(
+        "omega, s_max", [(1.0, math.nan), (1.0, math.inf), (math.inf, 0.1), (math.nan, 0.1)]
+    )
+    def test_non_finite_rejected(self, omega, s_max):
+        with pytest.raises(ValueError):
+            SystemParams(omega, s_max)
 
 
 class TestPureState:
