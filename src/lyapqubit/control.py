@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .propagator import controlled_unitary, evolve, free_unitary
 from .states import (
@@ -55,7 +54,11 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class ControlDecision:
-    """A bang value in ``{-s_max, 0, +s_max}`` chosen by the feedback law."""
+    """A bang value in ``{-s_max, 0, +s_max}`` chosen by the feedback law.
+
+    Only :func:`select_field` builds one; the library itself calls
+    :func:`bang_field`. Both stay because ``perfbench/micro.py`` times
+    ``segment_duration`` with the field ``select_field(...).f``."""
 
     f: float
 
@@ -67,31 +70,17 @@ class Regime(enum.Enum):
     ANTIPODAL = "antipodal"
 
 
-def bang_bang_select(t_values: Sequence[float], s: float) -> list[float]:
-    """Sign rule for a list of switching values: ``-s`` where positive, ``+s``
-    where negative, ``0`` at zero. Guarantees ``sum(f_n T_n) = -s sum|T_n|``."""
-    if s < 0.0:
-        raise ValueError(f"bound must be non-negative, got {s!r}")
-    out = []
-    for t in t_values:
-        if t > 0.0:
-            out.append(-s)
-        elif t < 0.0:
-            out.append(s)
-        else:
-            out.append(0.0)
-    return out
+def bang_field(sw, s_max, eps=EPS_SWITCH):
+    """The bang law for a switching value ``sw = Im(a b*)``: ``+s_max`` below
+    ``-eps``, ``-s_max`` above ``eps`` and 0 inside the band, so that
+    ``dV/dt = 2 f Im(a b*)`` is never positive. Written as comparison
+    arithmetic, it returns a float for a float and an array for an array."""
+    return (sw < -eps) * s_max - (sw > eps) * s_max
 
 
 def select_field(state: PureState, params: SystemParams, eps: float = EPS_SWITCH) -> ControlDecision:
-    """Feedback law for one state: ``+s_max`` when ``Im(a b*) < 0``, ``-s_max``
-    when positive, ``0`` inside the ``eps`` band around zero."""
-    sw = switching_function(state)
-    if sw > eps:
-        return ControlDecision(-params.s_max)
-    if sw < -eps:
-        return ControlDecision(params.s_max)
-    return ControlDecision(0.0)
+    """:func:`bang_field` for one state, wrapped in a :class:`ControlDecision`."""
+    return ControlDecision(bang_field(switching_function(state), params.s_max, eps))
 
 
 def _switch_coefficients(state: PureState, params: SystemParams, f: float):
@@ -201,11 +190,11 @@ def ssc_step(state: PureState, params: SystemParams, dt_free: float | None = Non
     if phase_dist > 1e-6:
         raise ValueError(f"state must lie in the xz plane, got phi = {bl.phi!r}")
     ticked = evolve(state, free_unitary(params, dt_free))
-    decision = select_field(ticked, params)
-    if decision.f == 0.0:
+    f = bang_field(switching_function(ticked), params.s_max)
+    if f == 0.0:
         raise DegenerateStateError("free tick failed to trigger a field")
-    tau = segment_duration(ticked, decision.f, params)
-    return gauge_fix(evolve(ticked, controlled_unitary(params, decision.f, tau)))
+    tau = segment_duration(ticked, f, params)
+    return gauge_fix(evolve(ticked, controlled_unitary(params, f, tau)))
 
 
 def exact_steering_strength(gamma0: float, omega: float, n: int) -> float:
@@ -245,9 +234,9 @@ def fsc_population_gain(gamma0: float, params: SystemParams, dt_free: float) -> 
         return 1.0
     start = from_bloch(BlochAngles(gamma0, 0.0))
     ticked = evolve(start, free_unitary(params, dt_free))
-    decision = select_field(ticked, params)
-    tau = segment_duration(ticked, decision.f, params)
-    final = evolve(ticked, controlled_unitary(params, decision.f, tau))
+    f = bang_field(switching_function(ticked), params.s_max)
+    tau = segment_duration(ticked, f, params)
+    final = evolve(ticked, controlled_unitary(params, f, tau))
     return fidelity(final) / fidelity(start)
 
 

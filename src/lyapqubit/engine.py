@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _kernels
-from .control import DEFAULT_DT_FREE_FACTOR, EPS_SWITCH, Regime, classify_regime, select_field
+from .control import DEFAULT_DT_FREE_FACTOR, EPS_SWITCH, Regime, bang_field, classify_regime
 from .extended import ApplyField, FreeEvolve, Kick, Policy, SingleShotPlan, advance, next_action
 from .propagator import Unitary2, controlled_unitary, evolve, free_unitary
 from .states import (
@@ -282,7 +282,7 @@ def run_oracle(config: SimConfig, h: float) -> Trajectory:
         out_b,
         out_f,
     )
-    f0 = select_field(state0, params).f
+    f0 = bang_field(switching_function(state0), params.s_max)
     samples = [
         Sample(
             0.0,

@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .control import EPS_SWITCH, InfeasibleError, segment_duration
+from .control import InfeasibleError, bang_field, segment_duration
 from .propagator import controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
@@ -221,15 +221,13 @@ def next_action(
     # decided before the single shot: with no field there is nothing to plan
     if params.s_max == 0.0:
         return FreeEvolve(math.inf)
-    sw = switching_function(state)
-    at_switch = abs(sw) <= EPS_SWITCH
-    if policy is Policy.EXTENDED and at_switch and reachable_by_single_control(state, params):
+    f = bang_field(switching_function(state), params.s_max)
+    if f != 0.0:
+        return ApplyField(f, segment_duration(state, f, params))
+    # no field inside the EPS_SWITCH band: a switching point
+    if policy is Policy.EXTENDED and reachable_by_single_control(state, params):
         return plan_single_shot(state, params)
-    if at_switch:
-        return FreeEvolve(dt_free)
-    # dV/dt = 2 f Im(a b*): the bang sign makes it negative
-    f = -params.s_max if sw > 0.0 else params.s_max
-    return ApplyField(f, segment_duration(state, f, params))
+    return FreeEvolve(dt_free)
 
 
 def advance(

@@ -19,7 +19,9 @@ defaults to 0). ``[policy] kind`` is ``standard`` or ``extended``.
 ``fidelity_vs_strength`` sweep needs ``[initial]``. Its field strengths are
 the comma list ``s_values``, or ``s_count`` (default 25) points from
 ``s_min`` to ``s_max``, or else ``[system] s_max``; a ``first_segment``
-sweep takes one strength.
+sweep takes one strength. A ``phase_alignment`` sweep's ``gamma`` axis
+must stay in the band ``sin(gamma/2) <= sin(theta_max)`` that
+``[system] s_max`` reaches.
 
 Angle convention: ``gamma``/``phi`` values (including sweep bounds) are in
 units of pi, so ``phi = 1.75`` means ``7*pi/4``. ``gamma``, ``gamma_min``
@@ -27,7 +29,8 @@ and ``gamma_max`` lie in [0, 1]; ``phi_min`` lies in [0, 2) and ``phi_max``,
 which is exclusive, in (0, 2]; the initial ``phi`` is reduced modulo 2. By
 default the sweep axes run ``gamma`` from 0.01 to pi - 0.01 radians and
 ``phi`` over [0, 2*pi), 101 points each; a ``*_max`` must exceed its
-``*_min`` unless the count is 1. ``kick_angle`` is in radians (it is not a
+``*_min`` unless the count is 1, and the points must lie further apart
+than float spacing. ``kick_angle`` is in radians (it is not a
 pi fraction). Times carry the same unit as ``1/omega``; the file always
 states ``omega`` explicitly. Counts (``max_switches`` and the ``*_count``
 keys) are integers >= 1. Unknown sections or keys are rejected; every
@@ -43,7 +46,9 @@ from typing import Mapping
 
 import numpy as np
 
+from .control import InfeasibleError
 from .engine import Policy, SimConfig
+from .extended import required_phase
 from .states import BlochAngles, SystemParams
 from .sweeps import SweepGrid
 
@@ -169,7 +174,12 @@ def _axis(sweep, complain, name, lo, hi, count, endpoint=True) -> tuple[float, .
     count = sweep.get(f"{name}_count", count)
     if count > 1 and not lo < hi:
         complain("sweep", f"{name}_max", f"must exceed {name}_min")
-    return tuple(np.linspace(lo, hi, count, endpoint=endpoint))
+        return ()
+    axis = tuple(np.linspace(lo, hi, count, endpoint=endpoint))
+    if any(b <= a for a, b in zip(axis, axis[1:])):
+        message = f"{count} points from {name}_min to {name}_max are closer than float spacing"
+        complain("sweep", f"{name}_count", message)
+    return axis
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -242,11 +252,17 @@ def parse_scenario(path: str) -> Scenario:
         if sweep["kind"] == "first_segment" and len(s_values) > 1:
             key = "s_values" if "s_values" in sweep else "s_count"
             complain("sweep", key, f"a first_segment sweep takes one strength, got {len(s_values)}")
+        if sweep["kind"] == "phase_alignment" and gamma_axis:
+            # the band sin(gamma/2) <= sin(theta_max) depends on [system] s_max only
+            try:
+                required_phase(gamma_axis[-1], params)
+            except InfeasibleError as exc:
+                complain("sweep", "gamma_max", f"outside the reachable band of [system] s_max: {exc}")
         if diagnostics:
             raise ScenarioError(diagnostics)
         try:
             grid = SweepGrid(gamma_axis, phi_axis, s_values, params.omega)
-        except ValueError as exc:  # an axis finer than float spacing
+        except ValueError as exc:  # pragma: no cover - the checks above come first
             raise ScenarioError([f"[sweep]: {exc}"]) from exc
         spec = SweepSpec(sweep["kind"], grid.gamma_axis, grid.phi_axis, grid.s_values)
     return Scenario(params=params, initial=start, simulation=simulation, sweep=spec)

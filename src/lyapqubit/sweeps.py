@@ -1,30 +1,35 @@
 """Parameter sweeps: first-segment population ratios, slow-switching fidelity
 maps, fidelity-versus-strength curves, and the single-shot phase table.
 
-Grid cells are independent and iterated in fixed index order, so identical
-inputs produce identical tables.
+The first three evaluate their cells together, as numpy arrays: each step
+of the standard policy advances every cell that is still running, and a
+cell leaves the arrays when it stops. No cell's arithmetic depends on the
+other cells, so identical inputs produce identical tables, whether a grid
+is swept whole or row by row. The scalar functions step in only where the
+closed-form switching time needs refining, and every check they make
+(field bound, unitarity, normalisation) is made on every cell.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .control import EPS_SWITCH, segment_duration, select_field, ssc_fidelity_bound
-from .extended import ApplyField, Policy, advance, next_action, plan_single_shot, required_phase
-from .propagator import controlled_unitary, evolve, free_unitary
+from .control import EPS_SWITCH, bang_field, segment_duration, ssc_fidelity_bound
+from .extended import plan_single_shot, required_phase
+from .propagator import UNITARY_TOL, controlled_unitary, evolve, free_unitary
 from .states import (
+    NORM_TOL,
     BlochAngles,
     PureState,
     SystemParams,
-    fidelity,
+    _dressed_terms,
     from_bloch,
     lyapunov,
-    polar_angle,
-    switching_function,
 )
 
 #: Sweeps default to a tighter trigger tick than single runs: the recursion
@@ -71,10 +76,142 @@ class SweepResult:
     metadata: Mapping[str, object]
 
 
-def _first_segment(state: PureState, params: SystemParams):
-    decision = select_field(state, params)
-    tau = segment_duration(state, decision.f, params)
-    return evolve(state, controlled_unitary(params, decision.f, tau)), tau
+def _initial_states(gamma_axis: Sequence[float], phi_axis: Sequence[float]):
+    """``from_bloch`` of every ``(gamma, phi)`` cell, row by row, as complex
+    arrays ``a``, ``b``, with ``PureState``'s norm check: the trigonometry
+    runs once per axis point, in ``math``, so each cell gets the amplitudes
+    ``from_bloch`` gives it."""
+    half = [0.5 * g for g in gamma_axis]
+    a = np.repeat(np.array([math.cos(h) for h in half], dtype=complex), len(phi_axis))
+    turn = np.array([cmath.exp(1j * p) for p in phi_axis])
+    b = np.outer(np.array([math.sin(h) for h in half]), turn).ravel()
+    # written so that a NaN norm fails too
+    if not np.all(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0) <= NORM_TOL):
+        raise ValueError("state not normalized")
+    return a, b
+
+
+def _population(amplitude: np.ndarray) -> np.ndarray:
+    """``fidelity`` (of ``a``) or ``lyapunov`` (of ``b``), per cell."""
+    return np.minimum(np.abs(amplitude) ** 2, 1.0)
+
+
+def _strength_terms(params: Sequence[SystemParams], k: np.ndarray) -> np.ndarray:
+    """Per cell ``k`` (an index into ``params``), the rows ``s_max``,
+    ``eplus``, ``sin(theta)``, ``cos(theta)`` of the field ``+s_max``,
+    ``theta_max`` and ``k`` itself, from the scalar closed forms (which
+    also apply the field bound)."""
+    rows = [(P.s_max, *_dressed_terms(P, P.s_max), P.theta_max, i) for i, P in enumerate(params)]
+    return np.array(rows).T[:, k]
+
+
+def _normalised(a: np.ndarray, b: np.ndarray):
+    """``propagator.evolve``'s norm handling, per cell: a drift beyond
+    ``NORM_TOL`` is renormalised, and a NaN, infinite or zero norm raises."""
+    n2 = np.abs(a) ** 2 + np.abs(b) ** 2
+    drift = ~(np.abs(n2 - 1.0) <= NORM_TOL)
+    if drift.any():
+        bad = n2[drift]
+        finite = (0.0 < bad) & (bad < math.inf)
+        if not finite.all():
+            raise ValueError(f"evolved state has norm^2 {bad[~finite][0]!r}")
+        inv = 1.0 / np.sqrt(bad)
+        a[drift] *= inv
+        b[drift] *= inv
+        n2 = np.abs(a[drift]) ** 2 + np.abs(b[drift]) ** 2
+        if not np.all(np.abs(n2 - 1.0) <= NORM_TOL):
+            raise ValueError("state not normalized after renormalisation")
+    return a, b
+
+
+def _check_unitary(u11, u12, u21, u22) -> None:
+    """``propagator._check_unitary``'s three tests, on every cell's entries."""
+    c1 = np.abs(u11) ** 2 + np.abs(u21) ** 2
+    c2 = np.abs(u12) ** 2 + np.abs(u22) ** 2
+    cross = u11.conj() * u12 + u21.conj() * u22
+    # written so that a NaN entry fails too
+    ok = (np.abs(c1 - 1.0) <= UNITARY_TOL) & (np.abs(c2 - 1.0) <= UNITARY_TOL) & (np.abs(cross) <= UNITARY_TOL)
+    if not ok.all():
+        raise ValueError("entries do not form a unitary matrix")
+
+
+def _bang_segments(a, b, ab, field, terms, params: Sequence[SystemParams]):
+    """Every cell under its bang ``field`` up to its next switching point;
+    returns the end states and the durations.
+
+    ``Im(ab)``, with ``ab = a b*``, must lie outside the ``EPS_SWITCH``
+    band. That keeps every cell clear of what ``segment_duration`` rejects:
+    ``|a|`` and ``|b|`` exceed ``|Im(ab)| > 1e-12``, and so does
+    ``r = hypot(p, q) >= |p|``. The duration is ``segment_duration``'s
+    closed form, confirmed by ``|Im(a b*)| <= 1e-13 r`` on the evolved
+    state, which is also the end state. A cell that fails the confirmation
+    is redone by ``segment_duration`` and ``evolve``.
+    """
+    _, eplus, sin_t, cos_t, _, k = terms
+    sin_t = np.copysign(sin_t, field)
+    p = ab.imag
+    q = 0.5 * sin_t * (np.abs(a) ** 2 - np.abs(b) ** 2) - cos_t * ab.real
+    r = np.hypot(p, q)
+    alpha = np.mod(-np.arctan2(p, q), math.pi)
+    alpha[alpha <= 0.0] = math.pi
+    tau = alpha / (2.0 * eplus)
+    # controlled_unitary(params, field, tau), cell by cell
+    if not np.all(tau >= 0.0):
+        raise ValueError("duration must be non-negative")
+    c, s = np.cos(eplus * tau), np.sin(eplus * tau)
+    off = -1j * s * sin_t
+    u11, u22 = c - 1j * s * cos_t, c + 1j * s * cos_t
+    _check_unitary(u11, off, off, u22)
+    a_end, b_end = _normalised(u11 * a + off * b, off * a + u22 * b)
+    for i in np.flatnonzero(~(np.abs((a_end * b_end.conj()).imag) <= 1e-13 * r)):
+        state = PureState._checked_by_caller(complex(a[i]), complex(b[i]))
+        cell_params, f = params[int(k[i])], float(field[i])
+        tau[i] = segment_duration(state, f, cell_params)
+        end = evolve(state, controlled_unitary(cell_params, f, tau[i]))
+        a_end[i], b_end[i] = end.a, end.b
+    return a_end, b_end, tau
+
+
+def _ssc_terminal(a, b, terms, params: Sequence[SystemParams], dt_free: float, eps_target: float = 1e-9):
+    """Run the standard policy from every cell until it enters the
+    fast-switching regime (or the target or antipodal band, or the step
+    cap); returns the terminal fidelities and the control-segment counts.
+
+    Each step is ``next_action``'s: a free tick of ``dt_free`` at a
+    switching point, the bang field up to the next one elsewhere. A cell
+    with ``s_max = 0`` never gets a field and stops where it starts. All
+    of ``params`` share one ``omega``."""
+    fid = _population(a)
+    n_controls = np.zeros(len(a))
+    live = np.flatnonzero(terms[0] > 0.0)
+    a, b, terms = a[live], b[live], terms[:, live]
+    free = None
+    for _ in range(100_000):
+        mag = np.abs(a)
+        f_now = np.minimum(mag**2, 1.0)
+        polar_angle = 2.0 * np.arccos(np.minimum(mag, 1.0))
+        # terms[4] is theta_max, terms[0] s_max (see _strength_terms)
+        stop = (f_now >= 1.0 - eps_target) | (f_now <= eps_target) | (polar_angle <= terms[4])
+        if stop.any():
+            fid[live[stop]] = f_now[stop]
+            keep = ~stop
+            live, a, b, terms = live[keep], a[keep], b[keep], terms[:, keep]
+            if not live.size:
+                return fid, n_controls
+        ab = a * b.conj()
+        field = bang_field(ab.imag, terms[0], EPS_SWITCH)
+        tick = field == 0.0
+        if tick.any():
+            if free is None:
+                free = free_unitary(params[0], dt_free)
+            a[tick], b[tick] = _normalised(free.u11 * a[tick], free.u22 * b[tick])
+        bang = ~tick
+        if bang.any():
+            ends = _bang_segments(a[bang], b[bang], ab[bang], field[bang], terms[:, bang], params)
+            a[bang], b[bang] = ends[:2]
+            n_controls[live[bang]] += 1
+    fid[live] = _population(a)
+    return fid, n_controls
 
 
 def sweep_first_segment(grid: SweepGrid) -> SweepResult:
@@ -86,55 +223,20 @@ def sweep_first_segment(grid: SweepGrid) -> SweepResult:
     """
     if len(grid.s_values) != 1:
         raise ValueError("first-segment sweep expects exactly one field strength")
-    params = SystemParams(grid.omega, grid.s_values[0])
-    ng, np_ = len(grid.gamma_axis), len(grid.phi_axis)
-    ratio_a = np.full((ng, np_), FLAGGED)
-    ratio_b = np.full((ng, np_), FLAGGED)
-    tau_tab = np.full((ng, np_), FLAGGED)
-    for i, gamma in enumerate(grid.gamma_axis):
-        if gamma <= 0.0 or gamma >= math.pi:
-            continue
-        for j, phi in enumerate(grid.phi_axis):
-            state = from_bloch(BlochAngles(gamma, phi))
-            if abs(switching_function(state)) <= EPS_SWITCH:
-                continue
-            final, tau = _first_segment(state, params)
-            ratio_a[i, j] = fidelity(state) / fidelity(final)
-            ratio_b[i, j] = lyapunov(final) / lyapunov(state)
-            tau_tab[i, j] = tau
-    return SweepResult(
-        grid,
-        {"ratio_a": ratio_a, "ratio_b": ratio_b, "tau": tau_tab},
-        {"omega": grid.omega, "s": grid.s_values[0]},
-    )
-
-
-def _ssc_terminal(
-    gamma: float,
-    phi: float,
-    params: SystemParams,
-    dt_free: float,
-    eps_target: float = 1e-9,
-) -> tuple[float, int]:
-    """Run the standard policy from ``(gamma, phi)`` until the fast-switching
-    regime (or the target, or the antipode) is reached; returns the terminal
-    fidelity and the number of control segments."""
-    state = from_bloch(BlochAngles(gamma, phi))
-    n_controls = 0
-    if params.s_max == 0.0:
-        return fidelity(state), 0
-    theta_max = params.theta_max
-    for _ in range(100_000):
-        f_now = fidelity(state)
-        if f_now >= 1.0 - eps_target or f_now <= eps_target:
-            break
-        if polar_angle(state) <= theta_max:
-            break
-        # the antipode stops the loop above, so the kick angle is never used
-        action = next_action(state, params, Policy.STANDARD, dt_free, 1e-6, eps_target)
-        state = advance(state, params, action, action.duration)
-        n_controls += isinstance(action, ApplyField)
-    return fidelity(state), n_controls
+    params = (SystemParams(grid.omega, grid.s_values[0]),)
+    shape = (len(grid.gamma_axis), len(grid.phi_axis))
+    a, b = _initial_states(grid.gamma_axis, grid.phi_axis)
+    ab = a * b.conj()
+    polar = np.repeat([g <= 0.0 or g >= math.pi for g in grid.gamma_axis], shape[1])
+    run = np.flatnonzero(~polar & ~(np.abs(ab.imag) <= EPS_SWITCH))
+    a, b, ab = a[run], b[run], ab[run]
+    terms = _strength_terms(params, np.zeros(run.size, dtype=int))
+    a_end, b_end, tau = _bang_segments(a, b, ab, bang_field(ab.imag, terms[0], EPS_SWITCH), terms, params)
+    tables = {name: np.full(shape, FLAGGED) for name in ("ratio_a", "ratio_b", "tau")}
+    tables["ratio_a"].flat[run] = _population(a) / _population(a_end)
+    tables["ratio_b"].flat[run] = _population(b_end) / _population(b)
+    tables["tau"].flat[run] = tau
+    return SweepResult(grid, tables, {"omega": grid.omega, "s": grid.s_values[0]})
 
 
 def sweep_ssc_fidelity(
@@ -144,21 +246,16 @@ def sweep_ssc_fidelity(
 ) -> SweepResult:
     """Terminal fidelity of slow switching (stopped at fast-switching entry)
     and the number of control segments it took, per initial cell."""
-    params = SystemParams(grid.omega, s)
+    params = (SystemParams(grid.omega, s),)
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / grid.omega
-    ng, np_ = len(grid.gamma_axis), len(grid.phi_axis)
-    fid = np.empty((ng, np_))
-    n_max = np.empty((ng, np_))
-    for i, gamma in enumerate(grid.gamma_axis):
-        for j, phi in enumerate(grid.phi_axis):
-            f_term, n = _ssc_terminal(gamma, phi, params, dt_free)
-            fid[i, j] = f_term
-            n_max[i, j] = n
+    shape = (len(grid.gamma_axis), len(grid.phi_axis))
+    a, b = _initial_states(grid.gamma_axis, grid.phi_axis)
+    fid, n_max = _ssc_terminal(a, b, _strength_terms(params, np.zeros(a.size, dtype=int)), params, dt_free)
     return SweepResult(
         grid,
-        {"fidelity": fid, "n_max": n_max},
-        {"omega": grid.omega, "s": s, "dt_free": dt_free, "bound": ssc_fidelity_bound(params)},
+        {"fidelity": fid.reshape(shape), "n_max": n_max.reshape(shape)},
+        {"omega": grid.omega, "s": s, "dt_free": dt_free, "bound": ssc_fidelity_bound(params[0])},
     )
 
 
@@ -173,15 +270,14 @@ def fidelity_vs_strength(
     grid = SweepGrid((initial.gamma,), (initial.phi,), tuple(s_values), omega)
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / omega
-    fid = np.empty(len(grid.s_values))
-    bound = np.empty(len(grid.s_values))
-    for k, s in enumerate(grid.s_values):
-        params = SystemParams(omega, s)
-        fid[k], _ = _ssc_terminal(initial.gamma, initial.phi, params, dt_free)
-        bound[k] = ssc_fidelity_bound(params)
+    params = tuple(SystemParams(omega, s) for s in grid.s_values)
+    cells = np.arange(len(params))
+    a, b = _initial_states((initial.gamma,), (initial.phi,))
+    terms = _strength_terms(params, cells)
+    fid, _ = _ssc_terminal(np.repeat(a, cells.size), np.repeat(b, cells.size), terms, params, dt_free)
     return SweepResult(
         grid,
-        {"fidelity": fid, "bound": bound},
+        {"fidelity": fid, "bound": np.array([ssc_fidelity_bound(P) for P in params])},
         {"omega": omega, "gamma": initial.gamma, "phi": initial.phi, "dt_free": dt_free},
     )
 

@@ -129,6 +129,19 @@ class TestScenarioParsing:
             ("kind = ssc_fidelity\nphi_max = 2.5", "[sweep] phi_max:"),
             ("kind = ssc_fidelity\ngamma_min = 0.6\ngamma_max = 0.4", "[sweep] gamma_max:"),
             ("kind = fidelity_vs_strength", "[initial]:"),
+            # axes finer than float spacing, against their counts
+            (
+                "kind = ssc_fidelity\ngamma_min = 0.5\ngamma_max = 0.5000000000000001\ngamma_count = 50",
+                "[sweep] gamma_count:",
+            ),
+            (
+                "kind = ssc_fidelity\nphi_min = 1.0\nphi_max = 1.0000000000000002\nphi_count = 50",
+                "[sweep] phi_count:",
+            ),
+            ("kind = ssc_fidelity\ns_min = 0.1\ns_max = 0.10000000000000002\ns_count = 50", "[sweep] s_count:"),
+            # a phase table beyond the band [system] s_max reaches, default axis included
+            ("kind = phase_alignment\ngamma_min = 0.1\ngamma_max = 0.9\ngamma_count = 5", "[sweep] gamma_max:"),
+            ("kind = phase_alignment", "[sweep] gamma_max:"),
         ],
     )
     def test_sweep_key_conflict_exits_one_with_its_key(self, tmp_path, sweep, where):

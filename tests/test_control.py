@@ -10,7 +10,7 @@ from lyapqubit import (
     Regime,
     RegimeError,
     SystemParams,
-    bang_bang_select,
+    bang_field,
     classify_regime,
     controlled_unitary,
     evolve,
@@ -34,44 +34,57 @@ P = SystemParams(1.0, 0.1)
 THETA = P.theta_max
 
 
-class TestBangBangSelect:
+class TestBangField:
     def test_sign_rule(self):
-        assert bang_bang_select([0.3, -0.2, 0.0], 1.0) == [-1.0, 1.0, 0.0]
+        fields = bang_field(np.array([0.3, -0.2, 0.0]), 1.0, 0.0)
+        assert fields.tolist() == [-1.0, 1.0, 0.0]
 
     def test_all_zero(self):
-        assert bang_bang_select([0.0, 0.0], 0.5) == [0.0, 0.0]
+        assert bang_field(np.array([0.0, 0.0]), 0.5, 0.0).tolist() == [0.0, 0.0]
 
     def test_decrease_identity(self):
-        values = [0.4, -1.3, 0.0, 2.2, -0.0001]
+        values = np.array([0.4, -1.3, 0.0, 2.2, -0.0001])
         s = 0.7
-        fields = bang_bang_select(values, s)
-        total = sum(f * t for f, t in zip(fields, values))
-        assert total == pytest.approx(-s * sum(abs(t) for t in values), abs=1e-12)
+        fields = bang_field(values, s, 0.0)
+        total = float(np.sum(fields * values))
+        assert total == pytest.approx(-s * float(np.sum(np.abs(values))), abs=1e-12)
 
     def test_negative_bound_rejected(self):
+        # bang_field takes its bound from a SystemParams, which rejects this
         with pytest.raises(ValueError):
-            bang_bang_select([1.0], -1.0)
+            SystemParams(1.0, -1.0)
 
+    def test_float_for_a_float_array_for_an_array(self):
+        assert type(bang_field(0.3, 0.1)) is float
+        assert type(bang_field(0.0, 0.1)) is float
+        sw = np.array([0.3, -0.3, 1e-13, -1e-13, 2e-12])
+        s = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        assert bang_field(sw, s).tolist() == [-0.1, 0.2, 0.0, 0.0, -0.5]
 
-class TestSelectField:
     def test_fig1_state_gets_negative_field(self, fig1_state):
-        assert select_field(fig1_state, P).f == -0.1
+        assert bang_field(switching_function(fig1_state), P.s_max) == -0.1
 
     def test_upper_hemisphere_phase_gets_positive_field(self):
         s = from_bloch(BlochAngles(math.pi / 2, math.pi / 2))
-        assert select_field(s, P).f == 0.1
+        assert bang_field(switching_function(s), P.s_max) == 0.1
 
     def test_plane_states_get_zero(self):
         for phi in (0.0, math.pi):
             s = from_bloch(BlochAngles(1.0, phi))
-            assert select_field(s, P).f == 0.0
+            assert bang_field(switching_function(s), P.s_max) == 0.0
 
     def test_decision_never_increases_lyapunov_rate(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             s = from_bloch(BlochAngles(rng.uniform(0.01, math.pi - 0.01), rng.uniform(0, 2 * math.pi)))
-            dec = select_field(s, P)
-            assert dec.f * switching_function(s) <= 1e-12 * P.s_max
+            f = bang_field(switching_function(s), P.s_max)
+            assert f * switching_function(s) <= 1e-12 * P.s_max
+
+    def test_select_field_wraps_bang_field(self):
+        rng = np.random.default_rng(8)
+        for phi in (0.0, math.pi, *rng.uniform(0, 2 * math.pi, 20)):
+            s = from_bloch(BlochAngles(1.0, phi))
+            assert select_field(s, P).f == bang_field(switching_function(s), P.s_max)
 
 
 class TestSegmentDuration:
@@ -79,12 +92,12 @@ class TestSegmentDuration:
         # tick a plane state infinitesimally, trigger, solve: a half period
         state = from_bloch(BlochAngles(math.pi / 2, 0.0))
         ticked = evolve(state, free_unitary(P, 1e-9))
-        f = select_field(ticked, P).f
+        f = bang_field(switching_function(ticked), P.s_max)
         tau = segment_duration(ticked, f, P)
         assert tau == pytest.approx(math.pi / (2 * P.eplus_max), rel=1e-6)
 
     def test_zero_crossing_is_genuine(self, fig1_state):
-        f = select_field(fig1_state, P).f
+        f = bang_field(switching_function(fig1_state), P.s_max)
         tau = segment_duration(fig1_state, f, P)
         delta = 1e-9 / P.eplus_max
         before = switching_function(evolve(fig1_state, controlled_unitary(P, f, tau - delta)))
@@ -94,7 +107,7 @@ class TestSegmentDuration:
     def test_fig1_duration_validated_by_oracle_sampling(self, fig1_state):
         # bracket the first sign change of Im(a b*) by stepping the
         # brute-force integrator, then compare with the solved duration
-        f = select_field(fig1_state, P).f
+        f = bang_field(switching_function(fig1_state), P.s_max)
         tau = segment_duration(fig1_state, f, P)
         step = 1e-3
         prev = switching_function(fig1_state)
@@ -114,7 +127,7 @@ class TestSegmentDuration:
         rng = np.random.default_rng(11)
         for _ in range(300):
             s = from_bloch(BlochAngles(rng.uniform(0.01, math.pi - 0.01), rng.uniform(0, 2 * math.pi)))
-            f = select_field(s, P).f
+            f = bang_field(switching_function(s), P.s_max)
             if f == 0.0:
                 continue
             tau = segment_duration(s, f, P)
@@ -163,7 +176,7 @@ class TestSscStep:
         state = from_bloch(BlochAngles(math.pi / 2, 0.0))
         out = ssc_step(state, P, dt_free=dt)
         ticked = oracle_integrate(state, P, 0.0, dt, h=dt / 10)
-        f = select_field(ticked, P).f
+        f = bang_field(switching_function(ticked), P.s_max)
         tau = segment_duration(ticked, f, P)
         ref = oracle_integrate(ticked, P, f, tau, h=1e-4)
         assert to_bloch(out).gamma == pytest.approx(to_bloch(ref).gamma, abs=1e-8)
@@ -285,7 +298,7 @@ class TestFscGain:
         gain = fsc_population_gain(gamma0, P, dt)
         state = from_bloch(BlochAngles(gamma0, 0.0))
         ticked = oracle_integrate(state, P, 0.0, dt, h=dt / 50)
-        f = select_field(ticked, P).f
+        f = bang_field(switching_function(ticked), P.s_max)
         tau = segment_duration(ticked, f, P)
         final = oracle_integrate(ticked, P, f, tau, h=min(1e-4, tau / 4))
         oracle_gain = fidelity(final) / fidelity(state)

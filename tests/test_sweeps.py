@@ -2,18 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyapqubit import (
+    ApplyField,
     BlochAngles,
+    Policy,
+    PureState,
     SweepGrid,
     SystemParams,
+    bang_field,
     exact_steering_strength,
+    fidelity,
     fidelity_vs_strength,
+    from_bloch,
+    lyapunov,
+    next_action,
     phase_alignment_table,
+    polar_angle,
+    segment_duration,
     ssc_fidelity_bound,
     sweep_first_segment,
     sweep_ssc_fidelity,
+    switching_function,
 )
+from lyapqubit import sweeps
+from lyapqubit.extended import advance
 
 OMEGA = 1.0
 P = SystemParams(OMEGA, 0.1)
@@ -161,3 +175,196 @@ def test_exact_steering_round_trip_through_sweep():
     result = sweep_ssc_fidelity(grid, s, dt_free=1e-6)
     assert result.tables["fidelity"][0, 0] >= 1.0 - 1e-9
     assert result.tables["n_max"][0, 0] == 3
+
+
+# Scalar references: the per-cell loops the array kernel replaced, written
+# with the policy's own next_action and advance.
+
+
+def scalar_ssc_terminal(gamma, phi, params, dt_free, eps_target=1e-9):
+    state = from_bloch(BlochAngles(gamma, phi))
+    n_controls = 0
+    if params.s_max == 0.0:
+        return fidelity(state), 0
+    for _ in range(100_000):
+        f_now = fidelity(state)
+        if f_now >= 1.0 - eps_target or f_now <= eps_target:
+            break
+        if polar_angle(state) <= params.theta_max:
+            break
+        action = next_action(state, params, Policy.STANDARD, dt_free, 1e-6, eps_target)
+        state = advance(state, params, action, action.duration)
+        n_controls += isinstance(action, ApplyField)
+    return fidelity(state), n_controls
+
+
+def scalar_first_segment(gamma, phi, params):
+    if gamma <= 0.0 or gamma >= math.pi:
+        return (math.nan,) * 3
+    state = from_bloch(BlochAngles(gamma, phi))
+    f = bang_field(switching_function(state), params.s_max)
+    if f == 0.0:
+        return (math.nan,) * 3
+    tau = segment_duration(state, f, params)
+    final = advance(state, params, ApplyField(f, tau), tau)
+    return fidelity(state) / fidelity(final), lyapunov(final) / lyapunov(state), tau
+
+
+def assert_agrees(table, reference, exact=False):
+    table, reference = np.asarray(table, dtype=float), np.asarray(reference, dtype=float)
+    assert np.array_equal(np.isnan(table), np.isnan(reference))
+    if exact:
+        assert np.array_equal(table, reference, equal_nan=True)
+    else:
+        assert np.nanmax(np.abs(table - reference), initial=0.0) <= 1e-14
+
+
+def shifted_grid(seed, s, n):
+    """A seeded grid moved by a sub-cell offset, as the benchmark's sweeps."""
+    rng = np.random.default_rng(seed)
+    gamma = np.linspace(0.1, math.pi - 0.1, n) + rng.uniform(-0.2, 0.2) * (math.pi - 0.2) / (n - 1)
+    phi = np.linspace(0.0, 2 * math.pi, n, endpoint=False) + rng.uniform(0.0, 1.0) * 2 * math.pi / n
+    return SweepGrid(tuple(gamma), tuple(phi), (s,), OMEGA)
+
+
+class TestArrayKernelAgainstScalarReference:
+    @pytest.mark.parametrize("s", [0.05, 0.1])
+    def test_ssc_grid(self, s):
+        grid = shifted_grid(11, s, 20)
+        params = SystemParams(OMEGA, s)
+        result = sweep_ssc_fidelity(grid, s, dt_free=1e-6)
+        ref = np.array(
+            [[scalar_ssc_terminal(g, p, params, 1e-6) for p in grid.phi_axis] for g in grid.gamma_axis]
+        )
+        assert_agrees(result.tables["n_max"], ref[..., 1], exact=True)
+        assert_agrees(result.tables["fidelity"], ref[..., 0])
+
+    def test_strength_axis_with_zero(self):
+        s_values = (0.0, 0.003, 0.02, 0.05, 0.1, 0.25, 0.5)
+        initial = BlochAngles(2.3, 4.1)
+        result = fidelity_vs_strength(s_values, initial, OMEGA, dt_free=1e-6)
+        ref = [
+            scalar_ssc_terminal(initial.gamma, initial.phi, SystemParams(OMEGA, s), 1e-6)[0]
+            for s in s_values
+        ]
+        assert_agrees(result.tables["fidelity"], ref)
+        assert result.tables["fidelity"][0] == fidelity(from_bloch(initial))
+        assert result.tables["bound"].tolist() == [ssc_fidelity_bound(SystemParams(OMEGA, s)) for s in s_values]
+
+    def test_first_segment_grid(self):
+        shifted = shifted_grid(12, 0.1, 25)
+        # with the poles and the in-plane phases, which are skipped
+        grid = SweepGrid(
+            (0.0, *shifted.gamma_axis, math.pi), tuple(sorted((*shifted.phi_axis, 0.0, math.pi))), (0.1,), OMEGA
+        )
+        result = sweep_first_segment(grid)
+        ref = np.array([[scalar_first_segment(g, p, P) for p in grid.phi_axis] for g in grid.gamma_axis])
+        for k, name in enumerate(("ratio_a", "ratio_b", "tau")):
+            assert_agrees(result.tables[name], ref[..., k])
+
+    def test_rows_stack_to_the_whole_grid(self):
+        grid = shifted_grid(13, 0.05, 8)
+        whole = sweep_ssc_fidelity(grid, 0.05).tables
+        rows = [SweepGrid((g,), grid.phi_axis, grid.s_values, OMEGA) for g in grid.gamma_axis]
+        rows = [sweep_ssc_fidelity(row, 0.05).tables for row in rows]
+        for name, table in whole.items():
+            assert np.array_equal(np.vstack([r[name] for r in rows]), table)
+
+    def test_fallback_cell_takes_segment_durations_tau(self, monkeypatch):
+        # found by scanning shifted slow-switching grids: one segment of this
+        # cell ends where the closed-form time leaves a residue above
+        # 1e-13 r, so the kernel redoes that cell with segment_duration
+        calls = []
+
+        def recording(state, f, params):
+            tau = segment_duration(state, f, params)
+            calls.append((state, f, params, tau))
+            return tau
+
+        monkeypatch.setattr(sweeps, "segment_duration", recording)
+        gamma, phi, s = 1.0119596783861877, 4.527578844581518, 0.05
+        params = SystemParams(OMEGA, s)
+        result = sweep_ssc_fidelity(SweepGrid((gamma,), (phi,), (s,), OMEGA), s, dt_free=1e-6)
+        fid, n = scalar_ssc_terminal(gamma, phi, params, 1e-6)
+        assert result.tables["n_max"][0, 0] == n
+        assert abs(result.tables["fidelity"][0, 0] - fid) <= 1e-14
+        ((state, f, _, tau),) = calls
+        calls.clear()
+        a, b = np.array([state.a]), np.array([state.b])
+        terms = sweeps._strength_terms((params,), np.zeros(1, dtype=int))
+        a_end, b_end, tau_k = sweeps._bang_segments(a, b, a * b.conj(), np.array([f]), terms, (params,))
+        assert len(calls) == 1
+        assert tau_k[0] == tau == segment_duration(state, f, params)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        gamma=st.floats(0.05, math.pi - 0.05),
+        phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+        s=st.floats(0.02, 0.5),
+    )
+    def test_random_cells(self, gamma, phi, s):
+        params = SystemParams(OMEGA, s)
+        result = sweep_ssc_fidelity(SweepGrid((gamma,), (phi,), (s,), OMEGA), s, dt_free=1e-6)
+        fid, n = scalar_ssc_terminal(gamma, phi, params, 1e-6)
+        assert result.tables["n_max"][0, 0] == n
+        assert abs(result.tables["fidelity"][0, 0] - fid) <= 1e-14
+        first = sweep_first_segment(SweepGrid((gamma,), (phi,), (s,), OMEGA)).tables
+        ref = scalar_first_segment(gamma, phi, params)
+        for k, name in enumerate(("ratio_a", "ratio_b", "tau")):
+            assert_agrees(first[name], [[ref[k]]])
+
+
+class TestArrayChecks:
+    def test_unitarity_checked_on_every_cell(self):
+        good = np.array([1.0 + 0j, 1j])
+        zero = np.zeros(2, dtype=complex)
+        sweeps._check_unitary(good, zero, zero, good)
+        for u11 in (np.array([1.0 + 0j, 1.0 + 1e-9]), np.array([1.0 + 0j, math.nan])):
+            with pytest.raises(ValueError, match="unitary"):
+                sweeps._check_unitary(u11, zero, zero, good)
+        with pytest.raises(ValueError, match="unitary"):
+            sweeps._check_unitary(good, np.array([0.0, 1e-6]), zero, good)
+
+    def test_drift_renormalised_per_cell(self):
+        a = np.array([0.6 + 0j, 0.6 * (1 + 1e-9)])
+        b = np.array([0.8j, 0.8j * (1 + 1e-9)])
+        a, b = sweeps._normalised(a, b)
+        assert a[0] == 0.6 and b[0] == 0.8j
+        assert abs(abs(a[1]) ** 2 + abs(b[1]) ** 2 - 1.0) <= 1e-15
+        PureState(a[1], b[1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_nan_infinite_or_zero_norm_raises(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            sweeps._normalised(np.array([1.0 + 0j, bad]), np.array([0j, 0j]))
+
+    def test_every_segment_is_checked(self, monkeypatch):
+        seen = {"_check_unitary": 0, "_normalised": 0}
+
+        def counting(name):
+            check = getattr(sweeps, name)
+
+            def counted(*args):
+                seen[name] += len(args[0])
+                return check(*args)
+
+            return counted
+
+        for name in seen:
+            monkeypatch.setattr(sweeps, name, counting(name))
+        grid = shifted_grid(14, 0.1, 6)
+        controls = int(sweep_ssc_fidelity(grid, 0.1).tables["n_max"].sum())
+        # a propagator per control segment; a norm check per segment end
+        # and per free tick, of which every segment but a cell's first
+        # (36 cells) follows one
+        assert seen["_check_unitary"] == controls
+        assert seen["_normalised"] >= controls + (controls - 36)
+        seen.update(_check_unitary=0, _normalised=0)
+        first = sweep_first_segment(grid).tables["tau"]
+        assert seen["_check_unitary"] == np.count_nonzero(~np.isnan(first))
+        assert seen["_normalised"] == seen["_check_unitary"]
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_strengths_validated(self, s):
+        with pytest.raises(ValueError):
+            fidelity_vs_strength((0.1, s), BlochAngles(1.0, 0.5), OMEGA)
