@@ -61,13 +61,23 @@ def trajectory_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _column_text(values) -> np.ndarray:
+    """``_fmt(float(x))`` of every cell ``x``, as an object array. Each
+    distinct float64 bit pattern is formatted once, so ``-0.0`` and ``0.0``
+    (and NaNs of either sign) stay apart; an int column is formatted as
+    the floats ``"%.15g"`` turns it into."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    bits, cell = np.unique(x.view(np.uint64), return_inverse=True)
+    # "%.15g" % v prints what _fmt(v) prints, without the call
+    text = np.array(["%.15g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[cell]
+
+
 def table_csv(columns: dict[str, np.ndarray]) -> str:
     names = list(columns)
-    # "%.15g" % x prints what _fmt(float(x)) prints; array scalars are formatted
-    # row by row, so no column is copied into a list of Python floats
-    row = ",".join(["%.15g"] * len(names))
     lines = [",".join(names)]
-    lines.extend(row % cells for cells in zip(*(np.asarray(columns[n]).ravel() for n in names)))
+    # a sweep's axis columns repeat each of their values along the grid
+    lines += map(",".join, zip(*[_column_text(columns[n]) for n in names]))
     return "\n".join(lines) + "\n"
 
 
@@ -149,11 +159,12 @@ def cmd_design(args) -> int:
     gamma0 = args.gamma0 * math.pi
     try:
         strength = exact_steering_strength(gamma0, args.omega, args.n)
+        params = SystemParams(args.omega, strength)
     except ValueError as exc:
         print(f"design: {exc}", file=sys.stderr)
         return 1
     config = SimConfig(
-        params=SystemParams(args.omega, strength),
+        params=params,
         initial=BlochAngles(gamma0, 0.0),
         policy=Policy.STANDARD,
         dt_free=1e-6 / args.omega,

@@ -204,8 +204,8 @@ def exact_steering_strength(gamma0: float, omega: float, n: int) -> float:
         raise ValueError(f"step count must be a positive integer, got {n!r}")
     if not 0.0 < gamma0 < math.pi:
         raise ValueError(f"gamma0 must lie in (0, pi), got {gamma0!r}")
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     half = gamma0 / (2.0 * n)
     if half >= 0.5 * math.pi:
         raise InfeasibleError("required mixing angle reaches pi/2")

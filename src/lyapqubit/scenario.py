@@ -11,7 +11,8 @@ Sections and keys::
                   phi_min, phi_max, phi_count,
                   s_values, s_min, s_max, s_count
 
-``[system]`` needs both keys; ``[initial]`` needs ``gamma`` (``phi``
+``[system]`` needs both keys; ``omega`` lies in [1e-75, 1e75] and every
+field strength in [0, 1e75]. ``[initial]`` needs ``gamma`` (``phi``
 defaults to 0). ``[policy] kind`` is ``standard`` or ``extended``.
 ``[simulation]`` keys the file leaves out take the defaults of
 :class:`~lyapqubit.engine.SimConfig`. ``[sweep] kind`` is ``first_segment``,
@@ -49,7 +50,7 @@ import numpy as np
 from .control import InfeasibleError
 from .engine import Policy, SimConfig
 from .extended import required_phase
-from .states import BlochAngles, SystemParams
+from .states import SCALE_RANGE, BlochAngles, SystemParams
 from .sweeps import SweepGrid
 
 SWEEP_KINDS = ("first_segment", "ssc_fidelity", "fidelity_vs_strength", "phase_alignment")
@@ -129,17 +130,19 @@ def _strengths(raw: str) -> tuple[float, ...]:
         raise ValueError("empty list")
     # a strictly increasing axis is required downstream; listing order in the
     # file carries no meaning
-    return tuple(sorted(set(_NON_NEGATIVE(p) for p in parts)))
+    return tuple(sorted(set(_STRENGTH(p) for p in parts)))
 
 
 _POSITIVE = _rule(lambda v: v > 0.0, "must be positive")
-_NON_NEGATIVE = _rule(lambda v: v >= 0.0, "must be non-negative")
+# the ranges SystemParams enforces
+_OMEGA = _rule(lambda v: SCALE_RANGE[0] <= v <= SCALE_RANGE[1], "must lie in [%r, %r]" % SCALE_RANGE)
+_STRENGTH = _rule(lambda v: 0.0 <= v <= SCALE_RANGE[1], f"must lie in [0, {SCALE_RANGE[1]!r}]")
 _COUNT = _rule(lambda v: v >= 1, "must be at least 1", int)
 _GAMMA = _pi_units(_rule(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
 
 #: section -> key -> converter: every key a scenario file may set
 _KEYS = {
-    "system": {"omega": _POSITIVE, "s_max": _NON_NEGATIVE},
+    "system": {"omega": _OMEGA, "s_max": _STRENGTH},
     "initial": {"gamma": _GAMMA, "phi": _pi_units(_finite)},
     "policy": {"kind": _one_of(Policy)},
     # the ranges SimConfig enforces, reported here with their keys
@@ -160,8 +163,8 @@ _KEYS = {
         "phi_max": _pi_units(_rule(lambda v: 0.0 < v <= 2.0, "must lie in (0, 2]")),
         "phi_count": _COUNT,
         "s_values": _strengths,
-        "s_min": _NON_NEGATIVE,
-        "s_max": _NON_NEGATIVE,
+        "s_min": _STRENGTH,
+        "s_max": _STRENGTH,
         "s_count": _COUNT,
     },
 }

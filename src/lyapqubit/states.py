@@ -24,6 +24,11 @@ NORM_TOL = 1e-12
 #: Below this amplitude magnitude a state counts as sitting on a pole.
 POLE_TOL = 1e-15
 
+#: ``omega`` lies in ``[1e-75, 1e75]`` and ``s_max`` in ``[0, 1e75]``:
+#: the closed forms square these values and their ratio, and the squares
+#: stay normal floats.
+SCALE_RANGE = (1e-75, 1e75)
+
 
 class DegenerateStateError(ValueError):
     """The requested operation is undefined for this state."""
@@ -92,7 +97,8 @@ class BlochAngles:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Finite level spacing ``omega`` (> 0) and field-strength bound ``s_max`` (>= 0)."""
+    """Level spacing ``omega`` and field-strength bound ``s_max``, within
+    the ranges :data:`SCALE_RANGE` sets."""
 
     omega: float
     s_max: float
@@ -100,10 +106,12 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "s_max", float(self.s_max))
-        if not 0.0 < self.omega < math.inf:
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
-        if not 0.0 <= self.s_max < math.inf:
-            raise ValueError(f"s_max must be non-negative and finite, got {self.s_max!r}")
+        lo, hi = SCALE_RANGE
+        # written so that NaN fails too
+        if not lo <= self.omega <= hi:
+            raise ValueError(f"omega must lie in [{lo!r}, {hi!r}], got {self.omega!r}")
+        if not 0.0 <= self.s_max <= hi:
+            raise ValueError(f"s_max must lie in [0, {hi!r}], got {self.s_max!r}")
 
     @property
     def theta_max(self) -> float:
@@ -116,19 +124,6 @@ class SystemParams:
         return math.hypot(0.5 * self.omega, self.s_max)
 
 
-@dataclass(frozen=True)
-class DressedFrame:
-    """Per-field derived quantities: the field value, its mixing angle
-    ``theta = arctan(2f/omega)``, the positive eigenvalue
-    ``eplus = sqrt(omega^2/4 + f^2)`` and ``sin(theta)``, ``cos(theta)``."""
-
-    f: float
-    theta: float
-    eplus: float
-    sin_theta: float
-    cos_theta: float
-
-
 def _dressed_terms(params: SystemParams, f: float) -> tuple[float, float, float]:
     """``(eplus, sin(theta), cos(theta))`` for a constant field ``f``; raises
     :class:`FieldBoundError` for a non-finite ``f`` or ``|f| > s_max``."""
@@ -139,14 +134,6 @@ def _dressed_terms(params: SystemParams, f: float) -> tuple[float, float, float]
     eplus = math.hypot(0.5 * params.omega, f)
     # algebraic forms keep tan(theta) = 2f/omega exact
     return eplus, f / eplus, math.sqrt(eplus**2 - f**2) / eplus
-
-
-def dressed(params: SystemParams, f: float) -> DressedFrame:
-    """Derived quantities for a constant field ``f``; rejects a non-finite
-    ``f`` and ``|f| > s_max``."""
-    f = float(f)
-    eplus, sin_theta, cos_theta = _dressed_terms(params, f)
-    return DressedFrame(f, math.atan2(2.0 * f, params.omega), eplus, sin_theta, cos_theta)
 
 
 def from_bloch(angles: BlochAngles) -> PureState:

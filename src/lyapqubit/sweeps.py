@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,24 +76,54 @@ class SweepResult:
     metadata: Mapping[str, object]
 
 
-def _initial_states(gamma_axis: Sequence[float], phi_axis: Sequence[float]):
-    """``from_bloch`` of every ``(gamma, phi)`` cell, row by row, as complex
-    arrays ``a``, ``b``, with ``PureState``'s norm check: the trigonometry
-    runs once per axis point, in ``math``, so each cell gets the amplitudes
-    ``from_bloch`` gives it."""
+class _Cells(NamedTuple):
+    """Grid cells as complex arrays ``a``, ``b``, with the per-cell
+    quantities a step reads, each computed once per state: ``abs_a = |a|``,
+    ``a2 = |a|^2``, ``b2 = |b|^2`` and ``ab = a b*``."""
+
+    a: np.ndarray
+    b: np.ndarray
+    abs_a: np.ndarray
+    a2: np.ndarray
+    b2: np.ndarray
+    ab: np.ndarray
+
+    def take(self, index) -> "_Cells":
+        return _Cells(*(x[index] for x in self))
+
+    def put(self, index, cells: "_Cells") -> None:
+        for x, y in zip(self, cells):
+            x[index] = y
+
+
+def _cells(a: np.ndarray, b: np.ndarray) -> _Cells:
+    abs_a = np.abs(a)
+    return _Cells(a, b, abs_a, abs_a**2, np.abs(b) ** 2, a * b.conj())
+
+
+def _all(mask: np.ndarray) -> bool:
+    """``mask.all()`` as a count, which costs a third of the reduction on
+    a row's cells."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _initial_states(gamma_axis: Sequence[float], phi_axis: Sequence[float]) -> _Cells:
+    """``from_bloch`` of every ``(gamma, phi)`` cell, row by row, with
+    ``PureState``'s norm check: the trigonometry runs once per axis point,
+    in ``math``, so each cell gets the amplitudes ``from_bloch`` gives it."""
     half = [0.5 * g for g in gamma_axis]
     a = np.repeat(np.array([math.cos(h) for h in half], dtype=complex), len(phi_axis))
     turn = np.array([cmath.exp(1j * p) for p in phi_axis])
-    b = np.outer(np.array([math.sin(h) for h in half]), turn).ravel()
+    cells = _cells(a, np.outer(np.array([math.sin(h) for h in half]), turn).ravel())
     # written so that a NaN norm fails too
-    if not np.all(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0) <= NORM_TOL):
+    if not _all(np.abs(cells.a2 + cells.b2 - 1.0) <= NORM_TOL):
         raise ValueError("state not normalized")
-    return a, b
+    return cells
 
 
-def _population(amplitude: np.ndarray) -> np.ndarray:
-    """``fidelity`` (of ``a``) or ``lyapunov`` (of ``b``), per cell."""
-    return np.minimum(np.abs(amplitude) ** 2, 1.0)
+def _population(squared: np.ndarray) -> np.ndarray:
+    """``fidelity`` (of ``|a|^2``) or ``lyapunov`` (of ``|b|^2``), per cell."""
+    return np.minimum(squared, 1.0)
 
 
 def _strength_terms(params: Sequence[SystemParams], k: np.ndarray) -> np.ndarray:
@@ -105,12 +135,14 @@ def _strength_terms(params: Sequence[SystemParams], k: np.ndarray) -> np.ndarray
     return np.array(rows).T[:, k]
 
 
-def _normalised(a: np.ndarray, b: np.ndarray):
+def _normalised(a: np.ndarray, b: np.ndarray) -> _Cells:
     """``propagator.evolve``'s norm handling, per cell: a drift beyond
     ``NORM_TOL`` is renormalised, and a NaN, infinite or zero norm raises."""
-    n2 = np.abs(a) ** 2 + np.abs(b) ** 2
+    abs_a = np.abs(a)
+    a2, b2 = abs_a**2, np.abs(b) ** 2
+    n2 = a2 + b2
     drift = ~(np.abs(n2 - 1.0) <= NORM_TOL)
-    if drift.any():
+    if np.count_nonzero(drift):
         bad = n2[drift]
         finite = (0.0 < bad) & (bad < math.inf)
         if not finite.all():
@@ -118,10 +150,11 @@ def _normalised(a: np.ndarray, b: np.ndarray):
         inv = 1.0 / np.sqrt(bad)
         a[drift] *= inv
         b[drift] *= inv
-        n2 = np.abs(a[drift]) ** 2 + np.abs(b[drift]) ** 2
-        if not np.all(np.abs(n2 - 1.0) <= NORM_TOL):
+        abs_a[drift], b2[drift] = np.abs(a[drift]), np.abs(b[drift]) ** 2
+        a2[drift] = abs_a[drift] ** 2
+        if not _all(np.abs(a2[drift] + b2[drift] - 1.0) <= NORM_TOL):
             raise ValueError("state not normalized after renormalisation")
-    return a, b
+    return _Cells(a, b, abs_a, a2, b2, a * b.conj())
 
 
 def _check_unitary(u11, u12, u21, u22) -> None:
@@ -131,48 +164,58 @@ def _check_unitary(u11, u12, u21, u22) -> None:
     cross = u11.conj() * u12 + u21.conj() * u22
     # written so that a NaN entry fails too
     ok = (np.abs(c1 - 1.0) <= UNITARY_TOL) & (np.abs(c2 - 1.0) <= UNITARY_TOL) & (np.abs(cross) <= UNITARY_TOL)
-    if not ok.all():
+    if not _all(ok):
         raise ValueError("entries do not form a unitary matrix")
 
 
-def _bang_segments(a, b, ab, field, terms, params: Sequence[SystemParams]):
+def _bang_segments(cells: _Cells, field, terms, params: Sequence[SystemParams]):
     """Every cell under its bang ``field`` up to its next switching point;
-    returns the end states and the durations.
+    returns the end cells and the durations.
 
-    ``Im(ab)``, with ``ab = a b*``, must lie outside the ``EPS_SWITCH``
-    band. That keeps every cell clear of what ``segment_duration`` rejects:
-    ``|a|`` and ``|b|`` exceed ``|Im(ab)| > 1e-12``, and so does
-    ``r = hypot(p, q) >= |p|``. The duration is ``segment_duration``'s
-    closed form, confirmed by ``|Im(a b*)| <= 1e-13 r`` on the evolved
-    state, which is also the end state. A cell that fails the confirmation
-    is redone by ``segment_duration`` and ``evolve``.
+    ``Im(a b*)`` must lie outside the ``EPS_SWITCH`` band. That keeps every
+    cell clear of what ``segment_duration`` rejects: ``|a|`` and ``|b|``
+    exceed ``|Im(a b*)| > 1e-12``, and so does ``r = hypot(p, q) >= |p|``.
+    The duration is ``segment_duration``'s closed form, confirmed by
+    ``|Im(a b*)| <= 1e-13 r`` on the evolved state, which is also the end
+    state. A cell that fails the confirmation is redone by
+    ``segment_duration`` and ``evolve``.
     """
     _, eplus, sin_t, cos_t, _, k = terms
     sin_t = np.copysign(sin_t, field)
-    p = ab.imag
-    q = 0.5 * sin_t * (np.abs(a) ** 2 - np.abs(b) ** 2) - cos_t * ab.real
+    p = cells.ab.imag
+    q = 0.5 * sin_t * (cells.a2 - cells.b2) - cos_t * cells.ab.real
     r = np.hypot(p, q)
     alpha = np.mod(-np.arctan2(p, q), math.pi)
     alpha[alpha <= 0.0] = math.pi
     tau = alpha / (2.0 * eplus)
     # controlled_unitary(params, field, tau), cell by cell
-    if not np.all(tau >= 0.0):
+    if not _all(tau >= 0.0):
         raise ValueError("duration must be non-negative")
-    c, s = np.cos(eplus * tau), np.sin(eplus * tau)
-    off = -1j * s * sin_t
-    u11, u22 = c - 1j * s * cos_t, c + 1j * s * cos_t
+    angle = eplus * tau
+    c, s = np.cos(angle), np.sin(angle)
+    off, turn = -1j * s * sin_t, 1j * s * cos_t
+    u11, u22 = c - turn, c + turn
     _check_unitary(u11, off, off, u22)
-    a_end, b_end = _normalised(u11 * a + off * b, off * a + u22 * b)
-    for i in np.flatnonzero(~(np.abs((a_end * b_end.conj()).imag) <= 1e-13 * r)):
-        state = PureState._checked_by_caller(complex(a[i]), complex(b[i]))
-        cell_params, f = params[int(k[i])], float(field[i])
-        tau[i] = segment_duration(state, f, cell_params)
-        end = evolve(state, controlled_unitary(cell_params, f, tau[i]))
-        a_end[i], b_end[i] = end.a, end.b
-    return a_end, b_end, tau
+    a, b = cells.a, cells.b
+    end = _normalised(u11 * a + off * b, off * a + u22 * b)
+    redo = ~(np.abs(end.ab.imag) <= 1e-13 * r)
+    if np.count_nonzero(redo):
+        redo = np.flatnonzero(redo)
+        for i in redo:
+            state = PureState._checked_by_caller(complex(a[i]), complex(b[i]))
+            cell_params, f = params[int(k[i])], float(field[i])
+            tau[i] = segment_duration(state, f, cell_params)
+            fixed = evolve(state, controlled_unitary(cell_params, f, tau[i]))
+            end.a[i], end.b[i] = fixed.a, fixed.b
+        end.put(redo, _cells(end.a[redo], end.b[redo]))
+    return end, tau
 
 
-def _ssc_terminal(a, b, terms, params: Sequence[SystemParams], dt_free: float, eps_target: float = 1e-9):
+def _free_ticks(a: np.ndarray, b: np.ndarray, free) -> _Cells:
+    return _normalised(free.u11 * a, free.u22 * b)
+
+
+def _ssc_terminal(cells: _Cells, terms, params: Sequence[SystemParams], dt_free: float, eps_target: float = 1e-9):
     """Run the standard policy from every cell until it enters the
     fast-switching regime (or the target or antipodal band, or the step
     cap); returns the terminal fidelities and the control-segment counts.
@@ -181,36 +224,43 @@ def _ssc_terminal(a, b, terms, params: Sequence[SystemParams], dt_free: float, e
     switching point, the bang field up to the next one elsewhere. A cell
     with ``s_max = 0`` never gets a field and stops where it starts. All
     of ``params`` share one ``omega``."""
-    fid = _population(a)
-    n_controls = np.zeros(len(a))
+    fid = _population(cells.a2)
+    n_controls = np.zeros(fid.size)
     live = np.flatnonzero(terms[0] > 0.0)
-    a, b, terms = a[live], b[live], terms[:, live]
+    cells, terms = cells.take(live), terms[:, live]
     free = None
     for _ in range(100_000):
-        mag = np.abs(a)
-        f_now = np.minimum(mag**2, 1.0)
-        polar_angle = 2.0 * np.arccos(np.minimum(mag, 1.0))
+        # the fidelity min(|a|^2, 1) lies in a band exactly when |a|^2 does;
         # terms[4] is theta_max, terms[0] s_max (see _strength_terms)
-        stop = (f_now >= 1.0 - eps_target) | (f_now <= eps_target) | (polar_angle <= terms[4])
-        if stop.any():
-            fid[live[stop]] = f_now[stop]
+        stop = (cells.a2 >= 1.0 - eps_target) | (cells.a2 <= eps_target)
+        stop |= 2.0 * np.arccos(np.minimum(cells.abs_a, 1.0)) <= terms[4]
+        if np.count_nonzero(stop):
+            fid[live[stop]] = _population(cells.a2[stop])
             keep = ~stop
-            live, a, b, terms = live[keep], a[keep], b[keep], terms[:, keep]
-            if not live.size:
-                return fid, n_controls
-        ab = a * b.conj()
-        field = bang_field(ab.imag, terms[0], EPS_SWITCH)
+            live, cells, terms = live[keep], cells.take(keep), terms[:, keep]
+        if not live.size:
+            return fid, n_controls
+        field = bang_field(cells.ab.imag, terms[0], EPS_SWITCH)
         tick = field == 0.0
-        if tick.any():
-            if free is None:
-                free = free_unitary(params[0], dt_free)
-            a[tick], b[tick] = _normalised(free.u11 * a[tick], free.u22 * b[tick])
-        bang = ~tick
-        if bang.any():
-            ends = _bang_segments(a[bang], b[bang], ab[bang], field[bang], terms[:, bang], params)
-            a[bang], b[bang] = ends[:2]
+        ticks = np.count_nonzero(tick)
+        if ticks and free is None:
+            free = free_unitary(params[0], dt_free)
+        # a confirmed segment ends in the band and a tick leaves it, so cells
+        # that start alike alternate in lockstep: a step mostly ticks or
+        # bangs whole, without gathering its cells
+        if ticks == live.size:
+            cells = _free_ticks(cells.a, cells.b, free)
+        elif not ticks:
+            cells = _bang_segments(cells, field, terms, params)[0]
+            n_controls[live] += 1
+        else:
+            bang = ~tick
+            ticked = _free_ticks(cells.a[tick], cells.b[tick], free)
+            ended = _bang_segments(cells.take(bang), field[bang], terms[:, bang], params)[0]
+            cells.put(tick, ticked)
+            cells.put(bang, ended)
             n_controls[live[bang]] += 1
-    fid[live] = _population(a)
+    fid[live] = _population(cells.a2)
     return fid, n_controls
 
 
@@ -225,16 +275,15 @@ def sweep_first_segment(grid: SweepGrid) -> SweepResult:
         raise ValueError("first-segment sweep expects exactly one field strength")
     params = (SystemParams(grid.omega, grid.s_values[0]),)
     shape = (len(grid.gamma_axis), len(grid.phi_axis))
-    a, b = _initial_states(grid.gamma_axis, grid.phi_axis)
-    ab = a * b.conj()
+    cells = _initial_states(grid.gamma_axis, grid.phi_axis)
     polar = np.repeat([g <= 0.0 or g >= math.pi for g in grid.gamma_axis], shape[1])
-    run = np.flatnonzero(~polar & ~(np.abs(ab.imag) <= EPS_SWITCH))
-    a, b, ab = a[run], b[run], ab[run]
+    run = np.flatnonzero(~polar & ~(np.abs(cells.ab.imag) <= EPS_SWITCH))
+    cells = cells.take(run)
     terms = _strength_terms(params, np.zeros(run.size, dtype=int))
-    a_end, b_end, tau = _bang_segments(a, b, ab, bang_field(ab.imag, terms[0], EPS_SWITCH), terms, params)
+    end, tau = _bang_segments(cells, bang_field(cells.ab.imag, terms[0], EPS_SWITCH), terms, params)
     tables = {name: np.full(shape, FLAGGED) for name in ("ratio_a", "ratio_b", "tau")}
-    tables["ratio_a"].flat[run] = _population(a) / _population(a_end)
-    tables["ratio_b"].flat[run] = _population(b_end) / _population(b)
+    tables["ratio_a"].flat[run] = _population(cells.a2) / _population(end.a2)
+    tables["ratio_b"].flat[run] = _population(end.b2) / _population(cells.b2)
     tables["tau"].flat[run] = tau
     return SweepResult(grid, tables, {"omega": grid.omega, "s": grid.s_values[0]})
 
@@ -250,8 +299,8 @@ def sweep_ssc_fidelity(
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / grid.omega
     shape = (len(grid.gamma_axis), len(grid.phi_axis))
-    a, b = _initial_states(grid.gamma_axis, grid.phi_axis)
-    fid, n_max = _ssc_terminal(a, b, _strength_terms(params, np.zeros(a.size, dtype=int)), params, dt_free)
+    cells = _initial_states(grid.gamma_axis, grid.phi_axis)
+    fid, n_max = _ssc_terminal(cells, _strength_terms(params, np.zeros(cells.a.size, dtype=int)), params, dt_free)
     return SweepResult(
         grid,
         {"fidelity": fid.reshape(shape), "n_max": n_max.reshape(shape)},
@@ -271,10 +320,9 @@ def fidelity_vs_strength(
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / omega
     params = tuple(SystemParams(omega, s) for s in grid.s_values)
-    cells = np.arange(len(params))
-    a, b = _initial_states((initial.gamma,), (initial.phi,))
-    terms = _strength_terms(params, cells)
-    fid, _ = _ssc_terminal(np.repeat(a, cells.size), np.repeat(b, cells.size), terms, params, dt_free)
+    # the one initial cell, once per strength
+    cells = _initial_states((initial.gamma,), (initial.phi,)).take(np.zeros(len(params), dtype=int))
+    fid, _ = _ssc_terminal(cells, _strength_terms(params, np.arange(len(params))), params, dt_free)
     return SweepResult(
         grid,
         {"fidelity": fid, "bound": np.array([ssc_fidelity_bound(P) for P in params])},

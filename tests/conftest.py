@@ -1,8 +1,19 @@
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import configuration, settings
 
 from lyapqubit import BlochAngles, SystemParams, from_bloch
+
+# every run draws the same examples and keeps no example database, so the
+# suite gives the same result each time and writes nothing into the checkout
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+# hypothesis also caches the constants it reads from the source files while
+# pytest collects; that cache goes to the system's temporary directory
+configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "lyapqubit-hypothesis"))
 
 
 @pytest.fixture

@@ -4,12 +4,14 @@ import os
 import pathlib
 import re
 import stat
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyapqubit import BlochAngles, Policy, ScenarioError, SimConfig, SystemParams, parse_scenario
 from lyapqubit import scenario as scenario_module
@@ -104,6 +106,10 @@ class TestScenarioParsing:
                 "[sweep] gamma_count:",
             ),
             ("omega = 1.0", "omega = 1%", "[system] omega:"),
+            # values whose squares leave the float range
+            ("omega = 1.0", "omega = 1e300", "[system] omega:"),
+            ("omega = 1.0", "omega = 1e-300", "[system] omega:"),
+            ("s_max = 0.1", "s_max = 1e300", "[system] s_max:"),
         ],
     )
     def test_out_of_range_value_exits_one_with_its_key(self, tmp_path, old, new, where):
@@ -142,6 +148,8 @@ class TestScenarioParsing:
             # a phase table beyond the band [system] s_max reaches, default axis included
             ("kind = phase_alignment\ngamma_min = 0.1\ngamma_max = 0.9\ngamma_count = 5", "[sweep] gamma_max:"),
             ("kind = phase_alignment", "[sweep] gamma_max:"),
+            ("kind = ssc_fidelity\ns_values = 0.1, 1e300", "[sweep] s_values:"),
+            ("kind = ssc_fidelity\ns_min = 0.1\ns_max = 1e300", "[sweep] s_max:"),
         ],
     )
     def test_sweep_key_conflict_exits_one_with_its_key(self, tmp_path, sweep, where):
@@ -288,6 +296,42 @@ def test_table_rows_format_like_fmt():
     assert table_csv(columns) == "\n".join(expected) + "\n"
 
 
+# signed zeros, infinities, NaNs of both signs and with a payload, subnormals
+# and integers beyond float precision, each with its own bit pattern
+SPECIAL = [
+    0.0,
+    -0.0,
+    math.inf,
+    -math.inf,
+    math.nan,
+    math.copysign(math.nan, -1.0),
+    struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0],
+    5e-324,
+    -5e-324,
+    2.5e-310,
+    1.0 / 3.0,
+    123456789012345678.0,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 40), width=st.integers(1, 4))
+def test_table_csv_matches_the_row_by_row_reference(data, rows, width):
+    columns = {}
+    for k in range(width):
+        kind = data.draw(st.sampled_from(["repeats", "floats", "ints"]))
+        if kind == "ints":
+            values = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows))
+            columns[f"c{k}"] = np.array(values, dtype=np.int64)
+            continue
+        element = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+        if kind == "repeats":
+            element = st.sampled_from(data.draw(st.lists(element, min_size=1, max_size=3)))
+        columns[f"c{k}"] = np.array(data.draw(st.lists(element, min_size=rows, max_size=rows)), dtype=np.float64)
+    expected = [",".join(columns)] + [",".join(_fmt(float(columns[c][i])) for c in columns) for i in range(rows)]
+    assert table_csv(columns) == "\n".join(expected) + "\n"
+
+
 SWEEP_SCENARIO = """\
 [system]
 omega = 1.0
@@ -406,6 +450,13 @@ class TestDesign:
     def test_invalid_step_count(self):
         code, _, err = run_cli("design", "0.5", "1.0", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("omega", ["nan", "inf", "1e-300", "1e300"])
+    def test_extreme_omega_exits_one(self, omega):
+        code, out, err = run_cli("design", "0.5", omega, "3")
+        assert code == 1
+        assert err.startswith("design: omega must")
+        assert out == ""
 
 
 class TestVerify:

@@ -8,14 +8,17 @@ from lyapqubit import (
     BlochAngles,
     PureState,
     SystemParams,
+    controlled_unitary,
     fidelity,
     from_bloch,
     gauge_fix,
     lyapunov,
     polar_angle,
+    ssc_fidelity_bound,
     switching_function,
     to_bloch,
 )
+from lyapqubit.states import SCALE_RANGE
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -45,6 +48,19 @@ class TestSystemParams:
     def test_non_finite_rejected(self, omega, s_max):
         with pytest.raises(ValueError):
             SystemParams(omega, s_max)
+
+    @pytest.mark.parametrize("omega, s_max", [(1e-300, 0.1), (1e300, 0.1), (1.0, 1e300), (0.0, 0.1), (1.0, -1e-300)])
+    def test_out_of_scale_rejected(self, omega, s_max):
+        with pytest.raises(ValueError, match="must lie in"):
+            SystemParams(omega, s_max)
+
+    @pytest.mark.parametrize("omega, s_max", [(1e-75, 1e75), (1e75, 1e75), (1e-75, 0.0), (1e75, 1e-75)])
+    def test_closed_forms_hold_at_the_scale_limits(self, omega, s_max):
+        assert SCALE_RANGE == (1e-75, 1e75)
+        params = SystemParams(omega, s_max)
+        # the checked constructor rejects entries that are not unitary
+        controlled_unitary(params, -s_max, 0.7 / params.eplus_max)
+        assert 0.5 <= ssc_fidelity_bound(params) <= 1.0
 
 
 class TestPureState:

@@ -1,4 +1,6 @@
+import collections
 import math
+import types
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from lyapqubit import (
 )
 from lyapqubit import sweeps
 from lyapqubit.extended import advance
+from lyapqubit.states import NORM_TOL
 
 OMEGA = 1.0
 P = SystemParams(OMEGA, 0.1)
@@ -290,11 +293,14 @@ class TestArrayKernelAgainstScalarReference:
         assert abs(result.tables["fidelity"][0, 0] - fid) <= 1e-14
         ((state, f, _, tau),) = calls
         calls.clear()
-        a, b = np.array([state.a]), np.array([state.b])
+        cells = sweeps._cells(np.array([state.a]), np.array([state.b]))
         terms = sweeps._strength_terms((params,), np.zeros(1, dtype=int))
-        a_end, b_end, tau_k = sweeps._bang_segments(a, b, a * b.conj(), np.array([f]), terms, (params,))
+        end, tau_k = sweeps._bang_segments(cells, np.array([f]), terms, (params,))
         assert len(calls) == 1
         assert tau_k[0] == tau == segment_duration(state, f, params)
+        # the redone cell carries the quantities of its new amplitudes
+        for carried, fresh in zip(end, sweeps._cells(end.a, end.b)):
+            assert carried.tobytes() == fresh.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -314,6 +320,114 @@ class TestArrayKernelAgainstScalarReference:
             assert_agrees(first[name], [[ref[k]]])
 
 
+def shipped_axes(s, n):
+    """A grid on the shipped scenarios' axis pattern: phi runs over
+    [0, 2 pi) from 0, and with n even it holds pi too, so the in-plane
+    cells start inside the switching band and tick while the others bang."""
+    gamma = np.linspace(0.01, math.pi - 0.01, n)
+    phi = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    return SweepGrid(tuple(gamma), tuple(phi), (s,), OMEGA)
+
+
+def step_kinds(monkeypatch):
+    """Counts the kernel's steps by the fields of their cells: all free
+    ticks, all bang segments, or mixed."""
+    kinds = collections.Counter()
+
+    def recording(sw, s_max, eps):
+        field = bang_field(sw, s_max, eps)
+        ticks = np.count_nonzero(field == 0.0)
+        kinds["tick" if ticks == field.size else "bang" if not ticks else "mixed"] += 1
+        return field
+
+    monkeypatch.setattr(sweeps, "bang_field", recording)
+    return kinds
+
+
+def check_segment_starts(monkeypatch):
+    """Checks that every bang segment starts from normalised cells whose
+    carried |a|, |a|^2, |b|^2 and a b* are those of their amplitudes, bit
+    for bit; returns the list of checked segment calls' sizes."""
+    sizes = []
+    bang_segments = sweeps._bang_segments
+
+    def checking(cells, field, terms, params):
+        for carried, fresh in zip(cells, sweeps._cells(cells.a, cells.b)):
+            assert carried.tobytes() == fresh.tobytes()
+        assert np.all(np.abs(cells.a2 + cells.b2 - 1.0) <= NORM_TOL)
+        sizes.append(field.size)
+        return bang_segments(cells, field, terms, params)
+
+    monkeypatch.setattr(sweeps, "_bang_segments", checking)
+    return sizes
+
+
+class TestMixedAndLockstepSteps:
+    """The kernel steps the cells of a call as one array when all of them
+    tick or all bang, and splits the array otherwise."""
+
+    @staticmethod
+    def assert_matches_references(grid, s, result):
+        params = SystemParams(OMEGA, s)
+        ref = np.array(
+            [[scalar_ssc_terminal(g, p, params, 1e-6) for p in grid.phi_axis] for g in grid.gamma_axis]
+        )
+        assert_agrees(result.tables["n_max"], ref[..., 1], exact=True)
+        assert_agrees(result.tables["fidelity"], ref[..., 0])
+        # a cell swept alone never mixes: each of its steps ticks or bangs whole
+        for i, g in enumerate(grid.gamma_axis):
+            for j, p in enumerate(grid.phi_axis):
+                alone = sweep_ssc_fidelity(SweepGrid((g,), (p,), (s,), OMEGA), s, dt_free=1e-6).tables
+                for name, table in result.tables.items():
+                    assert alone[name][0, 0].tobytes() == table[i, j].tobytes(), (name, g, p)
+
+    @pytest.mark.parametrize("s", [0.05, 0.1])
+    def test_shipped_axes_mix_ticks_and_bangs(self, s, monkeypatch):
+        grid = shipped_axes(s, 12)
+        assert 0.0 in grid.phi_axis and abs(grid.phi_axis[6] - math.pi) <= 1e-15
+        kinds = step_kinds(monkeypatch)
+        result = sweep_ssc_fidelity(grid, s, dt_free=1e-6)
+        assert kinds["mixed"] > kinds["tick"] + kinds["bang"]
+        self.assert_matches_references(grid, s, result)
+
+    @pytest.mark.parametrize("s", [0.05, 0.1])
+    def test_shifted_axes_step_in_lockstep(self, s, monkeypatch):
+        grid = shifted_grid(16, s, 12)
+        kinds = step_kinds(monkeypatch)
+        result = sweep_ssc_fidelity(grid, s, dt_free=1e-6)
+        assert kinds["mixed"] == 0 and kinds["tick"] > 0 and kinds["bang"] > 0
+        self.assert_matches_references(grid, s, result)
+
+    def test_carried_quantities_match_their_state(self, monkeypatch):
+        sizes = check_segment_starts(monkeypatch)
+        for grid in (shipped_axes(0.1, 8), shifted_grid(17, 0.1, 8)):
+            sweep_ssc_fidelity(grid, 0.1)
+        fidelity_vs_strength((0.0, 0.02, 0.1, 0.3), BlochAngles(1.9, 2.8), OMEGA)
+        assert len(sizes) > 10
+
+    @pytest.mark.parametrize("grid", [shipped_axes(0.1, 8), shifted_grid(18, 0.1, 8)], ids=["mixed", "lockstep"])
+    def test_drifting_ticks_are_renormalised(self, grid, monkeypatch):
+        # a free tick that lengthens every state by 1e-9, beyond NORM_TOL:
+        # each cell must be renormalised before its next segment, whether
+        # its step ticked whole or mixed
+        phase = complex(math.cos(0.5e-6), -math.sin(0.5e-6)) * (1.0 + 1e-9)
+        drifting = types.SimpleNamespace(u11=phase, u22=phase.conjugate())
+        monkeypatch.setattr(sweeps, "free_unitary", lambda params, t: drifting)
+        sizes = check_segment_starts(monkeypatch)
+        kinds = step_kinds(monkeypatch)
+        sweep_ssc_fidelity(grid, 0.1)
+        assert sizes and kinds["tick"] + kinds["mixed"] > 0
+
+    def test_zero_strength_grid_takes_no_step(self, monkeypatch):
+        kinds = step_kinds(monkeypatch)
+        grid = SweepGrid((0.5, 2.0), (0.3, 4.0), (0.0,), OMEGA)
+        result = sweep_ssc_fidelity(grid, 0.0)
+        assert not kinds
+        assert (result.tables["n_max"] == 0).all()
+        expected = [[fidelity(from_bloch(BlochAngles(g, p))) for p in grid.phi_axis] for g in grid.gamma_axis]
+        assert result.tables["fidelity"].tolist() == expected
+
+
 class TestArrayChecks:
     def test_unitarity_checked_on_every_cell(self):
         good = np.array([1.0 + 0j, 1j])
@@ -328,7 +442,7 @@ class TestArrayChecks:
     def test_drift_renormalised_per_cell(self):
         a = np.array([0.6 + 0j, 0.6 * (1 + 1e-9)])
         b = np.array([0.8j, 0.8j * (1 + 1e-9)])
-        a, b = sweeps._normalised(a, b)
+        a, b = sweeps._normalised(a, b)[:2]
         assert a[0] == 0.6 and b[0] == 0.8j
         assert abs(abs(a[1]) ** 2 + abs(b[1]) ** 2 - 1.0) <= 1e-15
         PureState(a[1], b[1])
