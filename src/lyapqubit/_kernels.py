@@ -4,7 +4,11 @@ A fixed-step fourth-order integrator and the brute-force stepper that
 re-evaluates the bang-bang law every step. For a constant field one
 classical RK4 step is a fixed 2x2 matrix, so the integrator takes its
 ``n_steps``-th power by repeated squaring instead of stepping; the law
-stepper has to look at every step.
+stepper has to look at every step. Both work on bare complex amplitudes
+and return plain values: ``rk4_steps`` the final pair,
+``sampled_law_steps`` the final pair, its switch count and the list of
+``(a, b, f)`` after every ``stride``-th step, which ``engine.run_oracle``
+turns into samples.
 """
 
 from __future__ import annotations
@@ -61,32 +65,20 @@ def rk4_steps(a, b, omega, f, n_steps, h):
     return a * inv, b * inv
 
 
-def sampled_law_steps(
-    a,
-    b,
-    s_max,
-    eps_sw,
-    n_steps,
-    stride,
-    up11,
-    up12,
-    up22,
-    um11,
-    um12,
-    um22,
-    uf11,
-    uf22,
-    out_a,
-    out_b,
-    out_f,
-):
-    # one-step propagators for f = +s_max / -s_max / 0 are precomputed by the
-    # caller (u21 = u12 for this Hamiltonian family); the law is re-evaluated
-    # from Im(a b*) at every step
+def sampled_law_steps(a, b, s_max, eps_sw, n_steps, stride, up, um, uf):
+    # n_steps of the bang law re-evaluated from Im(a b*) at every step, with
+    # the one-step propagators up / um / uf for f = +s_max / -s_max / 0
+    # (u21 = u12 for this Hamiltonian family); returns the final amplitudes,
+    # the number of step-to-step field changes and the (a, b, f) after every
+    # stride-th step
+    up11, up12, up22 = up.u11, up.u12, up.u22
+    um11, um12, um22 = um.u11, um.u12, um.u22
+    uf11, uf22 = uf.u11, uf.u22
+    # the first step's field, so that the first step never counts as a switch
+    sw = a.imag * b.real - a.real * b.imag
+    f_prev = -s_max if sw > eps_sw else s_max if sw < -eps_sw else 0.0
     switches = 0
-    f_prev = 0.0
-    first = True
-    idx = 0
+    samples = []
     for k in range(n_steps):
         sw = a.imag * b.real - a.real * b.imag  # Im(a conj(b))
         if sw > eps_sw:
@@ -101,13 +93,9 @@ def sampled_law_steps(
         inv = 1.0 / math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
         a *= inv
         b *= inv
-        if not first and f != f_prev:
+        if f != f_prev:
             switches += 1
-        first = False
         f_prev = f
-        if (k + 1) % stride == 0 and idx < out_a.shape[0]:
-            out_a[idx] = a
-            out_b[idx] = b
-            out_f[idx] = f
-            idx += 1
-    return a, b, switches
+        if (k + 1) % stride == 0:
+            samples.append((a, b, f))
+    return a, b, switches, samples

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 configuration or validation error, 2 truncated
 simulation, 3 verification failure. All file output is byte-deterministic
-for identical inputs and seed, and written atomically (write then rename).
+for identical inputs, and written atomically (write then rename).
+``verify`` draws its random cases from ``--seed``.
 """
 
 from __future__ import annotations
@@ -272,8 +273,6 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="output file (simulate) or directory (sweep)")
-    common.add_argument("--seed", type=int, default=20240901, help="seed for randomized checks")
     common.add_argument("--quiet", action="store_true", help="suppress the summary on stdout")
 
     parser = argparse.ArgumentParser(
@@ -284,10 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run one scenario, write a CSV trajectory")
     p_sim.add_argument("scenario", help="scenario file")
+    p_sim.add_argument("--output", help="output CSV file")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="run a sweep scenario, write CSV tables")
     p_sweep.add_argument("scenario", help="scenario file with a [sweep] section")
+    p_sweep.add_argument("--output", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_design = sub.add_parser(
@@ -302,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="randomized propagator and policy checks"
     )
     p_verify.add_argument("--count", type=int, default=1000, help="number of propagator cases")
+    p_verify.add_argument("--seed", type=int, default=20240901, help="seed for randomized checks")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -78,9 +78,9 @@ def bang_field(sw, s_max, eps=EPS_SWITCH):
     return (sw < -eps) * s_max - (sw > eps) * s_max
 
 
-def select_field(state: PureState, params: SystemParams, eps: float = EPS_SWITCH) -> ControlDecision:
+def select_field(state: PureState, params: SystemParams) -> ControlDecision:
     """:func:`bang_field` for one state, wrapped in a :class:`ControlDecision`."""
-    return ControlDecision(bang_field(switching_function(state), params.s_max, eps))
+    return ControlDecision(bang_field(switching_function(state), params.s_max))
 
 
 def _switch_coefficients(state: PureState, params: SystemParams, f: float):

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from . import _kernels
 from .control import DEFAULT_DT_FREE_FACTOR, EPS_SWITCH, Regime, bang_field, classify_regime
 from .extended import ApplyField, FreeEvolve, Kick, Policy, SingleShotPlan, advance, next_action
@@ -107,6 +105,11 @@ class Trajectory:
     final_state: PureState = dc_field(repr=False, default=None)  # type: ignore[assignment]
 
 
+def _sample(t: float, state: PureState, f: float, kind: str) -> Sample:
+    # V = |b|^2 and, under a constant field f, dV/dt = 2 f Im(a b*)
+    return Sample(t, state, lyapunov(state), 2.0 * f * switching_function(state), f, kind)
+
+
 def _kick_unitary(angle: float) -> Unitary2:
     # rotation about x by `angle`; takes |g> to polar angle pi - angle at
     # relative phase pi/2, breaking the antipodal equilibrium
@@ -127,8 +130,7 @@ class _Recorder:
     def sample(self, t: float, state: PureState, f: float, kind: str) -> None:
         if self.samples and t <= self.samples[-1].t:
             return
-        dvdt = 2.0 * f * switching_function(state)
-        self.samples.append(Sample(t, state, lyapunov(state), dvdt, f, kind))
+        self.samples.append(_sample(t, state, f, kind))
 
     def segment(
         self,
@@ -256,62 +258,20 @@ def run_oracle(config: SimConfig, h: float) -> Trajectory:
     state0 = from_bloch(config.initial)
     n_steps = int(math.floor(config.max_time / h + 1e-9))
     stride = max(1, int(round(config.sample_interval / h)))
-    n_out = n_steps // stride
     up = controlled_unitary(params, params.s_max, h)
     um = controlled_unitary(params, -params.s_max, h)
-    uf = free_unitary(params, h)
-    out_a = np.empty(n_out, dtype=np.complex128)
-    out_b = np.empty(n_out, dtype=np.complex128)
-    out_f = np.empty(n_out, dtype=np.float64)
-    a, b, switches = _kernels.sampled_law_steps(
-        complex(state0.a),
-        complex(state0.b),
-        params.s_max,
-        EPS_SWITCH,
-        n_steps,
-        stride,
-        up.u11,
-        up.u12,
-        up.u22,
-        um.u11,
-        um.u12,
-        um.u22,
-        uf.u11,
-        uf.u22,
-        out_a,
-        out_b,
-        out_f,
+    a, b, switches, sampled = _kernels.sampled_law_steps(
+        state0.a, state0.b, params.s_max, EPS_SWITCH, n_steps, stride, up, um, free_unitary(params, h)
     )
     f0 = bang_field(switching_function(state0), params.s_max)
-    samples = [
-        Sample(
-            0.0,
-            state0,
-            lyapunov(state0),
-            2.0 * f0 * switching_function(state0),
-            f0,
-            "control" if f0 != 0.0 else "free",
-        )
-    ]
-    for j in range(n_out):
-        st = PureState(out_a[j], out_b[j])
-        fj = float(out_f[j])
-        samples.append(
-            Sample(
-                stride * h * (j + 1),
-                st,
-                lyapunov(st),
-                2.0 * fj * switching_function(st),
-                fj,
-                "control" if fj != 0.0 else "free",
-            )
-        )
+    points = [(0.0, state0, f0)]
+    points += [(stride * h * (j + 1), PureState(sa, sb), sf) for j, (sa, sb, sf) in enumerate(sampled)]
     final = PureState(a, b)
     return Trajectory(
         segments=(),
-        samples=tuple(samples),
+        samples=tuple(_sample(t, st, f, "control" if f != 0.0 else "free") for t, st, f in points),
         terminal_fidelity=fidelity(final),
-        switch_count=int(switches),
+        switch_count=switches,
         converged=fidelity(final) >= 1.0 - config.eps_target,
         truncated=fidelity(final) < 1.0 - config.eps_target,
         final_regime=classify_regime(final, params, config.eps_target),

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .control import InfeasibleError, bang_field, segment_duration
 from .propagator import controlled_unitary, evolve, free_unitary
 from .states import (
+    TWO_PI,
     BlochAngles,
     PureState,
     SystemParams,
@@ -34,8 +35,6 @@ from .states import (
     switching_function,
     to_bloch,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 class Policy(str, enum.Enum):

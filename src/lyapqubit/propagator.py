@@ -77,16 +77,6 @@ class Unitary2:
     def as_array(self) -> np.ndarray:
         return np.array([[self.u11, self.u12], [self.u21, self.u22]], dtype=np.complex128)
 
-    @classmethod
-    def from_array(cls, m) -> "Unitary2":
-        m = np.asarray(m, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-
-IDENTITY = Unitary2(1.0, 0.0, 0.0, 1.0)
-
 
 def controlled_unitary(params: SystemParams, f: float, t: float) -> Unitary2:
     """Propagator for a constant field ``f`` over duration ``t >= 0``.

@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .control import EPS_SWITCH, bang_field, segment_duration, ssc_fidelity_bound
+from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, bang_field, segment_duration, ssc_fidelity_bound
 from .extended import plan_single_shot, required_phase
 from .propagator import UNITARY_TOL, controlled_unitary, evolve, free_unitary
 from .states import (
@@ -36,8 +36,13 @@ from .states import (
 #: error per step scales with the tick squared.
 SWEEP_DT_FREE_FACTOR = 1e-6
 
-#: Sentinel for grid cells where the first-segment analysis does not apply.
+#: Sentinel for grid cells where the first-segment analysis does not apply,
+#: and for slow-switching cells still running at :data:`SSC_STEP_CAP`.
 FLAGGED = float("nan")
+
+#: Steps (free ticks and bang segments) after which a slow-switching cell
+#: that has not stopped is given up.
+SSC_STEP_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -215,10 +220,11 @@ def _free_ticks(a: np.ndarray, b: np.ndarray, free) -> _Cells:
     return _normalised(free.u11 * a, free.u22 * b)
 
 
-def _ssc_terminal(cells: _Cells, terms, params: Sequence[SystemParams], dt_free: float, eps_target: float = 1e-9):
+def _ssc_terminal(cells: _Cells, terms, params: Sequence[SystemParams], dt_free: float):
     """Run the standard policy from every cell until it enters the
-    fast-switching regime (or the target or antipodal band, or the step
-    cap); returns the terminal fidelities and the control-segment counts.
+    fast-switching regime (or the target or antipodal band); returns the
+    terminal fidelities and the control-segment counts. A cell still
+    running after :data:`SSC_STEP_CAP` steps gets :data:`FLAGGED` in both.
 
     Each step is ``next_action``'s: a free tick of ``dt_free`` at a
     switching point, the bang field up to the next one elsewhere. A cell
@@ -229,10 +235,10 @@ def _ssc_terminal(cells: _Cells, terms, params: Sequence[SystemParams], dt_free:
     live = np.flatnonzero(terms[0] > 0.0)
     cells, terms = cells.take(live), terms[:, live]
     free = None
-    for _ in range(100_000):
+    for step in range(SSC_STEP_CAP + 1):
         # the fidelity min(|a|^2, 1) lies in a band exactly when |a|^2 does;
         # terms[4] is theta_max, terms[0] s_max (see _strength_terms)
-        stop = (cells.a2 >= 1.0 - eps_target) | (cells.a2 <= eps_target)
+        stop = (cells.a2 >= 1.0 - DEFAULT_EPS_TARGET) | (cells.a2 <= DEFAULT_EPS_TARGET)
         stop |= 2.0 * np.arccos(np.minimum(cells.abs_a, 1.0)) <= terms[4]
         if np.count_nonzero(stop):
             fid[live[stop]] = _population(cells.a2[stop])
@@ -240,6 +246,8 @@ def _ssc_terminal(cells: _Cells, terms, params: Sequence[SystemParams], dt_free:
             live, cells, terms = live[keep], cells.take(keep), terms[:, keep]
         if not live.size:
             return fid, n_controls
+        if step == SSC_STEP_CAP:
+            break
         field = bang_field(cells.ab.imag, terms[0], EPS_SWITCH)
         tick = field == 0.0
         ticks = np.count_nonzero(tick)
@@ -260,7 +268,7 @@ def _ssc_terminal(cells: _Cells, terms, params: Sequence[SystemParams], dt_free:
             cells.put(tick, ticked)
             cells.put(bang, ended)
             n_controls[live[bang]] += 1
-    fid[live] = _population(cells.a2)
+    fid[live] = n_controls[live] = FLAGGED
     return fid, n_controls
 
 
@@ -294,7 +302,9 @@ def sweep_ssc_fidelity(
     dt_free: float | None = None,
 ) -> SweepResult:
     """Terminal fidelity of slow switching (stopped at fast-switching entry)
-    and the number of control segments it took, per initial cell."""
+    and the number of control segments it took, per initial cell. A cell
+    that has not stopped after :data:`SSC_STEP_CAP` steps reads
+    :data:`FLAGGED` in both tables."""
     params = (SystemParams(grid.omega, s),)
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / grid.omega
@@ -315,7 +325,9 @@ def fidelity_vs_strength(
     dt_free: float | None = None,
 ) -> SweepResult:
     """Slow-switching terminal fidelity for one initial state across field
-    strengths, next to the strength-dependent lower bound."""
+    strengths, next to the strength-dependent lower bound. A strength whose
+    run has not stopped after :data:`SSC_STEP_CAP` steps reads
+    :data:`FLAGGED`."""
     grid = SweepGrid((initial.gamma,), (initial.phi,), tuple(s_values), omega)
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / omega

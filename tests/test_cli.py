@@ -459,6 +459,30 @@ class TestDesign:
         assert out == ""
 
 
+class TestSubcommandOptions:
+    # each subcommand takes only the options it reads; --quiet is shared
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("design", "0.5", "1.0", "3", "--seed", "1"),
+            ("simulate", "run.ini", "--output", "run.csv", "--seed", "1"),
+            ("sweep", "sweep.ini", "--output", "out", "--seed", "1"),
+            ("design", "0.5", "1.0", "3", "--output", "x.csv"),
+            ("verify", "--count", "5", "--output", "x.csv"),
+        ],
+    )
+    def test_unread_option_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
+
+    def test_quiet_is_shared(self):
+        code, out, _ = run_cli("design", "0.5", "1.0", "1", "--quiet")
+        assert code == 0
+        assert out == ""
+
+
 class TestVerify:
     def test_small_run_passes(self):
         code, out, _ = run_cli("verify", "--count", "40", "--seed", "7")

@@ -9,6 +9,7 @@ from lyapqubit import (
     Regime,
     SimConfig,
     SystemParams,
+    bang_field,
     classify_regime,
     controlled_unitary,
     evolve,
@@ -225,6 +226,53 @@ class TestRunOracle:
         dev_fine = deviation(5e-4, 5e-5)
         assert dev_mid <= dev_coarse * 0.6
         assert dev_fine <= dev_mid * 0.6
+
+
+def _plain_oracle(config, h):
+    # run_oracle stepped in the plainest way: the public bang law picks one
+    # of the three one-step propagators, evolve applies it, and a sample is
+    # taken at t = 0 and after every stride-th step
+    params = config.params
+    s_max = params.s_max
+    steps = {
+        s_max: controlled_unitary(params, s_max, h),
+        -s_max: controlled_unitary(params, -s_max, h),
+        0.0: free_unitary(params, h),
+    }
+    n_steps = int(math.floor(config.max_time / h + 1e-9))
+    stride = max(1, int(round(config.sample_interval / h)))
+    state = from_bloch(config.initial)
+    fields = []
+    samples = [(0.0, bang_field(switching_function(state), s_max), state)]
+    for k in range(n_steps):
+        f = bang_field(switching_function(state), s_max)
+        fields.append(f)
+        state = evolve(state, steps[f])
+        if (k + 1) % stride == 0:
+            samples.append((stride * h * len(samples), f, state))
+    switches = sum(f != g for f, g in zip(fields, fields[1:]))
+    return switches, samples, state
+
+
+class TestOracleAgainstPlainStepping:
+    # the phi = 0 start sits on the switching band, so the run begins with a
+    # free step and then alternates the two bang values; the horizon is not
+    # a multiple of the sample stride
+    @pytest.mark.parametrize("initial", [BlochAngles(2.0, 0.0), FIG1])
+    def test_switches_samples_and_amplitudes(self, initial):
+        cfg = SimConfig(params=P, initial=initial, dt_free=1e-2, sample_interval=0.25, max_time=12.05)
+        h = 1e-3
+        switches, samples, final = _plain_oracle(cfg, h)
+        oracle = run_oracle(cfg, h)
+        assert switches >= 3
+        assert oracle.switch_count == switches
+        assert [(s.t, s.f) for s in oracle.samples] == [(t, f) for t, f, _ in samples]
+        for s, (_, _, state) in zip(oracle.samples, samples):
+            assert abs(s.state.a - state.a) <= 1e-12
+            assert abs(s.state.b - state.b) <= 1e-12
+        assert abs(oracle.final_state.a - final.a) <= 1e-12
+        assert abs(oracle.final_state.b - final.b) <= 1e-12
+        assert oracle.total_time == 12050 * h
 
 
 def _fidelity_series_deviation(traj_a, traj_b, interval: float) -> float:

@@ -149,6 +149,33 @@ class TestFidelityVsStrength:
         assert result.tables["bound"][0] > 0.9999
 
 
+class TestStepCap:
+    # the cell at 2 theta_max, phi = 0 stops after two steps (a free tick,
+    # then one bang segment onto the target); the equator cell needs more
+    GRID = SweepGrid((2 * THETA, math.pi / 2), (0.0,), (0.1,), OMEGA)
+
+    def test_cells_still_running_at_the_cap_are_flagged(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "SSC_STEP_CAP", 2)
+        tables = sweep_ssc_fidelity(self.GRID, 0.1, dt_free=1e-6).tables
+        assert tables["fidelity"][0, 0] >= 1.0 - 1e-9
+        assert tables["n_max"][0, 0] == 1
+        assert np.isnan(tables["fidelity"][1, 0])
+        assert np.isnan(tables["n_max"][1, 0])
+
+    def test_a_cell_one_step_short_of_stopping_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "SSC_STEP_CAP", 1)
+        tables = sweep_ssc_fidelity(self.GRID, 0.1, dt_free=1e-6).tables
+        assert np.isnan(tables["fidelity"]).all() and np.isnan(tables["n_max"]).all()
+
+    def test_fidelity_vs_strength_flags_capped_strengths(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "SSC_STEP_CAP", 2)
+        result = fidelity_vs_strength((0.01, 0.1), BlochAngles(2 * THETA, 0.0), OMEGA, dt_free=1e-6)
+        fid = result.tables["fidelity"]
+        assert np.isnan(fid[0])
+        assert fid[1] >= 1.0 - 1e-9
+        assert not np.isnan(result.tables["bound"]).any()
+
+
 class TestPhaseAlignment:
     def test_small_angle_phase_limit(self):
         result = phase_alignment_table((1e-6, 1e-4, 1e-3), P)
