@@ -1,14 +1,16 @@
 """Single-shot steering and the feedback policy.
 
 A state can be mapped to the target by one constant-field segment (after a
-suitable free evolution) exactly when ``|a|^2 >= cos^2(theta_max)``. For a
+suitable free evolution) exactly when ``|a|^2 >= cos^2(theta_max)``; one
+rule states that band for states and for polar angles alike. For a
 reachable polar angle ``gamma`` the required control time is
 ``tau' = arcsin(sin(gamma/2)/sin(theta_max)) / eplus`` and the required
 relative phase ``phi'`` satisfies
 ``tan(phi') = cos(E tau') / (sin(E tau') cos(theta))``; the mirrored branch
 (phase ``phi' + pi``, field ``-s_max``) follows from conjugating the field.
 Free evolution winds the relative phase at rate ``omega``, so any reachable
-state can be aligned and then steered exactly.
+state can be aligned and then steered exactly: :func:`plan_single_shot`
+is the one place that plans the wait and the shot.
 
 :func:`next_action` is the one place that decides what a run does next:
 kick, free tick, bang field, or (under the extended policy) the wait and
@@ -32,6 +34,7 @@ from .states import (
     SystemParams,
     fidelity,
     from_bloch,
+    polar_angle,
     switching_function,
     to_bloch,
 )
@@ -40,10 +43,6 @@ from .states import (
 class Policy(str, enum.Enum):
     STANDARD = "standard"
     EXTENDED = "extended"
-
-
-class AlignmentError(ValueError):
-    """The state is not phase-aligned (or not reachable) for a single shot."""
 
 
 @dataclass(frozen=True)
@@ -75,37 +74,37 @@ class Kick:
 PolicyAction = FreeEvolve | ApplyField | Kick | SingleShotPlan
 
 
+def _in_band(population: float, params: SystemParams) -> bool:
+    """The one reachable-band rule: a target population ``|a|^2`` is in the
+    band iff it is at least ``cos^2(theta_max)``, less 1e-12."""
+    cos2_theta = (0.25 * params.omega**2) / (0.25 * params.omega**2 + params.s_max**2)
+    return population >= cos2_theta - 1e-12
+
+
 def reachable_by_single_control(state: PureState, params: SystemParams) -> bool:
     """True iff ``|a|^2 >= cos^2(theta_max)``; the boundary counts as reachable."""
-    e2 = 0.25 * params.omega**2 + params.s_max**2
-    cos2_theta = (0.25 * params.omega**2) / e2
-    return fidelity(state) >= cos2_theta - 1e-12
+    return _in_band(fidelity(state), params)
 
 
-def required_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
-    """Relative phase ``phi'`` and control time ``tau'`` steering the state
-    ``cos(gamma/2)|e> + e^{i phi'} sin(gamma/2)|g>`` exactly to the target
-    with field ``+s_max``.
+def _shot_angle(gamma: float, params: SystemParams) -> float:
+    """``E tau' = arcsin(sin(gamma/2)/sin(theta_max))`` of the exact shot from
+    polar angle ``gamma``; the argument is clamped to 1 at the band edge."""
+    sin_theta = params.s_max / params.eplus_max
+    return math.asin(min(math.sin(0.5 * gamma) / sin_theta, 1.0))
 
-    The quadrant of ``phi'`` is resolved by direct propagation: the
-    candidate and its mirror (``phi'+pi`` with field ``-s_max``) are both
-    checked and the law-consistent ``+s_max`` representative is returned.
-    Raises :class:`InfeasibleError` outside ``sin(gamma/2) <= sin(theta_max)``.
+
+def _aligned_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
+    """``(phi', tau')`` for a polar angle the caller has found in the band.
+
+    The closed form fixes ``tan(phi')``; its quadrant is resolved by direct
+    propagation of four candidates (``phi'`` and ``phi'+pi`` under both field
+    signs), and the ``+s_max`` representative of the best one is returned.
     """
-    if not 0.0 <= gamma <= math.pi:
-        raise ValueError(f"gamma must lie in [0, pi], got {gamma!r}")
-    theta = params.theta_max
-    if theta == 0.0:
+    if params.theta_max == 0.0:
         if gamma == 0.0:
             return 0.5 * math.pi, 0.0
         raise InfeasibleError("zero field bound cannot steer any state")
-    sin_theta = params.s_max / params.eplus_max
-    sin_half = math.sin(0.5 * gamma)
-    if sin_half > sin_theta * (1.0 + 1e-12):
-        raise InfeasibleError(
-            f"sin(gamma/2) = {sin_half!r} exceeds sin(theta_max) = {sin_theta!r}"
-        )
-    et = math.asin(min(sin_half / sin_theta, 1.0))
+    et = _shot_angle(gamma, params)
     tau_prime = et / params.eplus_max
     cos_theta = 0.5 * params.omega / params.eplus_max
     candidate = math.atan2(math.cos(et), math.sin(et) * cos_theta)
@@ -126,71 +125,50 @@ def required_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
     return best_phi, tau_prime
 
 
-def _circular_distance(x: float, y: float) -> float:
-    d = (x - y) % TWO_PI
-    return min(d, TWO_PI - d)
+def required_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
+    """Relative phase ``phi'`` and control time ``tau'`` steering the state
+    ``cos(gamma/2)|e> + e^{i phi'} sin(gamma/2)|g>`` exactly to the target
+    with field ``+s_max``; the mirror ``phi'+pi`` takes ``-s_max``.
+
+    Raises :class:`InfeasibleError` exactly when that state is not
+    :func:`reachable_by_single_control`: the band rule is applied to
+    ``cos^2(gamma/2)``. A zero field bound steers nothing but the target.
+    """
+    if not 0.0 <= gamma <= math.pi:
+        raise ValueError(f"gamma must lie in [0, pi], got {gamma!r}")
+    if params.theta_max > 0.0 and not _in_band(math.cos(0.5 * gamma) ** 2, params):
+        raise InfeasibleError(
+            f"gamma = {gamma!r} lies beyond the reachable band 2*theta_max = {2.0 * params.theta_max!r}"
+        )
+    return _aligned_phase(gamma, params)
 
 
-def alignment_wait_time(state: PureState, params: SystemParams) -> float:
-    """Smallest free-evolution time after which the relative phase matches the
-    required phase of one of the two field-sign branches.
+def plan_single_shot(state: PureState, params: SystemParams) -> SingleShotPlan:
+    """The extended technique's one plan: the free wait that aligns the
+    relative phase, then the exact shot to the target.
 
-    The phase winds at rate ``omega`` under free evolution; the wait is
-    solved from that directly. Waits within phase tolerance of a full turn
-    snap to zero.
+    Raises :class:`InfeasibleError` for a state that is not
+    :func:`reachable_by_single_control`. Free evolution winds the phase at
+    rate ``omega``; the wait is the shorter one to ``phi'`` (field
+    ``+s_max``) or to ``phi'+pi`` (field ``-s_max``), and a tie takes
+    ``+s_max``. A wait within 1e-9 rad of a full turn snaps to zero. The
+    control time is taken at the staged polar angle, and neither the band
+    nor the alignment is tested again there.
     """
     if not reachable_by_single_control(state, params):
         raise InfeasibleError("state is not reachable by a single control")
     bl = to_bloch(state)
     if math.sin(0.5 * bl.gamma) <= 1e-12:
-        return 0.0
-    phi_star, _ = required_phase(bl.gamma, params)
-    waits = []
-    for target in (phi_star, phi_star + math.pi):
-        w = ((target - bl.phi) % TWO_PI) / params.omega
-        if w * params.omega > TWO_PI - 1e-9:
-            w = 0.0
-        waits.append(w)
-    return min(waits)
-
-
-def single_shot(state: PureState, params: SystemParams) -> SingleShotPlan:
-    """Plan the exact steering segment for an already phase-aligned state.
-
-    The field sign follows the feedback law at the aligned state (phase
-    ``phi'`` selects ``+s_max``, phase ``phi'+pi`` selects ``-s_max``).
-    Alignment is judged in the transverse metric
-    ``sin(gamma/2) * phase_distance <= 1e-9``, which matches the fidelity
-    impact of a misalignment and stays well conditioned at small polar
-    angles (where the phase itself is barely defined); violations raise
-    :class:`AlignmentError`.
-    """
-    if not reachable_by_single_control(state, params):
-        raise AlignmentError("state is not reachable by a single control")
-    bl = to_bloch(state)
-    sin_half = math.sin(0.5 * bl.gamma)
-    if sin_half <= 1e-12:
         return SingleShotPlan(0.0, params.s_max, 0.0, fidelity(state))
-    phi_star, tau_prime = required_phase(bl.gamma, params)
-    if sin_half * _circular_distance(bl.phi, phi_star) <= 1e-9:
-        field = params.s_max
-    elif sin_half * _circular_distance(bl.phi, phi_star + math.pi) <= 1e-9:
-        field = -params.s_max
-    else:
-        raise AlignmentError(
-            f"relative phase {bl.phi!r} is aligned with neither {phi_star!r} "
-            f"nor its mirror"
-        )
-    predicted = fidelity(evolve(state, controlled_unitary(params, field, tau_prime)))
-    return SingleShotPlan(0.0, field, tau_prime, predicted)
-
-
-def plan_single_shot(state: PureState, params: SystemParams) -> SingleShotPlan:
-    """Compose the alignment wait with the shot it enables."""
-    wait = alignment_wait_time(state, params)
+    phi_star, _ = _aligned_phase(bl.gamma, params)
+    waits = [((target - bl.phi) % TWO_PI) / params.omega for target in (phi_star, phi_star + math.pi)]
+    waits = [0.0 if w * params.omega > TWO_PI - 1e-9 else w for w in waits]
+    wait = min(waits)
+    field = params.s_max if waits[0] <= waits[1] else -params.s_max
     staged = evolve(state, free_unitary(params, wait)) if wait > 0.0 else state
-    shot = single_shot(staged, params)
-    return SingleShotPlan(wait, shot.field, shot.control_time, shot.predicted_fidelity)
+    tau_prime = _shot_angle(polar_angle(staged), params) / params.eplus_max
+    predicted = fidelity(evolve(staged, controlled_unitary(params, field, tau_prime)))
+    return SingleShotPlan(wait, field, tau_prime, predicted)
 
 
 def next_action(

@@ -22,8 +22,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .states import NORM_TOL, PureState, SystemParams, _dressed_terms
 
@@ -73,9 +71,6 @@ class Unitary2:
             self.u12.conjugate(),
             self.u22.conjugate(),
         )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.u11, self.u12], [self.u21, self.u22]], dtype=np.complex128)
 
 
 def controlled_unitary(params: SystemParams, f: float, t: float) -> Unitary2:

@@ -256,7 +256,7 @@ def parse_scenario(path: str) -> Scenario:
             key = "s_values" if "s_values" in sweep else "s_count"
             complain("sweep", key, f"a first_segment sweep takes one strength, got {len(s_values)}")
         if sweep["kind"] == "phase_alignment" and gamma_axis:
-            # the band sin(gamma/2) <= sin(theta_max) depends on [system] s_max only
+            # the reachable band depends on [system] s_max only
             try:
                 required_phase(gamma_axis[-1], params)
             except InfeasibleError as exc:

@@ -304,7 +304,9 @@ def sweep_ssc_fidelity(
     """Terminal fidelity of slow switching (stopped at fast-switching entry)
     and the number of control segments it took, per initial cell. A cell
     that has not stopped after :data:`SSC_STEP_CAP` steps reads
-    :data:`FLAGGED` in both tables."""
+    :data:`FLAGGED` in both tables. The grid holds ``s`` as its one strength."""
+    if grid.s_values != (s,):
+        raise ValueError(f"slow-switching sweep of strength {s!r} needs grid strengths ({s!r},), got {grid.s_values!r}")
     params = (SystemParams(grid.omega, s),)
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / grid.omega

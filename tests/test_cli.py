@@ -110,6 +110,11 @@ class TestScenarioParsing:
             ("omega = 1.0", "omega = 1e300", "[system] omega:"),
             ("omega = 1.0", "omega = 1e-300", "[system] omega:"),
             ("s_max = 0.1", "s_max = 1e300", "[system] s_max:"),
+            # sections and kinds the parser does not know, or misses
+            ("max_time = 100", "max_time = 100\n[extra]\nx = 1", "[extra]:"),
+            ("[system]\nomega = 1.0\ns_max = 0.1\n", "", "[system]:"),
+            ("max_time = 100", "max_time = 100\n[sweep]\nkind = ssc_fidelity\ns_values =", "[sweep] s_values:"),
+            ("kind = standard", "kind = fancy", "[policy] kind:"),
         ],
     )
     def test_out_of_range_value_exits_one_with_its_key(self, tmp_path, old, new, where):
@@ -256,6 +261,29 @@ class TestSimulate:
         _, rows = read_csv(out_csv)
         assert rows[-1][8] == "control"
         assert 1.0 - float(rows[-1][5]) >= 1.0 - 1e-6
+
+    def test_extended_run_on_the_band_edge_converges(self, tmp_path):
+        # the exact-steering strength for 5 steps from gamma = 0.2175 pi
+        # ends slow switching on the edge of the reachable band
+        text = """\
+[system]
+omega = 1.0
+s_max = 0.034218090758997864
+
+[initial]
+gamma = 0.2175
+phi = 0
+
+[policy]
+kind = extended
+
+[simulation]
+dt_free = 1e-6
+"""
+        scenario = write(tmp_path, "edge.ini", text)
+        code, out, err = run_cli("simulate", scenario, "--output", str(tmp_path / "edge.csv"))
+        assert (code, err) == (0, "")
+        assert "status=converged" in out
 
     def test_parse_error_exits_one(self, tmp_path):
         scenario = write(tmp_path, "bad.ini", "[system]\nomega = 1.0\n")
@@ -415,6 +443,27 @@ gamma_count = 10
         header, rows = read_csv(os.path.join(outdir, "phase_alignment.csv"))
         assert header == ["gamma", "phi_star", "tau_prime", "wait_time", "ratio_b", "cos2_phi_star"]
         assert all(float(r[4]) < 1e-9 for r in rows)
+
+    def test_shipped_fidelity_vs_strength(self, tmp_path):
+        outdir = tmp_path / "fvs"
+        code, _, err = run_cli("sweep", str(SCENARIOS / "fidelity_vs_strength.ini"), "--output", str(outdir))
+        assert (code, err) == (0, "")
+        assert os.listdir(outdir) == ["fidelity_vs_strength.csv"]
+        header, rows = read_csv(outdir / "fidelity_vs_strength.csv")
+        assert header == ["s", "fidelity", "bound"]
+        assert len(rows) == 50
+        assert all(float(fid) >= float(bound) - 1e-12 for _, fid, bound in rows)
+
+    def test_missing_output_exits_one(self, tmp_path):
+        code, _, err = run_cli("sweep", write(tmp_path, "sweep.ini", SWEEP_SCENARIO))
+        assert code == 1
+        assert "sweep: --output is required" in err
+
+    def test_scenario_without_sweep_section_exits_one(self, tmp_path):
+        code, _, err = run_cli("sweep", write(tmp_path, "s.ini", FIG1_SCENARIO), "--output", str(tmp_path / "x"))
+        assert code == 1
+        assert "sweep: scenario has no [sweep] section" in err
+        assert not os.path.exists(tmp_path / "x")
 
     def test_empty_grid_exits_one(self, tmp_path):
         text = SWEEP_SCENARIO.replace("gamma_count = 6", "gamma_count = 0")

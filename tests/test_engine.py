@@ -79,6 +79,14 @@ class TestRunBasics:
         assert traj.truncated
         assert traj.total_time == pytest.approx(2.0, abs=1e-9)
 
+    def test_time_budget_stops_run(self):
+        config = fig1_config(max_time=12.345)
+        traj = run(config)
+        assert traj.truncated and not traj.converged
+        assert traj.total_time == config.max_time
+        assert traj.samples[-1].t == config.max_time
+        assert traj.switch_count < config.max_switches
+
 
 class TestStandardRunStructure:
     def test_lyapunov_monotone(self):

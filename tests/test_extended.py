@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lyapqubit import (
-    AlignmentError,
+    EPS_SWITCH,
     ApplyField,
     BlochAngles,
     FreeEvolve,
@@ -16,9 +17,11 @@ from lyapqubit import (
     SimConfig,
     SingleShotPlan,
     SystemParams,
-    alignment_wait_time,
+    bang_field,
     controlled_unitary,
     evolve,
+    exact_steering_strength,
+    extended,
     fidelity,
     free_unitary,
     from_bloch,
@@ -31,7 +34,6 @@ from lyapqubit import (
     run,
     segment_duration,
     select_field,
-    single_shot,
     switching_function,
     to_bloch,
 )
@@ -104,12 +106,17 @@ class TestRequiredPhase:
             required_phase(3 * THETA, P)
 
 
-class TestAlignmentWait:
-    def test_already_aligned(self):
-        gamma = THETA
-        phi_star, _ = required_phase(gamma, P)
-        state = from_bloch(BlochAngles(gamma, phi_star))
-        assert alignment_wait_time(state, P) == pytest.approx(0.0, abs=1e-12)
+def execute(state, plan, params=P):
+    staged = evolve(state, free_unitary(params, plan.wait_time))
+    return staged, evolve(staged, controlled_unitary(params, plan.field, plan.control_time))
+
+
+class TestPlanSingleShot:
+    def test_already_aligned_waits_zero(self):
+        phi_star, _ = required_phase(THETA, P)
+        plan = plan_single_shot(from_bloch(BlochAngles(THETA, phi_star)), P)
+        assert plan.wait_time == pytest.approx(0.0, abs=1e-12)
+        assert plan.field == P.s_max
 
     def test_small_angle_wait_solves_phase_equation_directly(self):
         # phase winds at rate omega under free evolution, so reaching the
@@ -117,19 +124,19 @@ class TestAlignmentWait:
         # convention would give pi/(4 omega) instead
         gamma = 1e-6
         state = from_bloch(BlochAngles(gamma, 0.0))
-        wait = alignment_wait_time(state, P)
-        assert wait == pytest.approx(math.pi / (2 * P.omega), rel=1e-4)
+        plan = plan_single_shot(state, P)
+        assert plan.wait_time == pytest.approx(math.pi / (2 * P.omega), rel=1e-4)
         phi_star, _ = required_phase(gamma, P)
-        assert to_bloch(evolve(state, free_unitary(P, wait))).phi == pytest.approx(
+        assert to_bloch(evolve(state, free_unitary(P, plan.wait_time))).phi == pytest.approx(
             phi_star, abs=1e-9
         )
 
     def test_wait_picks_nearer_branch(self):
-        gamma = THETA
-        phi_star, _ = required_phase(gamma, P)
-        just_past_mirror = from_bloch(BlochAngles(gamma, phi_star + math.pi - 0.01))
-        wait = alignment_wait_time(just_past_mirror, P)
-        assert wait == pytest.approx(0.01 / P.omega, abs=1e-9)
+        phi_star, _ = required_phase(THETA, P)
+        just_past_mirror = from_bloch(BlochAngles(THETA, phi_star + math.pi - 0.01))
+        plan = plan_single_shot(just_past_mirror, P)
+        assert plan.wait_time == pytest.approx(0.01 / P.omega, abs=1e-9)
+        assert plan.field == -P.s_max
 
     def test_random_reachable_states_end_to_end(self):
         rng = np.random.default_rng(99)
@@ -137,51 +144,41 @@ class TestAlignmentWait:
             gamma = rng.uniform(1e-3, 2 * THETA)
             phi = rng.uniform(0, 2 * math.pi)
             state = from_bloch(BlochAngles(gamma, phi))
-            plan = plan_single_shot(state, P)
-            staged = evolve(state, free_unitary(P, plan.wait_time))
-            out = evolve(staged, controlled_unitary(P, plan.field, plan.control_time))
+            _, out = execute(state, plan_single_shot(state, P))
             assert fidelity(out) >= 1.0 - 1e-9
 
     def test_unreachable_rejected(self):
-        with pytest.raises(InfeasibleError):
-            alignment_wait_time(from_bloch(BlochAngles(math.pi / 2, 1.0)), P)
+        with pytest.raises(InfeasibleError, match="not reachable"):
+            plan_single_shot(from_bloch(BlochAngles(math.pi / 2, 1.0)), P)
 
-
-class TestSingleShot:
     def test_recovers_adjoint_family_durations(self):
         for t in (0.3, 1.0, math.pi / (2 * P.eplus_max)):
             state = adjoint_family_state(t)
-            plan = single_shot(state, P)
+            plan = plan_single_shot(state, P)
             assert plan.control_time == pytest.approx(t, abs=1e-9)
-            out = evolve(state, controlled_unitary(P, plan.field, plan.control_time))
+            _, out = execute(state, plan)
             assert fidelity(out) >= 1.0 - 1e-12
 
     def test_target_state_trivial_plan(self):
-        plan = single_shot(PureState(1.0, 0.0), P)
-        assert plan.control_time == 0.0
-        assert plan.predicted_fidelity == 1.0
+        plan = plan_single_shot(PureState(1.0, 0.0), P)
+        assert plan == SingleShotPlan(0.0, P.s_max, 0.0, 1.0)
 
-    def test_boundary_state_aligned(self):
-        phi_star, tau = required_phase(THETA, P)
-        state = from_bloch(BlochAngles(THETA, phi_star))
-        plan = single_shot(state, P)
+    def test_boundary_state_planned(self):
+        phi_star, tau = required_phase(2 * THETA, P)
+        state = from_bloch(BlochAngles(2 * THETA, phi_star))
+        plan = plan_single_shot(state, P)
         assert plan.predicted_fidelity >= 1.0 - 1e-10
         assert plan.control_time == pytest.approx(tau, abs=1e-12)
+        _, out = execute(state, plan)
+        assert fidelity(out) >= 1.0 - 1e-10
 
-    def test_field_follows_feedback_law(self):
+    def test_field_follows_feedback_law_at_staged_state(self):
         phi_star, _ = required_phase(THETA, P)
-        aligned = from_bloch(BlochAngles(THETA, phi_star))
-        plan = single_shot(aligned, P)
-        assert plan.field == select_field(aligned, P).f
-        mirrored = from_bloch(BlochAngles(THETA, phi_star + math.pi))
-        plan_m = single_shot(mirrored, P)
-        assert plan_m.field == select_field(mirrored, P).f == -P.s_max
-
-    def test_misaligned_rejected(self):
-        phi_star, _ = required_phase(THETA, P)
-        state = from_bloch(BlochAngles(THETA, phi_star + 0.25))
-        with pytest.raises(AlignmentError):
-            single_shot(state, P)
+        for phi, sign in ((phi_star - 0.3, 1.0), (phi_star + math.pi - 0.3, -1.0)):
+            state = from_bloch(BlochAngles(THETA, phi))
+            plan = plan_single_shot(state, P)
+            staged, _ = execute(state, plan)
+            assert plan.field == bang_field(switching_function(staged), P.s_max) == sign * P.s_max
 
     def test_plan_invariants(self):
         rng = np.random.default_rng(5)
@@ -192,6 +189,142 @@ class TestSingleShot:
             assert 0.0 <= plan.control_time <= math.pi / (2 * P.eplus_max) + 1e-12
             assert plan.predicted_fidelity >= 1.0 - 1e-9
             assert plan.wait_time >= 0.0
+
+    def test_zero_bound_near_target_is_infeasible(self):
+        # within 1e-12 of the target, so counted reachable, but off the pole
+        state = from_bloch(BlochAngles(1e-6, 0.0))
+        zero = SystemParams(1.0, 0.0)
+        assert reachable_by_single_control(state, zero)
+        with pytest.raises(InfeasibleError, match="zero field bound"):
+            plan_single_shot(state, zero)
+
+    def test_tests_reachability_and_resolves_phase_once(self, monkeypatch):
+        calls = {"reachable": 0, "phase": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            extended, "reachable_by_single_control", counted("reachable", extended.reachable_by_single_control)
+        )
+        monkeypatch.setattr(extended, "_aligned_phase", counted("phase", extended._aligned_phase))
+        plan = extended.plan_single_shot(from_bloch(BlochAngles(THETA, 0.4)), P)
+        assert plan.wait_time > 0.0
+        assert calls == {"reachable": 1, "phase": 1}
+
+
+# the reachable band edge sin(gamma/2) = sin(theta_max), where the phase
+# phi' is ill-conditioned and the exact-steering design lands its runs
+class TestBandEdge:
+    def test_edge_state_misaligned_by_rederivation_is_planned(self):
+        state = from_bloch(BlochAngles(0.025762401444340895, 3.6092106163928652))
+        params = SystemParams(0.09856128101181365, 0.0006348289338626543)
+        plan = plan_single_shot(state, params)
+        _, out = execute(state, plan, params)
+        assert fidelity(out) >= 1.0 - 1e-9
+
+    def test_exact_steering_extended_runs_converge(self):
+        worst = 1.0
+        for n in range(2, 9):
+            for k in range(1, 40):
+                gamma0 = (0.2 + 0.7 * k / 40) * math.pi
+                config = SimConfig(
+                    params=SystemParams(1.0, exact_steering_strength(gamma0, 1.0, n)),
+                    initial=BlochAngles(gamma0, 0.0),
+                    policy=Policy.EXTENDED,
+                    dt_free=1e-6,
+                )
+                traj = run(config)
+                assert traj.converged, (n, k)
+                worst = min(worst, traj.terminal_fidelity)
+        assert worst >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("omega, s_max", [(1.0, 0.1), (1.0, 1.5), (0.0986, 6.35e-4), (3.0, 40.0)])
+    def test_required_phase_rejects_exactly_the_unreachable(self, omega, s_max):
+        params = SystemParams(omega, s_max)
+
+        def reachable(gamma):
+            return reachable_by_single_control(from_bloch(BlochAngles(gamma, 0.0)), params)
+
+        # the largest reachable polar angle, by bisection over floats
+        lo, hi = 2 * params.theta_max * (1 - 1e-6), min(2 * params.theta_max * (1 + 1e-6), math.pi)
+        assert reachable(lo) and not reachable(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if reachable(mid) else (lo, mid)
+        gammas = [lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, 4.0)]
+        gammas += [2 * params.theta_max * (1 + d) for d in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)]
+        for gamma in gammas:
+            if reachable(gamma):
+                _, tau = required_phase(gamma, params)
+                assert tau <= math.pi / (2 * params.eplus_max)
+            else:
+                with pytest.raises(InfeasibleError, match="reachable band"):
+                    required_phase(gamma, params)
+
+    def test_zero_bound_keeps_its_own_error(self):
+        zero = SystemParams(1.0, 0.0)
+        assert required_phase(0.0, zero) == (0.5 * math.pi, 0.0)
+        for gamma in (1e-9, 0.5):
+            with pytest.raises(InfeasibleError, match="zero field bound"):
+                required_phase(gamma, zero)
+
+
+def _plan_case(omega, log_ratio, edge, u, phi):
+    params = SystemParams(omega, 10.0**log_ratio * omega)
+    gamma = 2 * params.theta_max * (1 - 10.0**-edge if edge else u)
+    return params, gamma, phi
+
+
+# s_max/omega from 1e-3 to 5, log-uniform; half the polar angles on the
+# edge, 2*theta_max*(1 - 10^-k), where phi' is ill-conditioned
+plan_cases = st.builds(
+    _plan_case,
+    omega=st.floats(0.05, 20.0),
+    log_ratio=st.integers(-3000, 700).map(lambda i: i / 1000),
+    edge=st.one_of(st.just(0), st.integers(1, 15)),
+    u=st.floats(0.01, 1.0),
+    phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+# edge states at whose staged state a re-derived phi' misses the alignment,
+# or a band test on sin(gamma/2) fails: the plan tests neither there
+edge_cases = (_plan_case(1.0, -3.0, 12, 0.0, 0.1), _plan_case(1.0, -2.5, 12, 0.0, 15 * math.pi / 8 + 0.1))
+
+
+class TestPlanProperties:
+    @settings(max_examples=100)
+    @given(plan_cases)
+    @example(edge_cases[0])
+    @example(edge_cases[1])
+    def test_mirror_start_mirrors_the_plan(self, case):
+        params, gamma, phi = case
+        plan = plan_single_shot(from_bloch(BlochAngles(gamma, phi)), params)
+        mirror = plan_single_shot(from_bloch(BlochAngles(gamma, (phi + math.pi) % (2 * math.pi))), params)
+        assert mirror.field == -plan.field
+        turn = (params.omega * (plan.wait_time - mirror.wait_time)) % (2 * math.pi)
+        assert min(turn, 2 * math.pi - turn) <= 1e-12
+        # tau' is taken at the staged polar angle, and at the edge arcsin
+        # turns an ulp of |a| there into about sqrt(eps)/theta_max of tau'
+        assert mirror.control_time == pytest.approx(plan.control_time, rel=max(1e-6, 3e-8 / params.theta_max))
+
+    @settings(max_examples=100)
+    @given(plan_cases)
+    @example(edge_cases[0])
+    @example(edge_cases[1])
+    def test_plan_follows_law_and_reaches_target(self, case):
+        params, gamma, phi = case
+        state = from_bloch(BlochAngles(gamma, phi))
+        assert reachable_by_single_control(state, params)
+        plan = plan_single_shot(state, params)
+        staged, out = execute(state, plan, params)
+        sw = switching_function(staged)
+        if abs(sw) > EPS_SWITCH:
+            assert plan.field == bang_field(sw, params.s_max)
+        assert fidelity(out) >= 1.0 - 1e-9
 
 
 class TestPhaseRatioLaw:

@@ -112,10 +112,15 @@ class TestSscFidelity:
         assert (result.tables["n_max"] >= 0).all()
 
     def test_weaker_field_raises_minimum_fidelity(self):
-        grid = small_grid()
-        min_strong = sweep_ssc_fidelity(grid, 0.1).tables["fidelity"].min()
-        min_weak = sweep_ssc_fidelity(grid, 0.05).tables["fidelity"].min()
+        min_strong = sweep_ssc_fidelity(small_grid(), 0.1).tables["fidelity"].min()
+        min_weak = sweep_ssc_fidelity(small_grid(0.05), 0.05).tables["fidelity"].min()
         assert min_weak > min_strong
+
+    @pytest.mark.parametrize("s_values", [(0.05,), (0.05, 0.1)])
+    def test_strength_must_be_the_grids_one_strength(self, s_values):
+        grid = SweepGrid((1.0, 2.0), (0.5,), s_values, OMEGA)
+        with pytest.raises(ValueError, match="strength"):
+            sweep_ssc_fidelity(grid, 0.1)
 
     def test_designed_cells_reach_target_exactly(self):
         # gamma values of the form 2 n theta are steered to fidelity one by
