@@ -98,7 +98,11 @@ def cmd_simulate(args) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     traj = run(config)
-    _write_atomic(args.output, trajectory_csv(traj))
+    try:
+        _write_atomic(args.output, trajectory_csv(traj))
+    except OSError as exc:
+        print(f"simulate: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     if not args.quiet:
         status = "converged" if traj.converged else "truncated"
         print(
@@ -150,7 +154,11 @@ def cmd_sweep(args) -> int:
         return 1
     for name, columns in files:
         path = os.path.join(args.output, name)
-        _write_atomic(path, table_csv(columns))
+        try:
+            _write_atomic(path, table_csv(columns))
+        except OSError as exc:
+            print(f"sweep: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         if not args.quiet:
             print(path)
     return 0

@@ -3,14 +3,14 @@
 A state can be mapped to the target by one constant-field segment (after a
 suitable free evolution) exactly when ``|a|^2 >= cos^2(theta_max)``; one
 rule states that band for states and for polar angles alike. For a
-reachable polar angle ``gamma`` the required control time is
-``tau' = arcsin(sin(gamma/2)/sin(theta_max)) / eplus`` and the required
-relative phase ``phi'`` satisfies
-``tan(phi') = cos(E tau') / (sin(E tau') cos(theta))``; the mirrored branch
-(phase ``phi' + pi``, field ``-s_max``) follows from conjugating the field.
-Free evolution winds the relative phase at rate ``omega``, so any reachable
-state can be aligned and then steered exactly: :func:`plan_single_shot`
-is the one place that plans the wait and the shot.
+reachable polar angle ``gamma`` the exact shot has
+``E tau' = arcsin(sin(gamma/2)/sin(theta_max))`` and the relative phase
+``phi' = atan2(cos(E tau'), sin(E tau') cos(theta))`` under ``+s_max``;
+the mirrored branch (phase ``phi' + pi``, field ``-s_max``) follows from
+conjugating the field. Free evolution winds the relative phase at rate
+``omega`` and leaves ``gamma`` alone, so any reachable state can be aligned
+and then steered exactly; both numbers come from these closed forms alone.
+:func:`plan_single_shot` plans the wait and the shot.
 
 :func:`next_action` is the one place that decides what a run does next:
 kick, free tick, bang field, or (under the extended policy) the wait and
@@ -27,17 +27,7 @@ from dataclasses import dataclass
 
 from .control import InfeasibleError, bang_field, segment_duration
 from .propagator import controlled_unitary, evolve, free_unitary
-from .states import (
-    TWO_PI,
-    BlochAngles,
-    PureState,
-    SystemParams,
-    fidelity,
-    from_bloch,
-    polar_angle,
-    switching_function,
-    to_bloch,
-)
+from .states import TWO_PI, PureState, SystemParams, fidelity, switching_function, to_bloch
 
 
 class Policy(str, enum.Enum):
@@ -94,41 +84,23 @@ def _shot_angle(gamma: float, params: SystemParams) -> float:
 
 
 def _aligned_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
-    """``(phi', tau')`` for a polar angle the caller has found in the band.
-
-    The closed form fixes ``tan(phi')``; its quadrant is resolved by direct
-    propagation of four candidates (``phi'`` and ``phi'+pi`` under both field
-    signs), and the ``+s_max`` representative of the best one is returned.
-    """
+    """``(phi', tau')`` of the ``+s_max`` branch for a polar angle the caller
+    has found in the band. ``E tau'`` lies in ``[0, pi/2]``, so ``phi'``
+    does too: ``atan2`` fixes its quadrant and nothing is propagated."""
     if params.theta_max == 0.0:
         if gamma == 0.0:
             return 0.5 * math.pi, 0.0
         raise InfeasibleError("zero field bound cannot steer any state")
     et = _shot_angle(gamma, params)
-    tau_prime = et / params.eplus_max
     cos_theta = 0.5 * params.omega / params.eplus_max
-    candidate = math.atan2(math.cos(et), math.sin(et) * cos_theta)
-    best_phi, best_fid = candidate, -1.0
-    for phi_c, f in (
-        (candidate, params.s_max),
-        (candidate + math.pi, -params.s_max),
-        (candidate + math.pi, params.s_max),
-        (candidate, -params.s_max),
-    ):
-        st = from_bloch(BlochAngles(gamma, phi_c % TWO_PI))
-        fid = fidelity(evolve(st, controlled_unitary(params, f, tau_prime)))
-        if fid > best_fid:
-            best_fid = fid
-            best_phi = phi_c % TWO_PI if f > 0 else (phi_c + math.pi) % TWO_PI
-    if best_fid < 1.0 - 1e-9:  # pragma: no cover - closed form is exact
-        raise InfeasibleError("no phase/field combination reaches the target")
-    return best_phi, tau_prime
+    return math.atan2(math.cos(et), math.sin(et) * cos_theta), et / params.eplus_max
 
 
 def required_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
     """Relative phase ``phi'`` and control time ``tau'`` steering the state
     ``cos(gamma/2)|e> + e^{i phi'} sin(gamma/2)|g>`` exactly to the target
-    with field ``+s_max``; the mirror ``phi'+pi`` takes ``-s_max``.
+    with field ``+s_max``; the mirror ``phi'+pi`` takes ``-s_max``. Both
+    are the closed forms of the module docstring.
 
     Raises :class:`InfeasibleError` exactly when that state is not
     :func:`reachable_by_single_control`: the band rule is applied to
@@ -151,23 +123,30 @@ def plan_single_shot(state: PureState, params: SystemParams) -> SingleShotPlan:
     :func:`reachable_by_single_control`. Free evolution winds the phase at
     rate ``omega``; the wait is the shorter one to ``phi'`` (field
     ``+s_max``) or to ``phi'+pi`` (field ``-s_max``), and a tie takes
-    ``+s_max``. A wait within 1e-9 rad of a full turn snaps to zero. The
-    control time is taken at the staged polar angle, and neither the band
-    nor the alignment is tested again there.
+    ``+s_max``. A wait within 1e-9 rad of a full turn snaps to zero. Free
+    evolution leaves ``|a|`` unchanged, so the control time is the closed
+    form's at the state's own polar angle. A predicted fidelity below
+    ``1 - 1e-9`` raises :class:`InfeasibleError`.
     """
     if not reachable_by_single_control(state, params):
         raise InfeasibleError("state is not reachable by a single control")
+    return _plan_in_band(state, params)
+
+
+def _plan_in_band(state: PureState, params: SystemParams) -> SingleShotPlan:
+    """:func:`plan_single_shot` for a state the caller has found reachable."""
     bl = to_bloch(state)
     if math.sin(0.5 * bl.gamma) <= 1e-12:
         return SingleShotPlan(0.0, params.s_max, 0.0, fidelity(state))
-    phi_star, _ = _aligned_phase(bl.gamma, params)
+    phi_star, tau_prime = _aligned_phase(bl.gamma, params)
     waits = [((target - bl.phi) % TWO_PI) / params.omega for target in (phi_star, phi_star + math.pi)]
     waits = [0.0 if w * params.omega > TWO_PI - 1e-9 else w for w in waits]
     wait = min(waits)
     field = params.s_max if waits[0] <= waits[1] else -params.s_max
     staged = evolve(state, free_unitary(params, wait)) if wait > 0.0 else state
-    tau_prime = _shot_angle(polar_angle(staged), params) / params.eplus_max
     predicted = fidelity(evolve(staged, controlled_unitary(params, field, tau_prime)))
+    if predicted < 1.0 - 1e-9:
+        raise InfeasibleError(f"the closed-form shot misses the target: predicted fidelity {predicted!r}")
     return SingleShotPlan(wait, field, tau_prime, predicted)
 
 
@@ -203,7 +182,7 @@ def next_action(
         return ApplyField(f, segment_duration(state, f, params))
     # no field inside the EPS_SWITCH band: a switching point
     if policy is Policy.EXTENDED and reachable_by_single_control(state, params):
-        return plan_single_shot(state, params)
+        return _plan_in_band(state, params)
     return FreeEvolve(dt_free)
 
 

@@ -62,14 +62,6 @@ class PureState:
         object.__setattr__(state, "b", b)
         return state
 
-    @classmethod
-    def normalized(cls, a: complex, b: complex) -> "PureState":
-        """Build a state from arbitrary amplitudes, rescaling to unit norm."""
-        n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(a / n, b / n)
-
 
 @dataclass(frozen=True)
 class BlochAngles:

@@ -315,6 +315,23 @@ def test_output_file_gets_the_umask_mode(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
+@pytest.mark.parametrize(
+    "command, scenario, target",
+    [("simulate", "reference_extended.ini", "a_directory"), ("sweep", "phase_alignment.ini", "a_file")],
+)
+def test_unwritable_output_exits_one_with_its_path(tmp_path, command, scenario, target):
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "a_file").write_text("kept\n")
+    output = tmp_path / target
+    code, _, err = run_cli(command, str(SCENARIOS / scenario), "--output", str(output))
+    assert code == 1
+    assert err.startswith(f"{command}: cannot write {output}")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "a_file"]
+    assert os.listdir(tmp_path / "a_directory") == []
+    assert (tmp_path / "a_file").read_text() == "kept\n"
+
+
 def test_table_rows_format_like_fmt():
     values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1, 1.0 / 3.0, 123456789012345678.0]
     columns = {"x": np.array(values), "n": np.arange(len(values)), "y": np.array(values[::-1])}

@@ -57,7 +57,9 @@ class TestReachability:
     def test_boundary_and_below(self):
         gamma_boundary = 2 * THETA
         assert reachable_by_single_control(from_bloch(BlochAngles(gamma_boundary, 0.3)), P)
-        s = PureState.normalized(math.sqrt(COS2_THETA - 1e-6), math.sqrt(1 - COS2_THETA + 1e-6))
+        a, b = math.sqrt(COS2_THETA - 1e-6), math.sqrt(1 - COS2_THETA + 1e-6)
+        n = math.hypot(a, b)
+        s = PureState(a / n, b / n)
         assert not reachable_by_single_control(s, P)
 
     def test_polar_angle_inside_theta_reachable(self):
@@ -215,6 +217,29 @@ class TestPlanSingleShot:
         plan = extended.plan_single_shot(from_bloch(BlochAngles(THETA, 0.4)), P)
         assert plan.wait_time > 0.0
         assert calls == {"reachable": 1, "phase": 1}
+        # a reachable switching point: next_action's own test is the only one
+        at_switch = from_bloch(BlochAngles(THETA, 0.0))
+        assert abs(switching_function(at_switch)) <= EPS_SWITCH
+        assert isinstance(extended_action(at_switch), SingleShotPlan)
+        assert calls == {"reachable": 2, "phase": 2}
+
+    def test_phase_propagates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("propagated")
+
+        for name in ("evolve", "controlled_unitary", "free_unitary"):
+            monkeypatch.setattr(extended, name, refuse)
+        for gamma in (1e-8, THETA, 2 * THETA):
+            phi_star, tau = required_phase(gamma, P)
+            et = P.eplus_max * tau
+            assert 0.0 <= phi_star <= math.pi / 2
+            assert math.tan(phi_star) == pytest.approx(math.cos(et) / (math.sin(et) * P.omega / (2 * P.eplus_max)))
+
+    def test_shot_that_misses_is_refused(self, monkeypatch):
+        # the closed form is checked by the plan's own predicted fidelity
+        monkeypatch.setattr(extended, "_shot_angle", lambda gamma, params: 0.5)
+        with pytest.raises(InfeasibleError, match="misses the target"):
+            plan_single_shot(from_bloch(BlochAngles(THETA, 0.4)), P)
 
 
 # the reachable band edge sin(gamma/2) = sin(theta_max), where the phase
@@ -307,9 +332,8 @@ class TestPlanProperties:
         assert mirror.field == -plan.field
         turn = (params.omega * (plan.wait_time - mirror.wait_time)) % (2 * math.pi)
         assert min(turn, 2 * math.pi - turn) <= 1e-12
-        # tau' is taken at the staged polar angle, and at the edge arcsin
-        # turns an ulp of |a| there into about sqrt(eps)/theta_max of tau'
-        assert mirror.control_time == pytest.approx(plan.control_time, rel=max(1e-6, 3e-8 / params.theta_max))
+        # tau' comes from |a|, which the mirror and free evolution keep
+        assert mirror.control_time == plan.control_time
 
     @settings(max_examples=100)
     @given(plan_cases)
@@ -324,7 +348,7 @@ class TestPlanProperties:
         sw = switching_function(staged)
         if abs(sw) > EPS_SWITCH:
             assert plan.field == bang_field(sw, params.s_max)
-        assert fidelity(out) >= 1.0 - 1e-9
+        assert fidelity(out) >= 1.0 - 1e-12
 
 
 class TestPhaseRatioLaw:

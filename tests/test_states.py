@@ -79,14 +79,6 @@ class TestPureState:
         a, b = 0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(-1.1j)
         assert PureState._checked_by_caller(a, b) == PureState(a, b)
 
-    def test_normalized_classmethod(self):
-        s = PureState.normalized(3.0, 4.0j)
-        assert abs(s.a - 0.6) < 1e-15 and abs(s.b - 0.8j) < 1e-15
-
-    def test_normalized_rejects_zero(self):
-        with pytest.raises(ValueError):
-            PureState.normalized(0.0, 0.0)
-
 
 class TestFromBloch:
     def test_fig1_state(self):
