@@ -23,9 +23,6 @@ from .control import (
 )
 from .engine import Policy, Sample, Segment, SimConfig, Trajectory, run, run_oracle
 from .extended import (
-    ApplyField,
-    FreeEvolve,
-    Kick,
     SingleShotPlan,
     next_action,
     plan_single_shot,
@@ -67,15 +64,12 @@ from .sweeps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApplyField",
     "BlochAngles",
     "ControlDecision",
     "DegenerateStateError",
     "EPS_SWITCH",
     "FieldBoundError",
-    "FreeEvolve",
     "InfeasibleError",
-    "Kick",
     "Policy",
     "PureState",
     "Regime",

@@ -172,13 +172,16 @@ def cmd_design(args) -> int:
     except ValueError as exc:
         print(f"design: {exc}", file=sys.stderr)
         return 1
+    dt_free = 1e-6 / args.omega
+    # a slow-switching step is a tick and at most half a period pi/omega
     config = SimConfig(
         params=params,
         initial=BlochAngles(gamma0, 0.0),
         policy=Policy.STANDARD,
-        dt_free=1e-6 / args.omega,
+        dt_free=dt_free,
         eps_target=1e-9,
         max_switches=args.n + 10,
+        max_time=(args.n + 10) * (math.pi / args.omega + dt_free),
     )
     traj = run(config)
     ok = traj.converged and traj.terminal_fidelity >= 1.0 - 1e-9
@@ -241,6 +244,9 @@ def _verify_policies(rng: np.random.Generator, runs: int, params: SystemParams):
 def cmd_verify(args) -> int:
     if args.count < 1:
         print("verify: --count must be at least 1", file=sys.stderr)
+        return 1
+    if args.seed < 0:
+        print("verify: --seed must be a non-negative integer", file=sys.stderr)
         return 1
     params = SystemParams(1.0, 0.1)
     rng = np.random.default_rng(args.seed)

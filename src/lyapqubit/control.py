@@ -100,6 +100,12 @@ def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
     the actually evolved state. The result always lies in
     ``(0, pi/(2 eplus)]``.
     """
+    return _switch(state, f, params)[0]
+
+
+def _switch(state: PureState, f: float, params: SystemParams) -> tuple[float, PureState]:
+    """:func:`segment_duration`'s ``tau`` and the state evolved over it
+    under ``f``, the one that confirmed it."""
     if f == 0.0:
         raise ValueError("a zero field never produces a switching event")
     if abs(state.a) < 1e-12 or abs(state.b) < 1e-12:
@@ -115,35 +121,38 @@ def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
         alpha = math.pi
     tau0 = alpha / (2.0 * eplus)
 
-    def g(tau: float) -> float:
-        return switching_function(evolve(state, controlled_unitary(params, f, tau)))
+    def g(tau: float) -> tuple[float, PureState]:
+        end = evolve(state, controlled_unitary(params, f, tau))
+        return switching_function(end), end
 
-    if abs(g(tau0)) <= 1e-13 * r:
-        return tau0
+    g0, end = g(tau0)
+    if abs(g0) <= 1e-13 * r:
+        return tau0, end
 
     delta = max(1e-9 / eplus, 1e-12 * tau0)
     for _ in range(40):
         lo = max(tau0 - delta, 0.25 * tau0)
         hi = tau0 + delta
-        glo, ghi = g(lo), g(hi)
+        (glo, end_lo), (ghi, end_hi) = g(lo), g(hi)
         if glo == 0.0:
-            return lo
+            return lo, end_lo
         if ghi == 0.0:
-            return hi
+            return hi, end_hi
         if glo * ghi < 0.0:
             # bisect until the bracket is 1e-14 wide or cannot be split
             while hi - lo > 1e-14:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     break
-                gmid = g(mid)
+                gmid, end = g(mid)
                 if gmid == 0.0:
-                    return mid
+                    return mid, end
                 if (gmid < 0.0) == (glo < 0.0):
                     lo = mid
                 else:
                     hi = mid
-            return 0.5 * (lo + hi)
+            tau = 0.5 * (lo + hi)
+            return tau, g(tau)[1]
         delta *= 4.0
     raise RuntimeError("failed to bracket the switching event")  # pragma: no cover
 
@@ -193,8 +202,7 @@ def ssc_step(state: PureState, params: SystemParams, dt_free: float | None = Non
     f = bang_field(switching_function(ticked), params.s_max)
     if f == 0.0:
         raise DegenerateStateError("free tick failed to trigger a field")
-    tau = segment_duration(ticked, f, params)
-    return gauge_fix(evolve(ticked, controlled_unitary(params, f, tau)))
+    return gauge_fix(_switch(ticked, f, params)[1])
 
 
 def exact_steering_strength(gamma0: float, omega: float, n: int) -> float:
@@ -235,9 +243,7 @@ def fsc_population_gain(gamma0: float, params: SystemParams, dt_free: float) -> 
     start = from_bloch(BlochAngles(gamma0, 0.0))
     ticked = evolve(start, free_unitary(params, dt_free))
     f = bang_field(switching_function(ticked), params.s_max)
-    tau = segment_duration(ticked, f, params)
-    final = evolve(ticked, controlled_unitary(params, f, tau))
-    return fidelity(final) / fidelity(start)
+    return fidelity(_switch(ticked, f, params)[1]) / fidelity(start)
 
 
 def fsc_gain_coefficient(gamma0: float, params: SystemParams) -> float:

@@ -1,23 +1,23 @@
 """Execution of full control runs.
 
-``run`` executes the actions that :func:`extended.next_action` chooses,
-under either policy: it stops on convergence or on the switch or time
-budget, clips each action to the time left, counts control segments, and
-records every segment and a sampled time series. ``run_oracle``
-re-simulates the same scenario by brute force: a fixed step ``h`` with the
-feedback law re-evaluated every step, serving as ground truth for the
-event-driven segmentation.
+``run`` executes the segments that :func:`extended.next_action` returns,
+under either policy, each already propagated: it stops on convergence or
+on the switch or time budget, clips a segment to the time left, counts
+control segments, and records every segment and a sampled time series.
+``run_oracle`` re-simulates the same scenario by brute force: a fixed
+step ``h`` with the feedback law re-evaluated every step, serving as
+ground truth for the event-driven segmentation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from . import _kernels
 from .control import DEFAULT_DT_FREE_FACTOR, EPS_SWITCH, Regime, bang_field, classify_regime
-from .extended import ApplyField, FreeEvolve, Kick, Policy, SingleShotPlan, advance, next_action
-from .propagator import Unitary2, controlled_unitary, evolve, free_unitary
+from .extended import Policy, Segment, next_action
+from .propagator import controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
     PureState,
@@ -68,21 +68,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One piecewise interval of a run. ``kind`` is ``control``, ``free`` or
-    ``kick``; kicks are instantaneous symmetry-breaking rotations."""
-
-    kind: str
-    field: float
-    duration: float
-    state_in: PureState
-    state_out: PureState
-    v_in: float
-    v_out: float
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class Sample:
     t: float
     state: PureState
@@ -110,13 +95,10 @@ def _sample(t: float, state: PureState, f: float, kind: str) -> Sample:
     return Sample(t, state, lyapunov(state), 2.0 * f * switching_function(state), f, kind)
 
 
-def _kick_unitary(angle: float) -> Unitary2:
-    # rotation about x by `angle`; takes |g> to polar angle pi - angle at
-    # relative phase pi/2, breaking the antipodal equilibrium
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
-    off = -1j * s
-    return Unitary2._exact(complex(c), off, off, complex(c))
+def _state_at(seg: Segment, dt: float, params: SystemParams) -> PureState:
+    """The state ``dt`` into the free or control segment ``seg``."""
+    u = controlled_unitary(params, seg.field, dt) if seg.kind == "control" else free_unitary(params, dt)
+    return evolve(seg.state_in, u)
 
 
 class _Recorder:
@@ -132,35 +114,18 @@ class _Recorder:
             return
         self.samples.append(_sample(t, state, f, kind))
 
-    def segment(
-        self,
-        t0: float,
-        kind: str,
-        f: float,
-        duration: float,
-        state_in: PureState,
-        state_out: PureState,
-        label: str = "",
-    ) -> None:
-        self.sample(t0, state_in, f, kind)
-        if duration > 0.0:
+    def segment(self, t0: float, seg: Segment) -> None:
+        self.sample(t0, seg.state_in, seg.field, seg.kind)
+        if seg.duration > 0.0:
             delta = self.config.sample_interval
-            params = self.config.params
-            end = t0 + duration
+            end = t0 + seg.duration
             j = math.floor(t0 / delta) + 1
             while j * delta < end - 1e-15 * max(1.0, end):
                 tg = j * delta
                 if tg > t0:
-                    u = (
-                        controlled_unitary(params, f, tg - t0)
-                        if kind == "control"
-                        else free_unitary(params, tg - t0)
-                    )
-                    self.sample(tg, evolve(state_in, u), f, kind)
+                    self.sample(tg, _state_at(seg, tg - t0, self.config.params), seg.field, seg.kind)
                 j += 1
-        self.segments.append(
-            Segment(kind, f, duration, state_in, state_out, lyapunov(state_in), lyapunov(state_out), label)
-        )
+        self.segments.append(seg)
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -191,33 +156,21 @@ def run(config: SimConfig) -> Trajectory:
         if controls >= config.max_switches:
             truncated = True
             break
-        if len(rec.segments) >= max_segments:  # pragma: no cover - safety net
+        if len(rec.segments) >= max_segments:
             truncated = True
             break
 
-        action = next_action(state, params, config.policy, config.dt_free, config.kick_angle, config.eps_target)
-        if isinstance(action, Kick):
-            new_state = evolve(state, _kick_unitary(action.angle))
-            rec.segment(t, "kick", 0.0, 0.0, state, new_state)
-            state = new_state
-            continue
-        label = ""
-        parts = (action,)
-        if isinstance(action, SingleShotPlan):
-            label = "single_shot"
-            shot = ApplyField(action.field, action.control_time)
-            parts = (FreeEvolve(action.wait_time), shot) if action.wait_time > 0.0 else (shot,)
-        for part in parts:
-            dur = min(part.duration, config.max_time - t)
-            new_state = advance(state, params, part, dur)
-            if isinstance(part, ApplyField):
-                rec.segment(t, "control", part.field, dur, state, new_state, label)
-                controls += 1
-            else:
-                rec.segment(t, "free", 0.0, dur, state, new_state)
-            state = new_state
-            t += dur
-            if dur < part.duration:
+        for seg in next_action(state, params, config.policy, config.dt_free, config.kick_angle, config.eps_target):
+            left = config.max_time - t
+            clipped = seg.duration > left
+            if clipped:
+                out = _state_at(seg, left, params)
+                seg = replace(seg, duration=left, state_out=out, v_out=lyapunov(out))
+            rec.segment(t, seg)
+            controls += seg.kind == "control"
+            state = seg.state_out
+            t += seg.duration
+            if clipped:
                 break
 
     if rec.segments:

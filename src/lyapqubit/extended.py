@@ -14,9 +14,9 @@ and then steered exactly; both numbers come from these closed forms alone.
 
 :func:`next_action` is the one place that decides what a run does next:
 kick, free tick, bang field, or (under the extended policy) the wait and
-the exact shot as one :class:`SingleShotPlan`. :func:`advance` applies
-free evolution or a constant field to a state; the executors in ``engine``
-and ``sweeps`` only stop, clip, record and count.
+the exact shot. It returns, as :class:`Segment` records, the segments it
+propagated to decide, so each is evolved once; the executor in ``engine``
+only stops, clips, records and counts.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .control import InfeasibleError, bang_field, segment_duration
-from .propagator import controlled_unitary, evolve, free_unitary
-from .states import TWO_PI, PureState, SystemParams, fidelity, switching_function, to_bloch
+from .control import InfeasibleError, _switch, bang_field
+from .propagator import Unitary2, controlled_unitary, evolve, free_unitary
+from .states import TWO_PI, PureState, SystemParams, fidelity, lyapunov, switching_function, to_bloch
 
 
 class Policy(str, enum.Enum):
@@ -46,22 +46,33 @@ class SingleShotPlan:
 
 
 @dataclass(frozen=True)
-class FreeEvolve:
-    duration: float
+class Segment:
+    """One piecewise interval of a run. ``kind`` is ``control``, ``free`` or
+    ``kick``; kicks are instantaneous symmetry-breaking rotations."""
 
-
-@dataclass(frozen=True)
-class ApplyField:
+    kind: str
     field: float
     duration: float
+    state_in: PureState
+    state_out: PureState
+    v_in: float
+    v_out: float
+    label: str = ""
 
 
-@dataclass(frozen=True)
-class Kick:
-    angle: float
+def _segment(
+    kind: str, field: float, duration: float, state_in: PureState, state_out: PureState, label: str
+) -> Segment:
+    return Segment(kind, field, duration, state_in, state_out, lyapunov(state_in), lyapunov(state_out), label)
 
 
-PolicyAction = FreeEvolve | ApplyField | Kick | SingleShotPlan
+def _kick_unitary(angle: float) -> Unitary2:
+    # rotation about x by `angle`; takes |g> to polar angle pi - angle at
+    # relative phase pi/2, breaking the antipodal equilibrium
+    c = math.cos(0.5 * angle)
+    s = math.sin(0.5 * angle)
+    off = -1j * s
+    return Unitary2._exact(complex(c), off, off, complex(c))
 
 
 def _in_band(population: float, params: SystemParams) -> bool:
@@ -130,24 +141,27 @@ def plan_single_shot(state: PureState, params: SystemParams) -> SingleShotPlan:
     """
     if not reachable_by_single_control(state, params):
         raise InfeasibleError("state is not reachable by a single control")
-    return _plan_in_band(state, params)
+    return _plan_in_band(state, params)[0]
 
 
-def _plan_in_band(state: PureState, params: SystemParams) -> SingleShotPlan:
-    """:func:`plan_single_shot` for a state the caller has found reachable."""
+def _plan_in_band(state: PureState, params: SystemParams) -> tuple[SingleShotPlan, PureState, PureState]:
+    """:func:`plan_single_shot` for a state the caller has found reachable,
+    with the states after the wait and after the shot."""
     bl = to_bloch(state)
     if math.sin(0.5 * bl.gamma) <= 1e-12:
-        return SingleShotPlan(0.0, params.s_max, 0.0, fidelity(state))
+        final = evolve(state, controlled_unitary(params, params.s_max, 0.0))
+        return SingleShotPlan(0.0, params.s_max, 0.0, fidelity(state)), state, final
     phi_star, tau_prime = _aligned_phase(bl.gamma, params)
     waits = [((target - bl.phi) % TWO_PI) / params.omega for target in (phi_star, phi_star + math.pi)]
     waits = [0.0 if w * params.omega > TWO_PI - 1e-9 else w for w in waits]
     wait = min(waits)
     field = params.s_max if waits[0] <= waits[1] else -params.s_max
     staged = evolve(state, free_unitary(params, wait)) if wait > 0.0 else state
-    predicted = fidelity(evolve(staged, controlled_unitary(params, field, tau_prime)))
+    final = evolve(staged, controlled_unitary(params, field, tau_prime))
+    predicted = fidelity(final)
     if predicted < 1.0 - 1e-9:
         raise InfeasibleError(f"the closed-form shot misses the target: predicted fidelity {predicted!r}")
-    return SingleShotPlan(wait, field, tau_prime, predicted)
+    return SingleShotPlan(wait, field, tau_prime, predicted), staged, final
 
 
 def next_action(
@@ -157,40 +171,39 @@ def next_action(
     dt_free: float,
     kick_angle: float,
     eps_target: float,
-) -> PolicyAction:
-    """The one action the feedback policy takes from ``state``.
+) -> tuple[Segment, ...]:
+    """The segments the feedback policy runs from ``state``, each with the
+    state it ends in.
 
     An antipodal state (fidelity at most ``eps_target``) gets a
-    symmetry-breaking kick. Under the extended policy a reachable state at a
-    switching point gets the whole :class:`SingleShotPlan`: the alignment
-    wait and the exact shot are one action, so nothing is decided again
-    after the wait. Any other switching point, and every state when
-    ``s_max = 0``, gets free evolution: a trigger tick of ``dt_free``, or
-    an unbounded one at ``s_max = 0`` (the executor clips it to its time
-    budget). Elsewhere the bang law applies its field up to the next
-    switching point. Termination of the extended policy is guaranteed
-    because every slow-switching step shrinks the polar angle by
-    ``2*theta_max`` until the reachable set is entered.
+    symmetry-breaking ``kick``. Under the extended policy a reachable state
+    at a switching point gets the whole :func:`plan_single_shot` plan: the
+    alignment wait (a ``free`` segment, left out when it is zero) and the
+    exact shot (a ``control`` segment labelled ``single_shot``), so nothing
+    is decided again after the wait. Any other switching point gets a
+    ``free`` trigger tick of ``dt_free``. When ``s_max = 0`` every state
+    gets one ``free`` segment of infinite duration; its ``state_out`` is a
+    placeholder (``state`` itself) that the executor replaces when it clips
+    the segment to its time budget, as it always does. Elsewhere the bang
+    law applies its field up to the next switching point. Termination of
+    the extended policy is guaranteed because every slow-switching step
+    shrinks the polar angle by ``2*theta_max`` until the reachable set is
+    entered.
     """
     if fidelity(state) <= eps_target:
-        return Kick(kick_angle)
+        return (_segment("kick", 0.0, 0.0, state, evolve(state, _kick_unitary(kick_angle)), ""),)
     # decided before the single shot: with no field there is nothing to plan
     if params.s_max == 0.0:
-        return FreeEvolve(math.inf)
+        return (_segment("free", 0.0, math.inf, state, state, ""),)
     f = bang_field(switching_function(state), params.s_max)
     if f != 0.0:
-        return ApplyField(f, segment_duration(state, f, params))
+        tau, end = _switch(state, f, params)
+        return (_segment("control", f, tau, state, end, ""),)
     # no field inside the EPS_SWITCH band: a switching point
     if policy is Policy.EXTENDED and reachable_by_single_control(state, params):
-        return _plan_in_band(state, params)
-    return FreeEvolve(dt_free)
-
-
-def advance(
-    state: PureState, params: SystemParams, action: FreeEvolve | ApplyField, duration: float
-) -> PureState:
-    """The state after ``duration`` of free evolution or of the action's
-    constant field; executors pass the action's duration or less."""
-    if isinstance(action, ApplyField):
-        return evolve(state, controlled_unitary(params, action.field, duration))
-    return evolve(state, free_unitary(params, duration))
+        plan, staged, final = _plan_in_band(state, params)
+        shot = _segment("control", plan.field, plan.control_time, staged, final, "single_shot")
+        if plan.wait_time > 0.0:
+            return _segment("free", 0.0, plan.wait_time, state, staged, ""), shot
+        return (shot,)
+    return (_segment("free", 0.0, dt_free, state, evolve(state, free_unitary(params, dt_free)), ""),)

@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, bang_field, segment_duration, ssc_fidelity_bound
+from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, _switch, bang_field, ssc_fidelity_bound
 from .extended import plan_single_shot, required_phase
 from .propagator import UNITARY_TOL, controlled_unitary, evolve, free_unitary
 from .states import (
@@ -183,7 +183,7 @@ def _bang_segments(cells: _Cells, field, terms, params: Sequence[SystemParams]):
     The duration is ``segment_duration``'s closed form, confirmed by
     ``|Im(a b*)| <= 1e-13 r`` on the evolved state, which is also the end
     state. A cell that fails the confirmation is redone by
-    ``segment_duration`` and ``evolve``.
+    ``segment_duration``'s solver, which also returns its end state.
     """
     _, eplus, sin_t, cos_t, _, k = terms
     sin_t = np.copysign(sin_t, field)
@@ -209,8 +209,7 @@ def _bang_segments(cells: _Cells, field, terms, params: Sequence[SystemParams]):
         for i in redo:
             state = PureState._checked_by_caller(complex(a[i]), complex(b[i]))
             cell_params, f = params[int(k[i])], float(field[i])
-            tau[i] = segment_duration(state, f, cell_params)
-            fixed = evolve(state, controlled_unitary(cell_params, f, tau[i]))
+            tau[i], fixed = _switch(state, f, cell_params)
             end.a[i], end.b[i] = fixed.a, fixed.b
         end.put(redo, _cells(end.a[redo], end.b[redo]))
     return end, tau

@@ -517,6 +517,13 @@ class TestDesign:
         code, _, err = run_cli("design", "0.5", "1.0", "0")
         assert code == 1
 
+    def test_many_steps_fit_the_time_budget(self):
+        # 400 slow-switching steps take longer than the default max_time
+        code, out, _ = run_cli("design", "0.5", "1.0", "400")
+        assert code == 0
+        assert "switch_count=400" in out
+        assert "verification=pass" in out
+
     @pytest.mark.parametrize("omega", ["nan", "inf", "1e-300", "1e300"])
     def test_extreme_omega_exits_one(self, omega):
         code, out, err = run_cli("design", "0.5", omega, "3")
@@ -563,6 +570,14 @@ class TestVerify:
     def test_count_validation(self):
         code, _, _ = run_cli("verify", "--count", "0")
         assert code == 1
+
+    def test_negative_seed_exits_one_without_traceback(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "lyapqubit", "verify", "--seed", "-1"], capture_output=True, text=True
+        )
+        assert out.returncode == 1
+        assert out.stderr == "verify: --seed must be a non-negative integer\n"
+        assert out.stdout == ""
 
 
 def test_module_entry_point(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,10 +17,12 @@ from lyapqubit import (
     fidelity,
     free_unitary,
     from_bloch,
+    lyapunov,
     run,
     run_oracle,
     switching_function,
 )
+from lyapqubit import control, engine, extended
 
 P = SystemParams(1.0, 0.1)
 THETA = P.theta_max
@@ -30,6 +33,17 @@ def fig1_config(**overrides):
     kwargs = dict(params=P, initial=FIG1, policy=Policy.STANDARD)
     kwargs.update(overrides)
     return SimConfig(**kwargs)
+
+
+def clipped_mid(config, kind):
+    """``config`` with its time budget ending halfway through the last
+    segment of ``kind`` that its run reaches."""
+    t, mid = 0.0, None
+    for seg in run(config).segments:
+        if seg.kind == kind:
+            mid = t + 0.5 * seg.duration
+        t += seg.duration
+    return dataclasses.replace(config, max_time=mid)
 
 
 class TestRunBasics:
@@ -50,19 +64,76 @@ class TestRunBasics:
             assert cur.state_in is prev.state_out
 
     def test_segment_invariants(self):
-        traj = run(fig1_config(max_switches=200))
-        for seg in traj.segments:
-            if seg.kind == "control":
-                assert seg.v_out <= seg.v_in + 1e-12
-                u = controlled_unitary(P, seg.field, seg.duration)
-            elif seg.kind == "free":
-                assert seg.v_out == pytest.approx(seg.v_in, abs=1e-12)
-                u = free_unitary(P, seg.duration)
-            else:
-                continue
-            replay = evolve(seg.state_in, u)
-            assert abs(replay.a - seg.state_out.a) < 1e-10
-            assert abs(replay.b - seg.state_out.b) < 1e-10
+        # the run records the states the policy propagated, so a replay of
+        # every segment is the guard on its state_out: for both policies, a
+        # segment clipped by the time budget and a kicked start
+        configs = [
+            fig1_config(max_switches=200),
+            fig1_config(policy=Policy.EXTENDED),
+            clipped_mid(fig1_config(max_switches=200), "control"),
+            clipped_mid(fig1_config(policy=Policy.EXTENDED), "free"),
+            SimConfig(params=P, initial=BlochAngles(math.pi, 0.0), max_switches=50),
+        ]
+        for config in configs:
+            traj = run(config)
+            state = traj.segments[0].state_in
+            assert state == from_bloch(config.initial)
+            for seg in traj.segments:
+                assert seg.state_in is state
+                assert (seg.v_in, seg.v_out) == (lyapunov(seg.state_in), lyapunov(seg.state_out))
+                if seg.kind == "control":
+                    assert seg.v_out <= seg.v_in + 1e-12
+                    u = controlled_unitary(P, seg.field, seg.duration)
+                elif seg.kind == "free":
+                    assert seg.v_out == pytest.approx(seg.v_in, abs=1e-12)
+                    u = free_unitary(P, seg.duration)
+                else:
+                    assert (seg.kind, seg.duration) == ("kick", 0.0)
+                    u = extended._kick_unitary(config.kick_angle)
+                replay = evolve(seg.state_in, u)
+                assert abs(replay.a - seg.state_out.a) < 1e-10
+                assert abs(replay.b - seg.state_out.b) < 1e-10
+                state = seg.state_out
+            assert state is traj.final_state
+
+    @pytest.mark.parametrize("policy, kind", [(Policy.STANDARD, "control"), (Policy.EXTENDED, "free")])
+    def test_clipped_segment_ends_the_run(self, policy, kind):
+        config = clipped_mid(fig1_config(policy=policy, max_switches=200), kind)
+        traj = run(config)
+        assert traj.truncated and not traj.converged
+        assert traj.total_time == config.max_time
+        last = traj.segments[-1]
+        assert last.kind == kind
+        # the clipped segment runs the time left, half of the whole one
+        full = run(fig1_config(policy=policy, max_switches=200)).segments[len(traj.segments) - 1]
+        assert last.state_in == full.state_in
+        assert last.duration == pytest.approx(0.5 * full.duration, rel=1e-9)
+
+    def test_run_evolves_each_segment_once(self, monkeypatch):
+        # with no grid samples, the policy's own propagation is the only one
+        calls = []
+
+        def counted(state, u):
+            calls.append(u)
+            return evolve(state, u)
+
+        for module in (control, extended, engine):
+            monkeypatch.setattr(module, "evolve", counted)
+        for policy, n in ((Policy.STANDARD, 399), (Policy.EXTENDED, 9)):
+            calls.clear()
+            traj = run(fig1_config(policy=policy, max_switches=200, sample_interval=1e9))
+            assert len(traj.segments) == n
+            assert len(calls) == n
+
+    def test_segment_safety_net_stops_a_stalled_run(self):
+        # a tick too short to move the phase leaves a switching point where
+        # it is, so neither the switch nor the time budget ends the run
+        config = SimConfig(params=P, initial=BlochAngles(math.pi / 2, 0.0), dt_free=1e-300, max_switches=1)
+        traj = run(config)
+        assert traj.truncated and not traj.converged
+        assert len(traj.segments) == 10 * config.max_switches + 10_000
+        assert traj.switch_count == 0
+        assert {seg.kind for seg in traj.segments} == {"free"}
 
     def test_normalization_across_run(self):
         traj = run(fig1_config(max_switches=500))

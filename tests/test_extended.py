@@ -7,11 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lyapqubit import (
     EPS_SWITCH,
-    ApplyField,
     BlochAngles,
-    FreeEvolve,
     InfeasibleError,
-    Kick,
     Policy,
     PureState,
     SimConfig,
@@ -220,7 +217,7 @@ class TestPlanSingleShot:
         # a reachable switching point: next_action's own test is the only one
         at_switch = from_bloch(BlochAngles(THETA, 0.0))
         assert abs(switching_function(at_switch)) <= EPS_SWITCH
-        assert isinstance(extended_action(at_switch), SingleShotPlan)
+        assert extended_segments(at_switch)[-1].label == "single_shot"
         assert calls == {"reachable": 2, "phase": 2}
 
     def test_phase_propagates_nothing(self, monkeypatch):
@@ -384,53 +381,80 @@ class TestPhaseRatioLaw:
         assert lyapunov(out) / lyapunov(state) < 1e-5
 
 
-def extended_action(state, params=P, dt_free=1e-4):
+def extended_segments(state, params=P, dt_free=1e-4):
     return next_action(state, params, Policy.EXTENDED, dt_free, 1e-6, 1e-9)
 
 
+def assert_recorded(seg, state_in):
+    """``seg`` starts from ``state_in`` and carries the Lyapunov values of
+    its two states."""
+    assert seg.state_in is state_in
+    assert seg.v_in == lyapunov(seg.state_in)
+    assert seg.v_out == lyapunov(seg.state_out)
+
+
 class TestHybridPolicy:
-    def test_reachable_at_switch_point_free_evolves(self):
-        # the alignment wait and the shot come as one plan
+    def test_reachable_at_switch_point_waits_then_shoots(self):
+        # the alignment wait and the shot come together, already propagated
         state = from_bloch(BlochAngles(THETA, 0.0))
-        action = extended_action(state)
-        assert isinstance(action, SingleShotPlan)
-        assert action.wait_time > 0.0
-        staged = evolve(state, free_unitary(P, action.wait_time))
-        final = evolve(staged, controlled_unitary(P, action.field, action.control_time))
-        assert fidelity(final) >= 1.0 - 1e-9
+        plan = plan_single_shot(state, P)
+        wait, shot = extended_segments(state)
+        assert (wait.kind, wait.field, wait.label) == ("free", 0.0, "")
+        assert (shot.kind, shot.field, shot.label) == ("control", plan.field, "single_shot")
+        assert wait.duration == plan.wait_time > 0.0
+        assert shot.duration == plan.control_time
+        assert_recorded(wait, state)
+        assert_recorded(shot, wait.state_out)
+        assert wait.state_out == evolve(state, free_unitary(P, wait.duration))
+        assert shot.state_out == evolve(wait.state_out, controlled_unitary(P, shot.field, shot.duration))
+        assert fidelity(shot.state_out) == plan.predicted_fidelity >= 1.0 - 1e-9
+        assert wait.v_out == pytest.approx(wait.v_in, abs=1e-12)
 
     def test_aligned_reachable_fires_shot(self):
         phi_star, tau = required_phase(THETA, P)
         state = from_bloch(BlochAngles(THETA, phi_star))
-        action = extended_action(state)
-        assert isinstance(action, ApplyField)
-        assert action.duration == pytest.approx(tau, abs=1e-12)
+        (seg,) = extended_segments(state)
+        assert (seg.kind, seg.field, seg.label) == ("control", P.s_max, "")
+        assert seg.duration == pytest.approx(tau, abs=1e-12)
+        assert_recorded(seg, state)
+        assert fidelity(seg.state_out) >= 1.0 - 1e-9
 
     def test_far_state_falls_through_to_standard_law(self):
         state = from_bloch(BlochAngles(math.pi / 2, 1.0))
-        action = extended_action(state)
-        assert isinstance(action, ApplyField)
-        assert action.field == select_field(state, P).f
+        (seg,) = extended_segments(state)
+        f = select_field(state, P).f
+        assert (seg.kind, seg.field, seg.label) == ("control", f, "")
+        assert seg.duration == segment_duration(state, f, P)
+        assert_recorded(seg, state)
+        assert seg.state_out == evolve(state, controlled_unitary(P, f, seg.duration))
+        assert abs(switching_function(seg.state_out)) <= 1e-13
+        assert seg.v_out <= seg.v_in + 1e-12
 
     def test_unreachable_switch_point_ticks(self):
         state = from_bloch(BlochAngles(math.pi / 2, 0.0))
-        action = extended_action(state, dt_free=1e-4)
-        assert isinstance(action, FreeEvolve)
-        assert action.duration == pytest.approx(1e-4, abs=1e-18)
+        (seg,) = extended_segments(state, dt_free=1e-4)
+        assert (seg.kind, seg.field, seg.duration, seg.label) == ("free", 0.0, 1e-4, "")
+        assert_recorded(seg, state)
+        assert seg.state_out == evolve(state, free_unitary(P, 1e-4))
 
     def test_standard_policy_ticks_at_reachable_switch_point(self):
         state = from_bloch(BlochAngles(THETA, 0.0))
-        action = next_action(state, P, Policy.STANDARD, 1e-4, 1e-6, 1e-9)
-        assert action == FreeEvolve(1e-4)
+        (seg,) = next_action(state, P, Policy.STANDARD, 1e-4, 1e-6, 1e-9)
+        assert (seg.kind, seg.field, seg.duration, seg.label) == ("free", 0.0, 1e-4, "")
+        assert seg.state_out == evolve(state, free_unitary(P, 1e-4))
 
     def test_zero_bound_free_evolves(self):
         # no field can be applied, so free evolution runs until the
-        # executor's time budget ends it
+        # executor's time budget ends it; the unbounded segment's end state
+        # is a placeholder the executor replaces
         zero = SystemParams(1.0, 0.0)
         state = from_bloch(BlochAngles(math.pi / 2, 1.0))
         assert switching_function(state) != 0.0
         for policy in Policy:
-            assert next_action(state, zero, policy, 1e-4, 1e-6, 1e-9) == FreeEvolve(math.inf)
+            (seg,) = next_action(state, zero, policy, 1e-4, 1e-6, 1e-9)
+            assert (seg.kind, seg.field, seg.duration, seg.label) == ("free", 0.0, math.inf, "")
+            assert seg.state_out is state
+            assert_recorded(seg, state)
 
     def test_zero_bound_extended_run_near_target(self):
         # within 1e-12 of the target, so counted reachable, yet outside
@@ -449,24 +473,31 @@ class TestHybridPolicy:
         assert traj.terminal_fidelity == pytest.approx(fidelity(from_bloch(config.initial)), abs=1e-15)
 
     def test_antipodal_kicks(self):
-        action = extended_action(from_bloch(BlochAngles(math.pi, 0.0)))
-        assert isinstance(action, Kick)
+        state = from_bloch(BlochAngles(math.pi, 0.0))
+        (seg,) = extended_segments(state)
+        assert (seg.kind, seg.field, seg.duration, seg.label) == ("kick", 0.0, 0.0, "")
+        assert_recorded(seg, state)
+        assert seg.state_out == evolve(state, extended._kick_unitary(1e-6))
+        assert to_bloch(seg.state_out).gamma == pytest.approx(math.pi - 1e-6, abs=1e-12)
 
-    def test_actions_never_increase_lyapunov(self):
+    def test_segments_never_increase_lyapunov(self):
         rng = np.random.default_rng(17)
+        kinds = set()
         for _ in range(100):
             gamma = rng.uniform(0.01, math.pi - 0.01)
-            phi = rng.uniform(0, 2 * math.pi)
+            # in-plane phases are switching points: a tick, or the wait and the shot
+            phi = rng.choice([rng.uniform(0, 2 * math.pi), 0.0, math.pi])
             state = from_bloch(BlochAngles(gamma, phi))
-            action = extended_action(state)
-            if isinstance(action, FreeEvolve):
-                out = evolve(state, free_unitary(P, action.duration))
-                assert lyapunov(out) == pytest.approx(lyapunov(state), abs=1e-12)
-            elif isinstance(action, ApplyField):
-                out = evolve(state, controlled_unitary(P, action.field, action.duration))
-                assert lyapunov(out) <= lyapunov(state) + 1e-12
-            elif isinstance(action, SingleShotPlan):
-                staged = evolve(state, free_unitary(P, action.wait_time))
-                assert lyapunov(staged) == pytest.approx(lyapunov(state), abs=1e-12)
-                out = evolve(staged, controlled_unitary(P, action.field, action.control_time))
-                assert lyapunov(out) <= lyapunov(state) + 1e-12
+            for seg in extended_segments(state):
+                assert_recorded(seg, state)
+                assert seg.v_out <= seg.v_in + 1e-12
+                if seg.kind == "free":
+                    assert seg.v_out == pytest.approx(seg.v_in, abs=1e-12)
+                    replay = evolve(seg.state_in, free_unitary(P, seg.duration))
+                else:
+                    assert seg.kind == "control"
+                    replay = evolve(seg.state_in, controlled_unitary(P, seg.field, seg.duration))
+                assert replay == seg.state_out
+                kinds.add((seg.kind, seg.label))
+                state = seg.state_out
+        assert kinds == {("control", ""), ("free", ""), ("control", "single_shot")}

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyapqubit import (
-    ApplyField,
     BlochAngles,
     Policy,
     PureState,
     SweepGrid,
     SystemParams,
     bang_field,
+    controlled_unitary,
+    evolve,
     exact_steering_strength,
     fidelity,
     fidelity_vs_strength,
@@ -28,8 +29,7 @@ from lyapqubit import (
     sweep_ssc_fidelity,
     switching_function,
 )
-from lyapqubit import sweeps
-from lyapqubit.extended import advance
+from lyapqubit import control, sweeps
 from lyapqubit.states import NORM_TOL
 
 OMEGA = 1.0
@@ -213,7 +213,7 @@ def test_exact_steering_round_trip_through_sweep():
 
 
 # Scalar references: the per-cell loops the array kernel replaced, written
-# with the policy's own next_action and advance.
+# with the policy's own next_action and the scalar propagators.
 
 
 def scalar_ssc_terminal(gamma, phi, params, dt_free, eps_target=1e-9):
@@ -227,9 +227,9 @@ def scalar_ssc_terminal(gamma, phi, params, dt_free, eps_target=1e-9):
             break
         if polar_angle(state) <= params.theta_max:
             break
-        action = next_action(state, params, Policy.STANDARD, dt_free, 1e-6, eps_target)
-        state = advance(state, params, action, action.duration)
-        n_controls += isinstance(action, ApplyField)
+        (seg,) = next_action(state, params, Policy.STANDARD, dt_free, 1e-6, eps_target)
+        state = seg.state_out
+        n_controls += seg.kind == "control"
     return fidelity(state), n_controls
 
 
@@ -241,7 +241,7 @@ def scalar_first_segment(gamma, phi, params):
     if f == 0.0:
         return (math.nan,) * 3
     tau = segment_duration(state, f, params)
-    final = advance(state, params, ApplyField(f, tau), tau)
+    final = evolve(state, controlled_unitary(params, f, tau))
     return fidelity(state) / fidelity(final), lyapunov(final) / lyapunov(state), tau
 
 
@@ -308,28 +308,31 @@ class TestArrayKernelAgainstScalarReference:
     def test_fallback_cell_takes_segment_durations_tau(self, monkeypatch):
         # found by scanning shifted slow-switching grids: one segment of this
         # cell ends where the closed-form time leaves a residue above
-        # 1e-13 r, so the kernel redoes that cell with segment_duration
+        # 1e-13 r, so the kernel redoes that cell with segment_duration's
+        # solver, which hands back the state it confirmed tau on
         calls = []
 
         def recording(state, f, params):
-            tau = segment_duration(state, f, params)
-            calls.append((state, f, params, tau))
-            return tau
+            tau, end = control._switch(state, f, params)
+            calls.append((state, f, params, tau, end))
+            return tau, end
 
-        monkeypatch.setattr(sweeps, "segment_duration", recording)
+        monkeypatch.setattr(sweeps, "_switch", recording)
         gamma, phi, s = 1.0119596783861877, 4.527578844581518, 0.05
         params = SystemParams(OMEGA, s)
         result = sweep_ssc_fidelity(SweepGrid((gamma,), (phi,), (s,), OMEGA), s, dt_free=1e-6)
         fid, n = scalar_ssc_terminal(gamma, phi, params, 1e-6)
         assert result.tables["n_max"][0, 0] == n
         assert abs(result.tables["fidelity"][0, 0] - fid) <= 1e-14
-        ((state, f, _, tau),) = calls
+        ((state, f, _, tau, fixed),) = calls
         calls.clear()
         cells = sweeps._cells(np.array([state.a]), np.array([state.b]))
         terms = sweeps._strength_terms((params,), np.zeros(1, dtype=int))
         end, tau_k = sweeps._bang_segments(cells, np.array([f]), terms, (params,))
         assert len(calls) == 1
         assert tau_k[0] == tau == segment_duration(state, f, params)
+        assert fixed == evolve(state, controlled_unitary(params, f, tau))
+        assert (end.a[0], end.b[0]) == (fixed.a, fixed.b)
         # the redone cell carries the quantities of its new amplitudes
         for carried, fresh in zip(end, sweeps._cells(end.a, end.b)):
             assert carried.tobytes() == fresh.tobytes()
