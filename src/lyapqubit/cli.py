@@ -19,7 +19,7 @@ from .control import exact_steering_strength
 from .engine import Policy, SimConfig, Trajectory, run
 from .propagator import controlled_unitary, default_oracle_step, evolve, oracle_integrate
 from .scenario import Scenario, ScenarioError, parse_scenario
-from .states import BlochAngles, SystemParams, from_bloch
+from .states import BlochAngles, SystemParams, from_bloch, switching_function
 from .sweeps import (
     SweepGrid,
     fidelity_vs_strength,
@@ -58,7 +58,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     lines = [CSV_HEADER]
     for s in traj.samples:
         a, b = s.state.a, s.state.b
-        lines.append(_TRAJECTORY_ROW % (s.t, a.real, a.imag, b.real, b.imag, s.v, s.dvdt, s.f, s.kind))
+        # under the constant field f, dV/dt = 2 f Im(a b*)
+        rate = 2.0 * s.f * switching_function(s.state)
+        lines.append(_TRAJECTORY_ROW % (s.t, a.real, a.imag, b.real, b.imag, s.v, rate, s.f, s.kind))
     return "\n".join(lines) + "\n"
 
 

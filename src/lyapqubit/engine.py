@@ -2,8 +2,10 @@
 
 ``run`` executes the segments that :func:`extended.next_action` returns,
 under either policy, each already propagated: it stops on convergence or
-on the switch or time budget, clips a segment to the time left, counts
-control segments, and records every segment and a sampled time series.
+on the switch, time or segment budget, clips a segment to the time left,
+counts control segments, and records every segment and a sampled time
+series. A record keeps states, not numbers derived from them, except a
+sample's V, computed once per sample.
 ``run_oracle`` re-simulates the same scenario by brute force: a fixed
 step ``h`` with the feedback law re-evaluated every step, serving as
 ground truth for the event-driven segmentation.
@@ -12,7 +14,7 @@ ground truth for the event-driven segmentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 from . import _kernels
 from .control import DEFAULT_DT_FREE_FACTOR, EPS_SWITCH, Regime, bang_field, classify_regime
@@ -69,30 +71,34 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Sample:
+    """A recorded point of a run and the field ``f`` applied from it.
+    ``v = |b|^2`` is stored because it is read twice: by the CSV writer and
+    by the V-monotonicity checks. The CSV writer derives dV/dt itself."""
+
     t: float
     state: PureState
     v: float
-    dvdt: float
     f: float
     kind: str
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """The record of one run. Unless ``converged``, a budget stopped it.
+    ``switch_count`` counts ``control`` segments for :func:`run`, but
+    changes of the applied field value for :func:`run_oracle`."""
+
     segments: tuple[Segment, ...]
     samples: tuple[Sample, ...]
-    terminal_fidelity: float
     switch_count: int
     converged: bool
-    truncated: bool
     final_regime: Regime
     total_time: float
-    final_state: PureState = dc_field(repr=False, default=None)  # type: ignore[assignment]
+    final_state: PureState
 
-
-def _sample(t: float, state: PureState, f: float, kind: str) -> Sample:
-    # V = |b|^2 and, under a constant field f, dV/dt = 2 f Im(a b*)
-    return Sample(t, state, lyapunov(state), 2.0 * f * switching_function(state), f, kind)
+    @property
+    def terminal_fidelity(self) -> float:
+        return fidelity(self.final_state)
 
 
 def _state_at(seg: Segment, dt: float, params: SystemParams) -> PureState:
@@ -101,90 +107,65 @@ def _state_at(seg: Segment, dt: float, params: SystemParams) -> PureState:
     return evolve(seg.state_in, u)
 
 
-class _Recorder:
-    """Collects segments plus samples on a fixed grid and at boundaries."""
-
-    def __init__(self, config: SimConfig):
-        self.config = config
-        self.segments: list[Segment] = []
-        self.samples: list[Sample] = []
-
-    def sample(self, t: float, state: PureState, f: float, kind: str) -> None:
-        if self.samples and t <= self.samples[-1].t:
-            return
-        self.samples.append(_sample(t, state, f, kind))
-
-    def segment(self, t0: float, seg: Segment) -> None:
-        self.sample(t0, seg.state_in, seg.field, seg.kind)
-        if seg.duration > 0.0:
-            delta = self.config.sample_interval
-            end = t0 + seg.duration
-            j = math.floor(t0 / delta) + 1
-            while j * delta < end - 1e-15 * max(1.0, end):
-                tg = j * delta
-                if tg > t0:
-                    self.sample(tg, _state_at(seg, tg - t0, self.config.params), seg.field, seg.kind)
-                j += 1
-        self.segments.append(seg)
+def _record(samples: list[Sample], t0: float, seg: Segment, config: SimConfig) -> None:
+    """Append the samples of ``seg`` run from ``t0``: its start, unless one
+    lies there already (as after a kick), and its grid points."""
+    if not samples or t0 > samples[-1].t:
+        samples.append(Sample(t0, seg.state_in, lyapunov(seg.state_in), seg.field, seg.kind))
+    delta = config.sample_interval
+    end = t0 + seg.duration
+    j = math.floor(t0 / delta) + 1
+    while j * delta < end - 1e-15 * max(1.0, end):
+        tg = j * delta
+        if tg > t0:
+            state = _state_at(seg, tg - t0, config.params)
+            samples.append(Sample(tg, state, lyapunov(state), seg.field, seg.kind))
+        j += 1
 
 
 def run(config: SimConfig) -> Trajectory:
     """Simulate one full control run under the configured policy.
 
-    Terminates on fidelity reaching ``1 - eps_target`` (converged) or on the
-    switch/time budget (truncated; the final regime annotation tells a
-    fast-switching plateau apart from other truncations). The extended
-    policy finishes with an exactly planned single-shot segment, labelled
+    Stops when the fidelity reaches ``1 - eps_target`` (converged) or on
+    the switch, time or segment budget; the final regime annotation tells
+    a fast-switching plateau apart from other stops. The extended policy
+    finishes with an exactly planned single-shot segment, labelled
     ``single_shot``.
     """
     params = config.params
     state = from_bloch(config.initial)
-    rec = _Recorder(config)
+    segments: list[Segment] = []
+    samples: list[Sample] = []
     t = 0.0
     controls = 0
-    converged = False
-    truncated = False
     max_segments = 10 * config.max_switches + 10_000
 
     while True:
-        if fidelity(state) >= 1.0 - config.eps_target:
-            converged = True
+        converged = fidelity(state) >= 1.0 - config.eps_target
+        budget_left = t < config.max_time * (1.0 - 1e-15) and controls < config.max_switches
+        if converged or not budget_left or len(segments) >= max_segments:
             break
-        if t >= config.max_time * (1.0 - 1e-15):
-            truncated = True
-            break
-        if controls >= config.max_switches:
-            truncated = True
-            break
-        if len(rec.segments) >= max_segments:
-            truncated = True
-            break
-
         for seg in next_action(state, params, config.policy, config.dt_free, config.kick_angle, config.eps_target):
             left = config.max_time - t
             clipped = seg.duration > left
             if clipped:
-                out = _state_at(seg, left, params)
-                seg = replace(seg, duration=left, state_out=out, v_out=lyapunov(out))
-            rec.segment(t, seg)
+                seg = replace(seg, duration=left, state_out=_state_at(seg, left, params))
+            _record(samples, t, seg, config)
+            segments.append(seg)
             controls += seg.kind == "control"
             state = seg.state_out
             t += seg.duration
             if clipped:
                 break
 
-    if rec.segments:
-        last = rec.segments[-1]
-        rec.sample(t, state, last.field, last.kind)
-    else:
-        rec.sample(0.0, state, 0.0, "free")
+    f, kind = (segments[-1].field, segments[-1].kind) if segments else (0.0, "free")
+    if not samples or t > samples[-1].t:
+        samples.append(Sample(t, state, lyapunov(state), f, kind))
     return Trajectory(
-        segments=tuple(rec.segments),
-        samples=tuple(rec.samples),
-        terminal_fidelity=fidelity(state),
+        segments=tuple(segments),
+        samples=tuple(samples),
         switch_count=controls,
         converged=converged,
-        truncated=truncated,
         final_regime=classify_regime(state, params, config.eps_target),
         total_time=t,
         final_state=state,
@@ -222,11 +203,9 @@ def run_oracle(config: SimConfig, h: float) -> Trajectory:
     final = PureState(a, b)
     return Trajectory(
         segments=(),
-        samples=tuple(_sample(t, st, f, "control" if f != 0.0 else "free") for t, st, f in points),
-        terminal_fidelity=fidelity(final),
+        samples=tuple(Sample(t, st, lyapunov(st), f, "control" if f != 0.0 else "free") for t, st, f in points),
         switch_count=switches,
         converged=fidelity(final) >= 1.0 - config.eps_target,
-        truncated=fidelity(final) < 1.0 - config.eps_target,
         final_regime=classify_regime(final, params, config.eps_target),
         total_time=n_steps * h,
         final_state=final,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .control import InfeasibleError, _switch, bang_field
 from .propagator import Unitary2, controlled_unitary, evolve, free_unitary
-from .states import TWO_PI, PureState, SystemParams, fidelity, lyapunov, switching_function, to_bloch
+from .states import TWO_PI, PureState, SystemParams, fidelity, switching_function, to_bloch
 
 
 class Policy(str, enum.Enum):
@@ -48,22 +48,15 @@ class SingleShotPlan:
 @dataclass(frozen=True)
 class Segment:
     """One piecewise interval of a run. ``kind`` is ``control``, ``free`` or
-    ``kick``; kicks are instantaneous symmetry-breaking rotations."""
+    ``kick``; kicks are instantaneous symmetry-breaking rotations. V is
+    not stored: it is ``lyapunov(state_in)`` and ``lyapunov(state_out)``."""
 
     kind: str
     field: float
     duration: float
     state_in: PureState
     state_out: PureState
-    v_in: float
-    v_out: float
     label: str = ""
-
-
-def _segment(
-    kind: str, field: float, duration: float, state_in: PureState, state_out: PureState, label: str
-) -> Segment:
-    return Segment(kind, field, duration, state_in, state_out, lyapunov(state_in), lyapunov(state_out), label)
 
 
 def _kick_unitary(angle: float) -> Unitary2:
@@ -191,19 +184,19 @@ def next_action(
     entered.
     """
     if fidelity(state) <= eps_target:
-        return (_segment("kick", 0.0, 0.0, state, evolve(state, _kick_unitary(kick_angle)), ""),)
+        return (Segment("kick", 0.0, 0.0, state, evolve(state, _kick_unitary(kick_angle))),)
     # decided before the single shot: with no field there is nothing to plan
     if params.s_max == 0.0:
-        return (_segment("free", 0.0, math.inf, state, state, ""),)
+        return (Segment("free", 0.0, math.inf, state, state),)
     f = bang_field(switching_function(state), params.s_max)
     if f != 0.0:
         tau, end = _switch(state, f, params)
-        return (_segment("control", f, tau, state, end, ""),)
+        return (Segment("control", f, tau, state, end),)
     # no field inside the EPS_SWITCH band: a switching point
     if policy is Policy.EXTENDED and reachable_by_single_control(state, params):
         plan, staged, final = _plan_in_band(state, params)
-        shot = _segment("control", plan.field, plan.control_time, staged, final, "single_shot")
+        shot = Segment("control", plan.field, plan.control_time, staged, final, "single_shot")
         if plan.wait_time > 0.0:
-            return _segment("free", 0.0, plan.wait_time, state, staged, ""), shot
+            return Segment("free", 0.0, plan.wait_time, state, staged), shot
         return (shot,)
-    return (_segment("free", 0.0, dt_free, state, evolve(state, free_unitary(params, dt_free)), ""),)
+    return (Segment("free", 0.0, dt_free, state, evolve(state, free_unitary(params, dt_free))),)

@@ -20,8 +20,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, _switch, bang_field, ssc_fidelity_bound
-from .extended import plan_single_shot, required_phase
-from .propagator import UNITARY_TOL, controlled_unitary, evolve, free_unitary
+from .extended import _plan_in_band, required_phase
+from .propagator import UNITARY_TOL, free_unitary
 from .states import (
     NORM_TOL,
     BlochAngles,
@@ -358,10 +358,9 @@ def phase_alignment_table(gamma_axis: Sequence[float], params: SystemParams) -> 
         phi_star[i], tau_prime[i] = required_phase(gamma, params)
         cos2[i] = math.cos(phi_star[i]) ** 2
         state = from_bloch(BlochAngles(gamma, 0.0))
-        plan = plan_single_shot(state, params)
+        # required_phase has applied the band test
+        plan, _, final = _plan_in_band(state, params)
         wait[i] = plan.wait_time
-        staged = evolve(state, free_unitary(params, plan.wait_time))
-        final = evolve(staged, controlled_unitary(params, plan.field, plan.control_time))
         ratio_b[i] = lyapunov(final) / lyapunov(state) if lyapunov(state) > 0.0 else 0.0
     return SweepResult(
         grid,

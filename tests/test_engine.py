@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyapqubit import (
     BlochAngles,
@@ -23,6 +24,8 @@ from lyapqubit import (
     switching_function,
 )
 from lyapqubit import control, engine, extended
+from lyapqubit.cli import trajectory_csv
+from lyapqubit.states import NORM_TOL
 
 P = SystemParams(1.0, 0.1)
 THETA = P.theta_max
@@ -51,7 +54,7 @@ class TestRunBasics:
         traj = run(SimConfig(params=P, initial=BlochAngles(0.0, 0.0)))
         assert traj.segments == ()
         assert traj.terminal_fidelity == 1.0
-        assert traj.converged and not traj.truncated
+        assert traj.converged
 
     def test_sample_times_strictly_increasing(self):
         traj = run(fig1_config(max_switches=50))
@@ -80,12 +83,12 @@ class TestRunBasics:
             assert state == from_bloch(config.initial)
             for seg in traj.segments:
                 assert seg.state_in is state
-                assert (seg.v_in, seg.v_out) == (lyapunov(seg.state_in), lyapunov(seg.state_out))
+                v_in, v_out = lyapunov(seg.state_in), lyapunov(seg.state_out)
                 if seg.kind == "control":
-                    assert seg.v_out <= seg.v_in + 1e-12
+                    assert v_out <= v_in + 1e-12
                     u = controlled_unitary(P, seg.field, seg.duration)
                 elif seg.kind == "free":
-                    assert seg.v_out == pytest.approx(seg.v_in, abs=1e-12)
+                    assert v_out == pytest.approx(v_in, abs=1e-12)
                     u = free_unitary(P, seg.duration)
                 else:
                     assert (seg.kind, seg.duration) == ("kick", 0.0)
@@ -100,7 +103,7 @@ class TestRunBasics:
     def test_clipped_segment_ends_the_run(self, policy, kind):
         config = clipped_mid(fig1_config(policy=policy, max_switches=200), kind)
         traj = run(config)
-        assert traj.truncated and not traj.converged
+        assert not traj.converged
         assert traj.total_time == config.max_time
         last = traj.segments[-1]
         assert last.kind == kind
@@ -125,12 +128,30 @@ class TestRunBasics:
             assert len(traj.segments) == n
             assert len(calls) == n
 
+    def test_run_computes_lyapunov_once_per_sample(self, monkeypatch):
+        # a record keeps states, so with no grid samples the only V computed
+        # is each sample's: one per segment start plus the final state
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return lyapunov(state)
+
+        for module in (engine, extended):
+            monkeypatch.setattr(module, "lyapunov", counted, raising=False)
+        for policy, n in ((Policy.STANDARD, 399), (Policy.EXTENDED, 9)):
+            calls.clear()
+            traj = run(fig1_config(policy=policy, max_switches=200, sample_interval=1e9))
+            assert len(traj.segments) == n
+            assert len(traj.samples) == n + 1
+            assert len(calls) == n + 1
+
     def test_segment_safety_net_stops_a_stalled_run(self):
         # a tick too short to move the phase leaves a switching point where
         # it is, so neither the switch nor the time budget ends the run
         config = SimConfig(params=P, initial=BlochAngles(math.pi / 2, 0.0), dt_free=1e-300, max_switches=1)
         traj = run(config)
-        assert traj.truncated and not traj.converged
+        assert not traj.converged
         assert len(traj.segments) == 10 * config.max_switches + 10_000
         assert traj.switch_count == 0
         assert {seg.kind for seg in traj.segments} == {"free"}
@@ -142,18 +163,18 @@ class TestRunBasics:
 
     def test_truncation_reports_fast_switching_plateau(self):
         traj = run(fig1_config(max_switches=300))
-        assert traj.truncated and not traj.converged
+        assert not traj.converged
         assert traj.final_regime is Regime.FSC
 
     def test_max_time_clips_run(self):
         traj = run(fig1_config(max_time=2.0))
-        assert traj.truncated
+        assert not traj.converged
         assert traj.total_time == pytest.approx(2.0, abs=1e-9)
 
     def test_time_budget_stops_run(self):
         config = fig1_config(max_time=12.345)
         traj = run(config)
-        assert traj.truncated and not traj.converged
+        assert not traj.converged
         assert traj.total_time == config.max_time
         assert traj.samples[-1].t == config.max_time
         assert traj.switch_count < config.max_switches
@@ -174,8 +195,11 @@ class TestStandardRunStructure:
 
     def test_dvdt_matches_finite_difference(self):
         # centered numerical derivative of V along each segment vs the
-        # recorded instantaneous rate
+        # instantaneous rate in the dVdt column the CSV writer derives
         traj = run(fig1_config(max_switches=20))
+        rows = [row.split(",") for row in trajectory_csv(traj).splitlines()]
+        assert rows[0][6] == "dVdt"
+        rate = {s.t: float(row[6]) for s, row in zip(traj.samples, rows[1:], strict=True)}
         t_cursor = 0.0
         checked = 0
         delta = 1e-5
@@ -193,7 +217,7 @@ class TestStandardRunStructure:
                 fwd = evolve(s.state, u_fwd)
                 bwd = evolve(s.state, u_fwd.adjoint())
                 fd = ((1 - fidelity(fwd)) - (1 - fidelity(bwd))) / (2 * delta)
-                assert fd == pytest.approx(s.dvdt, abs=1e-8)
+                assert fd == pytest.approx(rate[s.t], abs=1e-8)
                 checked += 1
             t_cursor += seg.duration
         assert checked >= 10
@@ -262,7 +286,46 @@ class TestExtendedRun:
         traj = run(fig1_config(policy=Policy.EXTENDED))
         for seg in traj.segments:
             if seg.kind in ("control", "free"):
-                assert seg.v_out <= seg.v_in + 1e-12
+                assert lyapunov(seg.state_out) <= lyapunov(seg.state_in) + 1e-12
+
+
+run_cases = st.builds(
+    lambda log_omega, ratio, gamma, phi, policy: (
+        SystemParams(10.0**log_omega, ratio * 10.0**log_omega),
+        BlochAngles(gamma, phi),
+        policy,
+    ),
+    log_omega=st.floats(-1.0, 1.0),
+    ratio=st.floats(1e-2, 3.0),
+    gamma=st.floats(0.05, math.pi - 0.05),
+    phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+    policy=st.sampled_from(Policy),
+)
+
+
+class TestRunProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(run_cases)
+    def test_law_norm_and_mirror_symmetry(self, case):
+        # the start at phase phi + pi is the conjugate-field mirror: b -> -b
+        # flips the sign of Im(a b*), so every bang field flips and the
+        # segments, durations and V follow
+        params, initial, policy = case
+        mirror_initial = BlochAngles(initial.gamma, (initial.phi + math.pi) % (2 * math.pi))
+        traj, mirror = (
+            run(SimConfig(params=params, initial=start, policy=policy, max_switches=60))
+            for start in (initial, mirror_initial)
+        )
+        for seg in traj.segments + mirror.segments:
+            if seg.kind == "control":
+                assert lyapunov(seg.state_out) <= lyapunov(seg.state_in) + 1e-12
+            out = seg.state_out
+            assert abs(abs(out.a) ** 2 + abs(out.b) ** 2 - 1.0) <= NORM_TOL
+        assert [seg.kind for seg in mirror.segments] == [seg.kind for seg in traj.segments]
+        for seg, m in zip(traj.segments, mirror.segments):
+            assert m.field == -seg.field
+            assert m.duration == pytest.approx(seg.duration, rel=1e-8)
+            assert lyapunov(m.state_out) == pytest.approx(lyapunov(seg.state_out), abs=1e-12)
 
 
 class TestRunOracle:

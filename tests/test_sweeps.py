@@ -29,7 +29,7 @@ from lyapqubit import (
     sweep_ssc_fidelity,
     switching_function,
 )
-from lyapqubit import control, sweeps
+from lyapqubit import control, extended, sweeps
 from lyapqubit.states import NORM_TOL
 
 OMEGA = 1.0
@@ -200,6 +200,22 @@ class TestPhaseAlignment:
     def test_unreachable_angle_rejected(self):
         with pytest.raises(ValueError):
             phase_alignment_table((3 * THETA,), P)
+
+    def test_each_plan_evolves_once(self, monkeypatch):
+        # the table reads the final state the plan propagated: one wait and
+        # one shot per in-band angle
+        calls = []
+
+        def counted(state, u):
+            calls.append(u)
+            return evolve(state, u)
+
+        for module in (extended, sweeps):
+            monkeypatch.setattr(module, "evolve", counted, raising=False)
+        gammas = tuple(np.linspace(0.05, 2 * THETA - 0.01, 7))
+        result = phase_alignment_table(gammas, P)
+        assert (result.tables["wait_time"] > 0.0).all()
+        assert len(calls) == 2 * len(gammas)
 
 
 def test_exact_steering_round_trip_through_sweep():
