@@ -23,7 +23,6 @@ from .control import (
 )
 from .engine import Policy, Sample, Segment, SimConfig, Trajectory, run, run_oracle
 from .extended import (
-    SingleShotPlan,
     next_action,
     plan_single_shot,
     reachable_by_single_control,
@@ -79,7 +78,6 @@ __all__ = [
     "ScenarioError",
     "Segment",
     "SimConfig",
-    "SingleShotPlan",
     "SweepGrid",
     "SweepResult",
     "SystemParams",

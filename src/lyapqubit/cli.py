@@ -118,22 +118,21 @@ def cmd_simulate(args) -> int:
 
 def _sweep_files(scenario: Scenario) -> list[tuple[str, dict[str, np.ndarray]]]:
     """Run the scenario's sweep; returns ``(file name, columns)`` per output table."""
-    spec, omega = scenario.sweep, scenario.params.omega
-    if spec.kind == "first_segment":
-        grid = SweepGrid(spec.gamma_axis, spec.phi_axis, spec.s_values, omega)
+    grid, kind = scenario.sweep, scenario.sweep_kind
+    if kind == "first_segment":
         tables = sweep_first_segment(grid).tables
         return [(f"first_segment_{n}.csv", _grid_long_columns(grid, n, t)) for n, t in tables.items()]
-    if spec.kind == "ssc_fidelity":
+    if kind == "ssc_fidelity":
         files = []
-        for s in spec.s_values:
-            grid = SweepGrid(spec.gamma_axis, spec.phi_axis, (s,), omega)
-            tables = sweep_ssc_fidelity(grid, s, dt_free=scenario.dt_free).tables
-            files += [(f"ssc_{n}_s{s!r}.csv", _grid_long_columns(grid, n, t)) for n, t in tables.items()]
+        for s in grid.s_values:
+            one = SweepGrid(grid.gamma_axis, grid.phi_axis, (s,), grid.omega)
+            tables = sweep_ssc_fidelity(one, s, dt_free=scenario.dt_free).tables
+            files += [(f"ssc_{n}_s{s!r}.csv", _grid_long_columns(one, n, t)) for n, t in tables.items()]
         return files
-    if spec.kind == "fidelity_vs_strength":
-        result = fidelity_vs_strength(spec.s_values, scenario.initial, omega, dt_free=scenario.dt_free)
+    if kind == "fidelity_vs_strength":
+        result = fidelity_vs_strength(grid.s_values, scenario.initial, grid.omega, dt_free=scenario.dt_free)
         return [("fidelity_vs_strength.csv", {"s": np.asarray(result.grid.s_values), **result.tables})]
-    result = phase_alignment_table(spec.gamma_axis, scenario.params)
+    result = phase_alignment_table(grid.gamma_axis, scenario.params)
     return [("phase_alignment.csv", {"gamma": np.asarray(result.grid.gamma_axis), **result.tables})]
 
 

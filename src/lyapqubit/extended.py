@@ -10,7 +10,10 @@ the mirrored branch (phase ``phi' + pi``, field ``-s_max``) follows from
 conjugating the field. Free evolution winds the relative phase at rate
 ``omega`` and leaves ``gamma`` alone, so any reachable state can be aligned
 and then steered exactly; both numbers come from these closed forms alone.
-:func:`plan_single_shot` plans the wait and the shot.
+:func:`plan_single_shot` returns the plan as the segments it propagated:
+the alignment wait (a ``free`` :class:`Segment`, left out when it is zero)
+and the exact shot (a ``control`` segment labelled ``single_shot``), whose
+``state_out`` is the state the plan reaches.
 
 :func:`next_action` is the one place that decides what a run does next:
 kick, free tick, bang field, or (under the extended policy) the wait and
@@ -25,7 +28,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .control import InfeasibleError, _switch, bang_field
+from .control import DEFAULT_EPS_TARGET, InfeasibleError, _switch, bang_field
 from .propagator import Unitary2, controlled_unitary, evolve, free_unitary
 from .states import TWO_PI, PureState, SystemParams, fidelity, switching_function, to_bloch
 
@@ -33,16 +36,6 @@ from .states import TWO_PI, PureState, SystemParams, fidelity, switching_functio
 class Policy(str, enum.Enum):
     STANDARD = "standard"
     EXTENDED = "extended"
-
-
-@dataclass(frozen=True)
-class SingleShotPlan:
-    """A free wait followed by one exactly-computed control segment."""
-
-    wait_time: float
-    field: float
-    control_time: float
-    predicted_fidelity: float
 
 
 @dataclass(frozen=True)
@@ -80,22 +73,17 @@ def reachable_by_single_control(state: PureState, params: SystemParams) -> bool:
     return _in_band(fidelity(state), params)
 
 
-def _shot_angle(gamma: float, params: SystemParams) -> float:
-    """``E tau' = arcsin(sin(gamma/2)/sin(theta_max))`` of the exact shot from
-    polar angle ``gamma``; the argument is clamped to 1 at the band edge."""
-    sin_theta = params.s_max / params.eplus_max
-    return math.asin(min(math.sin(0.5 * gamma) / sin_theta, 1.0))
-
-
 def _aligned_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
     """``(phi', tau')`` of the ``+s_max`` branch for a polar angle the caller
-    has found in the band. ``E tau'`` lies in ``[0, pi/2]``, so ``phi'``
-    does too: ``atan2`` fixes its quadrant and nothing is propagated."""
+    has found in the band. ``E tau' = arcsin(sin(gamma/2)/sin(theta_max))``,
+    its argument clamped to 1 at the band edge, lies in ``[0, pi/2]``, so
+    ``phi'`` does too: ``atan2`` fixes its quadrant and nothing is
+    propagated."""
     if params.theta_max == 0.0:
         if gamma == 0.0:
             return 0.5 * math.pi, 0.0
         raise InfeasibleError("zero field bound cannot steer any state")
-    et = _shot_angle(gamma, params)
+    et = math.asin(min(math.sin(0.5 * gamma) / (params.s_max / params.eplus_max), 1.0))
     cos_theta = 0.5 * params.omega / params.eplus_max
     return math.atan2(math.cos(et), math.sin(et) * cos_theta), et / params.eplus_max
 
@@ -119,9 +107,10 @@ def required_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
     return _aligned_phase(gamma, params)
 
 
-def plan_single_shot(state: PureState, params: SystemParams) -> SingleShotPlan:
-    """The extended technique's one plan: the free wait that aligns the
-    relative phase, then the exact shot to the target.
+def plan_single_shot(state: PureState, params: SystemParams) -> tuple[Segment, ...]:
+    """The extended technique's one plan, as the segments it propagated:
+    the free wait that aligns the relative phase (left out when it is
+    zero), then the exact shot to the target, labelled ``single_shot``.
 
     Raises :class:`InfeasibleError` for a state that is not
     :func:`reachable_by_single_control`. Free evolution winds the phase at
@@ -129,21 +118,21 @@ def plan_single_shot(state: PureState, params: SystemParams) -> SingleShotPlan:
     ``+s_max``) or to ``phi'+pi`` (field ``-s_max``), and a tie takes
     ``+s_max``. A wait within 1e-9 rad of a full turn snaps to zero. Free
     evolution leaves ``|a|`` unchanged, so the control time is the closed
-    form's at the state's own polar angle. A predicted fidelity below
-    ``1 - 1e-9`` raises :class:`InfeasibleError`.
+    form's at the state's own polar angle. A shot ending below fidelity
+    ``1 - 1e-9`` raises :class:`InfeasibleError`. The target itself gets
+    one shot of zero duration.
     """
     if not reachable_by_single_control(state, params):
         raise InfeasibleError("state is not reachable by a single control")
-    return _plan_in_band(state, params)[0]
+    return _plan_in_band(state, params)
 
 
-def _plan_in_band(state: PureState, params: SystemParams) -> tuple[SingleShotPlan, PureState, PureState]:
-    """:func:`plan_single_shot` for a state the caller has found reachable,
-    with the states after the wait and after the shot."""
+def _plan_in_band(state: PureState, params: SystemParams) -> tuple[Segment, ...]:
+    """:func:`plan_single_shot` for a state the caller has found reachable."""
     bl = to_bloch(state)
     if math.sin(0.5 * bl.gamma) <= 1e-12:
         final = evolve(state, controlled_unitary(params, params.s_max, 0.0))
-        return SingleShotPlan(0.0, params.s_max, 0.0, fidelity(state)), state, final
+        return (Segment("control", params.s_max, 0.0, state, final, "single_shot"),)
     phi_star, tau_prime = _aligned_phase(bl.gamma, params)
     waits = [((target - bl.phi) % TWO_PI) / params.omega for target in (phi_star, phi_star + math.pi)]
     waits = [0.0 if w * params.omega > TWO_PI - 1e-9 else w for w in waits]
@@ -154,7 +143,8 @@ def _plan_in_band(state: PureState, params: SystemParams) -> tuple[SingleShotPla
     predicted = fidelity(final)
     if predicted < 1.0 - 1e-9:
         raise InfeasibleError(f"the closed-form shot misses the target: predicted fidelity {predicted!r}")
-    return SingleShotPlan(wait, field, tau_prime, predicted), staged, final
+    shot = Segment("control", field, tau_prime, staged, final, "single_shot")
+    return (Segment("free", 0.0, wait, state, staged), shot) if wait > 0.0 else (shot,)
 
 
 def next_action(
@@ -168,12 +158,13 @@ def next_action(
     """The segments the feedback policy runs from ``state``, each with the
     state it ends in.
 
-    An antipodal state (fidelity at most ``eps_target``) gets a
-    symmetry-breaking ``kick``. Under the extended policy a reachable state
-    at a switching point gets the whole :func:`plan_single_shot` plan: the
-    alignment wait (a ``free`` segment, left out when it is zero) and the
-    exact shot (a ``control`` segment labelled ``single_shot``), so nothing
-    is decided again after the wait. Any other switching point gets a
+    An antipodal state (fidelity at most ``eps_target``, or at most
+    :data:`~lyapqubit.control.DEFAULT_EPS_TARGET` when ``eps_target`` is
+    looser: the antipodal equilibrium belongs to the dynamics, and a small
+    kick could not leave a wider band) gets a symmetry-breaking ``kick``.
+    Under the extended policy a reachable state at a switching point gets
+    the whole :func:`plan_single_shot` plan, so nothing is decided again
+    after the wait. Any other switching point gets a
     ``free`` trigger tick of ``dt_free``. When ``s_max = 0`` every state
     gets one ``free`` segment of infinite duration; its ``state_out`` is a
     placeholder (``state`` itself) that the executor replaces when it clips
@@ -183,7 +174,7 @@ def next_action(
     shrinks the polar angle by ``2*theta_max`` until the reachable set is
     entered.
     """
-    if fidelity(state) <= eps_target:
+    if fidelity(state) <= min(eps_target, DEFAULT_EPS_TARGET):
         return (Segment("kick", 0.0, 0.0, state, evolve(state, _kick_unitary(kick_angle))),)
     # decided before the single shot: with no field there is nothing to plan
     if params.s_max == 0.0:
@@ -194,9 +185,5 @@ def next_action(
         return (Segment("control", f, tau, state, end),)
     # no field inside the EPS_SWITCH band: a switching point
     if policy is Policy.EXTENDED and reachable_by_single_control(state, params):
-        plan, staged, final = _plan_in_band(state, params)
-        shot = Segment("control", plan.field, plan.control_time, staged, final, "single_shot")
-        if plan.wait_time > 0.0:
-            return Segment("free", 0.0, plan.wait_time, state, staged), shot
-        return (shot,)
+        return _plan_in_band(state, params)
     return (Segment("free", 0.0, dt_free, state, evolve(state, free_unitary(params, dt_free))),)

@@ -65,21 +65,15 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    kind: str
-    gamma_axis: tuple[float, ...]
-    phi_axis: tuple[float, ...]
-    s_values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class Scenario:
     params: SystemParams
     initial: BlochAngles | None
     #: the :class:`SimConfig` keywords the file sets: ``policy`` from
     #: ``[policy] kind`` and the ``[simulation]`` keys
     simulation: Mapping[str, object]
-    sweep: SweepSpec | None
+    #: the ``[sweep]`` axes, with ``[system] omega``, and ``[sweep] kind``
+    sweep: SweepGrid | None
+    sweep_kind: str | None
 
     @property
     def dt_free(self) -> float | None:
@@ -245,7 +239,7 @@ def parse_scenario(path: str) -> Scenario:
     if "kind" in values.get("policy", {}):
         simulation["policy"] = values["policy"]["kind"]
 
-    spec = None
+    grid = None
     if sweep is not None:
         gamma_axis = _axis(sweep, complain, "gamma", 0.01, math.pi - 0.01, 101)
         phi_axis = _axis(sweep, complain, "phi", 0.0, 2.0 * math.pi, 101, endpoint=False)
@@ -267,5 +261,5 @@ def parse_scenario(path: str) -> Scenario:
             grid = SweepGrid(gamma_axis, phi_axis, s_values, params.omega)
         except ValueError as exc:  # pragma: no cover - the checks above come first
             raise ScenarioError([f"[sweep]: {exc}"]) from exc
-        spec = SweepSpec(sweep["kind"], grid.gamma_axis, grid.phi_axis, grid.s_values)
-    return Scenario(params=params, initial=start, simulation=simulation, sweep=spec)
+    kind = None if sweep is None else sweep["kind"]
+    return Scenario(params=params, initial=start, simulation=simulation, sweep=grid, sweep_kind=kind)

@@ -76,6 +76,9 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's tables over ``grid``; ``metadata`` holds what the grid does
+    not: a resolved ``dt_free`` and the slow-switching ``bound``."""
+
     grid: SweepGrid
     tables: Mapping[str, np.ndarray]
     metadata: Mapping[str, object]
@@ -292,7 +295,7 @@ def sweep_first_segment(grid: SweepGrid) -> SweepResult:
     tables["ratio_a"].flat[run] = _population(cells.a2) / _population(end.a2)
     tables["ratio_b"].flat[run] = _population(end.b2) / _population(cells.b2)
     tables["tau"].flat[run] = tau
-    return SweepResult(grid, tables, {"omega": grid.omega, "s": grid.s_values[0]})
+    return SweepResult(grid, tables, {})
 
 
 def sweep_ssc_fidelity(
@@ -315,7 +318,7 @@ def sweep_ssc_fidelity(
     return SweepResult(
         grid,
         {"fidelity": fid.reshape(shape), "n_max": n_max.reshape(shape)},
-        {"omega": grid.omega, "s": s, "dt_free": dt_free, "bound": ssc_fidelity_bound(params[0])},
+        {"dt_free": dt_free, "bound": ssc_fidelity_bound(params[0])},
     )
 
 
@@ -339,7 +342,7 @@ def fidelity_vs_strength(
     return SweepResult(
         grid,
         {"fidelity": fid, "bound": np.array([ssc_fidelity_bound(P) for P in params])},
-        {"omega": omega, "gamma": initial.gamma, "phi": initial.phi, "dt_free": dt_free},
+        {"dt_free": dt_free},
     )
 
 
@@ -359,9 +362,9 @@ def phase_alignment_table(gamma_axis: Sequence[float], params: SystemParams) -> 
         cos2[i] = math.cos(phi_star[i]) ** 2
         state = from_bloch(BlochAngles(gamma, 0.0))
         # required_phase has applied the band test
-        plan, _, final = _plan_in_band(state, params)
-        wait[i] = plan.wait_time
-        ratio_b[i] = lyapunov(final) / lyapunov(state) if lyapunov(state) > 0.0 else 0.0
+        *waits, shot = _plan_in_band(state, params)
+        wait[i] = waits[0].duration if waits else 0.0
+        ratio_b[i] = lyapunov(shot.state_out) / lyapunov(state) if lyapunov(state) > 0.0 else 0.0
     return SweepResult(
         grid,
         {
@@ -371,5 +374,5 @@ def phase_alignment_table(gamma_axis: Sequence[float], params: SystemParams) -> 
             "ratio_b": ratio_b,
             "cos2_phi_star": cos2,
         },
-        {"omega": params.omega, "s": params.s_max},
+        {},
     )

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyapqubit import BlochAngles, Policy, ScenarioError, SimConfig, SystemParams, parse_scenario
+from lyapqubit import BlochAngles, Policy, ScenarioError, SimConfig, SweepGrid, SystemParams, parse_scenario
 from lyapqubit import scenario as scenario_module
 from lyapqubit.cli import _fmt, _write_atomic, main, table_csv
-from lyapqubit.scenario import SweepSpec
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -178,21 +177,23 @@ class TestScenarioParsing:
             "reference_extended.ini": SimConfig(
                 params, reference, Policy.EXTENDED, dt_free=1e-4, sample_interval=0.1, eps_target=1e-9
             ),
-            "fidelity_vs_strength.ini": SweepSpec(
-                "fidelity_vs_strength", tuple(gamma), tuple(phi), tuple(np.linspace(0.01, 0.5, 50))
+            "fidelity_vs_strength.ini": (
+                "fidelity_vs_strength",
+                SweepGrid(gamma, phi, np.linspace(0.01, 0.5, 50), 1.0),
             ),
-            "phase_alignment.ini": SweepSpec(
+            "phase_alignment.ini": (
                 "phase_alignment",
-                tuple(np.linspace(0.002 * math.pi, 0.125 * math.pi, 60)),
-                tuple(phi),
-                (0.1,),
+                SweepGrid(np.linspace(0.002 * math.pi, 0.125 * math.pi, 60), phi, (0.1,), 1.0),
             ),
-            "sweep_first_segment.ini": SweepSpec("first_segment", tuple(gamma), tuple(phi), (0.1,)),
-            "sweep_ssc_fidelity.ini": SweepSpec(
+            "sweep_first_segment.ini": ("first_segment", SweepGrid(gamma, phi, (0.1,), 1.0)),
+            "sweep_ssc_fidelity.ini": (
                 "ssc_fidelity",
-                tuple(np.linspace(0.01, math.pi - 0.01, 50)),
-                tuple(np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)),
-                (0.05, 0.1),
+                SweepGrid(
+                    np.linspace(0.01, math.pi - 0.01, 50),
+                    np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False),
+                    (0.05, 0.1),
+                    1.0,
+                ),
             ),
         }
         assert sorted(p.name for p in SCENARIOS.glob("*.ini")) == sorted(expected)
@@ -200,9 +201,10 @@ class TestScenarioParsing:
             scenario = parse_scenario(str(SCENARIOS / name))
             assert scenario.params == params, name
             if isinstance(want, SimConfig):
-                assert scenario.sweep is None and scenario.sim_config() == want, name
+                assert scenario.sweep is None and scenario.sweep_kind is None, name
+                assert scenario.sim_config() == want, name
             else:
-                assert scenario.sweep == want, name
+                assert (scenario.sweep_kind, scenario.sweep) == want, name
         in_plane = parse_scenario(str(SCENARIOS / "fidelity_vs_strength.ini")).initial
         assert in_plane == BlochAngles(0.5 * math.pi, 0.0)
 
@@ -282,6 +284,29 @@ dt_free = 1e-6
 """
         scenario = write(tmp_path, "edge.ini", text)
         code, out, err = run_cli("simulate", scenario, "--output", str(tmp_path / "edge.csv"))
+        assert (code, err) == (0, "")
+        assert "status=converged" in out
+
+    def test_loose_eps_target_converges_from_near_antipodal(self, tmp_path):
+        # fidelity sin^2(0.015 pi) = 2.2e-3 lies inside eps_target, but the
+        # state is not the antipodal equilibrium: it gets no kick
+        text = """\
+[system]
+omega = 1.0
+s_max = 0.1
+
+[initial]
+gamma = 0.97
+phi = 0.1
+
+[policy]
+kind = extended
+
+[simulation]
+eps_target = 0.01
+"""
+        scenario = write(tmp_path, "loose.ini", text)
+        code, out, err = run_cli("simulate", scenario, "--output", str(tmp_path / "loose.csv"))
         assert (code, err) == (0, "")
         assert "status=converged" in out
 

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lyapqubit import (
     BlochAngles,
     Policy,
+    PureState,
     Regime,
     SimConfig,
     SystemParams,
@@ -19,6 +21,7 @@ from lyapqubit import (
     free_unitary,
     from_bloch,
     lyapunov,
+    next_action,
     run,
     run_oracle,
     switching_function,
@@ -230,6 +233,17 @@ class TestStandardRunStructure:
         assert traj.segments[0].duration == 0.0
         assert any(s.kind == "control" for s in traj.segments)
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_antipodal_start_converges_under_loose_eps_target(self, policy):
+        # the kicks stop once the state leaves the antipodal equilibrium's
+        # own band, however loose the convergence tolerance
+        traj = run(SimConfig(params=P, initial=BlochAngles(math.pi, 0.0), policy=policy, eps_target=0.01))
+        kinds = [seg.kind for seg in traj.segments]
+        kicks = kinds.count("kick")
+        assert kicks >= 1 and kinds[:kicks] == ["kick"] * kicks
+        assert "control" in kinds[kicks:]
+        assert traj.converged and traj.terminal_fidelity >= 0.99
+
     def test_zero_strength_leaves_v_constant(self):
         p0 = SystemParams(1.0, 0.0)
         traj = run(
@@ -326,6 +340,35 @@ class TestRunProperties:
             assert m.field == -seg.field
             assert m.duration == pytest.approx(seg.duration, rel=1e-8)
             assert lyapunov(m.state_out) == pytest.approx(lyapunov(seg.state_out), abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(run_cases, st.floats(0.0, 2 * math.pi))
+    def test_global_phase_invariance(self, case, chi):
+        # SimConfig holds Bloch angles, which carry no global phase, so the
+        # policy's own chains of segments are compared: e^{i chi} times a
+        # state is the same physical state and must be steered alike
+        params, initial, policy = case
+        config = SimConfig(params=params, initial=initial, policy=policy)
+        state = from_bloch(initial)
+        turn = cmath.exp(1j * chi)
+        chain, turned = (action_chain(start, config) for start in (state, PureState(turn * state.a, turn * state.b)))
+        assert [seg.kind for seg in turned] == [seg.kind for seg in chain]
+        for seg, t in zip(chain, turned):
+            assert (t.field, t.label) == (seg.field, seg.label)
+            assert t.duration == pytest.approx(seg.duration, rel=1e-8)
+            assert lyapunov(t.state_out) == pytest.approx(lyapunov(seg.state_out), abs=1e-12)
+
+
+def action_chain(state, config, limit=120):
+    """The segments ``next_action`` chains from ``state`` until convergence,
+    or until the first step past ``limit`` segments."""
+    segments = []
+    while len(segments) < limit and fidelity(state) < 1.0 - config.eps_target:
+        segments += next_action(
+            state, config.params, config.policy, config.dt_free, config.kick_angle, config.eps_target
+        )
+        state = segments[-1].state_out
+    return segments
 
 
 class TestRunOracle:

@@ -12,7 +12,6 @@ from lyapqubit import (
     Policy,
     PureState,
     SimConfig,
-    SingleShotPlan,
     SystemParams,
     bang_field,
     controlled_unitary,
@@ -106,17 +105,32 @@ class TestRequiredPhase:
             required_phase(3 * THETA, P)
 
 
-def execute(state, plan, params=P):
-    staged = evolve(state, free_unitary(params, plan.wait_time))
-    return staged, evolve(staged, controlled_unitary(params, plan.field, plan.control_time))
+def plan(state, params=P):
+    """``plan_single_shot``'s alignment wait (zero when it is left out) and
+    its shot, checked for their kinds, labels and chaining."""
+    *waits, shot = plan_single_shot(state, params)
+    assert (shot.kind, shot.label) == ("control", "single_shot")
+    if not waits:
+        assert shot.state_in is state
+        return 0.0, shot
+    (wait,) = waits
+    assert (wait.kind, wait.field, wait.label) == ("free", 0.0, "")
+    assert wait.duration > 0.0 and wait.state_in is state and shot.state_in is wait.state_out
+    return wait.duration, shot
+
+
+def execute(state, wait, shot, params=P):
+    """The plan's wait and shot propagated again from ``state``."""
+    staged = evolve(state, free_unitary(params, wait))
+    return staged, evolve(staged, controlled_unitary(params, shot.field, shot.duration))
 
 
 class TestPlanSingleShot:
     def test_already_aligned_waits_zero(self):
         phi_star, _ = required_phase(THETA, P)
-        plan = plan_single_shot(from_bloch(BlochAngles(THETA, phi_star)), P)
-        assert plan.wait_time == pytest.approx(0.0, abs=1e-12)
-        assert plan.field == P.s_max
+        wait, shot = plan(from_bloch(BlochAngles(THETA, phi_star)), P)
+        assert wait == pytest.approx(0.0, abs=1e-12)
+        assert shot.field == P.s_max
 
     def test_small_angle_wait_solves_phase_equation_directly(self):
         # phase winds at rate omega under free evolution, so reaching the
@@ -124,19 +138,19 @@ class TestPlanSingleShot:
         # convention would give pi/(4 omega) instead
         gamma = 1e-6
         state = from_bloch(BlochAngles(gamma, 0.0))
-        plan = plan_single_shot(state, P)
-        assert plan.wait_time == pytest.approx(math.pi / (2 * P.omega), rel=1e-4)
+        wait, _ = plan(state, P)
+        assert wait == pytest.approx(math.pi / (2 * P.omega), rel=1e-4)
         phi_star, _ = required_phase(gamma, P)
-        assert to_bloch(evolve(state, free_unitary(P, plan.wait_time))).phi == pytest.approx(
+        assert to_bloch(evolve(state, free_unitary(P, wait))).phi == pytest.approx(
             phi_star, abs=1e-9
         )
 
     def test_wait_picks_nearer_branch(self):
         phi_star, _ = required_phase(THETA, P)
         just_past_mirror = from_bloch(BlochAngles(THETA, phi_star + math.pi - 0.01))
-        plan = plan_single_shot(just_past_mirror, P)
-        assert plan.wait_time == pytest.approx(0.01 / P.omega, abs=1e-9)
-        assert plan.field == -P.s_max
+        wait, shot = plan(just_past_mirror, P)
+        assert wait == pytest.approx(0.01 / P.omega, abs=1e-9)
+        assert shot.field == -P.s_max
 
     def test_random_reachable_states_end_to_end(self):
         rng = np.random.default_rng(99)
@@ -144,8 +158,10 @@ class TestPlanSingleShot:
             gamma = rng.uniform(1e-3, 2 * THETA)
             phi = rng.uniform(0, 2 * math.pi)
             state = from_bloch(BlochAngles(gamma, phi))
-            _, out = execute(state, plan_single_shot(state, P))
+            wait, shot = plan(state, P)
+            _, out = execute(state, wait, shot)
             assert fidelity(out) >= 1.0 - 1e-9
+            assert fidelity(shot.state_out) >= 1.0 - 1e-9
 
     def test_unreachable_rejected(self):
         with pytest.raises(InfeasibleError, match="not reachable"):
@@ -154,41 +170,44 @@ class TestPlanSingleShot:
     def test_recovers_adjoint_family_durations(self):
         for t in (0.3, 1.0, math.pi / (2 * P.eplus_max)):
             state = adjoint_family_state(t)
-            plan = plan_single_shot(state, P)
-            assert plan.control_time == pytest.approx(t, abs=1e-9)
-            _, out = execute(state, plan)
+            wait, shot = plan(state, P)
+            assert shot.duration == pytest.approx(t, abs=1e-9)
+            _, out = execute(state, wait, shot)
             assert fidelity(out) >= 1.0 - 1e-12
 
     def test_target_state_trivial_plan(self):
-        plan = plan_single_shot(PureState(1.0, 0.0), P)
-        assert plan == SingleShotPlan(0.0, P.s_max, 0.0, 1.0)
+        target = PureState(1.0, 0.0)
+        (shot,) = plan_single_shot(target, P)
+        assert (shot.kind, shot.field, shot.duration, shot.label) == ("control", P.s_max, 0.0, "single_shot")
+        assert shot.state_in is target
+        assert fidelity(shot.state_out) == 1.0
 
     def test_boundary_state_planned(self):
         phi_star, tau = required_phase(2 * THETA, P)
         state = from_bloch(BlochAngles(2 * THETA, phi_star))
-        plan = plan_single_shot(state, P)
-        assert plan.predicted_fidelity >= 1.0 - 1e-10
-        assert plan.control_time == pytest.approx(tau, abs=1e-12)
-        _, out = execute(state, plan)
+        wait, shot = plan(state, P)
+        assert fidelity(shot.state_out) >= 1.0 - 1e-10
+        assert shot.duration == pytest.approx(tau, abs=1e-12)
+        _, out = execute(state, wait, shot)
         assert fidelity(out) >= 1.0 - 1e-10
 
     def test_field_follows_feedback_law_at_staged_state(self):
         phi_star, _ = required_phase(THETA, P)
         for phi, sign in ((phi_star - 0.3, 1.0), (phi_star + math.pi - 0.3, -1.0)):
             state = from_bloch(BlochAngles(THETA, phi))
-            plan = plan_single_shot(state, P)
-            staged, _ = execute(state, plan)
-            assert plan.field == bang_field(switching_function(staged), P.s_max) == sign * P.s_max
+            wait, shot = plan(state, P)
+            staged, _ = execute(state, wait, shot)
+            assert shot.field == bang_field(switching_function(staged), P.s_max) == sign * P.s_max
 
     def test_plan_invariants(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             gamma = rng.uniform(1e-4, 2 * THETA)
             state = from_bloch(BlochAngles(gamma, 0.0))
-            plan = plan_single_shot(state, P)
-            assert 0.0 <= plan.control_time <= math.pi / (2 * P.eplus_max) + 1e-12
-            assert plan.predicted_fidelity >= 1.0 - 1e-9
-            assert plan.wait_time >= 0.0
+            wait, shot = plan(state, P)
+            assert 0.0 <= shot.duration <= math.pi / (2 * P.eplus_max) + 1e-12
+            assert fidelity(shot.state_out) >= 1.0 - 1e-9
+            assert wait >= 0.0
 
     def test_zero_bound_near_target_is_infeasible(self):
         # within 1e-12 of the target, so counted reachable, but off the pole
@@ -212,8 +231,8 @@ class TestPlanSingleShot:
             extended, "reachable_by_single_control", counted("reachable", extended.reachable_by_single_control)
         )
         monkeypatch.setattr(extended, "_aligned_phase", counted("phase", extended._aligned_phase))
-        plan = extended.plan_single_shot(from_bloch(BlochAngles(THETA, 0.4)), P)
-        assert plan.wait_time > 0.0
+        wait, _ = extended.plan_single_shot(from_bloch(BlochAngles(THETA, 0.4)), P)
+        assert wait.duration > 0.0
         assert calls == {"reachable": 1, "phase": 1}
         # a reachable switching point: next_action's own test is the only one
         at_switch = from_bloch(BlochAngles(THETA, 0.0))
@@ -234,8 +253,8 @@ class TestPlanSingleShot:
             assert math.tan(phi_star) == pytest.approx(math.cos(et) / (math.sin(et) * P.omega / (2 * P.eplus_max)))
 
     def test_shot_that_misses_is_refused(self, monkeypatch):
-        # the closed form is checked by the plan's own predicted fidelity
-        monkeypatch.setattr(extended, "_shot_angle", lambda gamma, params: 0.5)
+        # the closed form is checked by the fidelity its own shot reaches
+        monkeypatch.setattr(extended, "_aligned_phase", lambda gamma, params: (1.0, 0.5 / params.eplus_max))
         with pytest.raises(InfeasibleError, match="misses the target"):
             plan_single_shot(from_bloch(BlochAngles(THETA, 0.4)), P)
 
@@ -246,8 +265,8 @@ class TestBandEdge:
     def test_edge_state_misaligned_by_rederivation_is_planned(self):
         state = from_bloch(BlochAngles(0.025762401444340895, 3.6092106163928652))
         params = SystemParams(0.09856128101181365, 0.0006348289338626543)
-        plan = plan_single_shot(state, params)
-        _, out = execute(state, plan, params)
+        wait, shot = plan(state, params)
+        _, out = execute(state, wait, shot, params)
         assert fidelity(out) >= 1.0 - 1e-9
 
     def test_exact_steering_extended_runs_converge(self):
@@ -325,13 +344,13 @@ class TestPlanProperties:
     @example(edge_cases[1])
     def test_mirror_start_mirrors_the_plan(self, case):
         params, gamma, phi = case
-        plan = plan_single_shot(from_bloch(BlochAngles(gamma, phi)), params)
-        mirror = plan_single_shot(from_bloch(BlochAngles(gamma, (phi + math.pi) % (2 * math.pi))), params)
-        assert mirror.field == -plan.field
-        turn = (params.omega * (plan.wait_time - mirror.wait_time)) % (2 * math.pi)
+        wait, shot = plan(from_bloch(BlochAngles(gamma, phi)), params)
+        mirror_wait, mirror = plan(from_bloch(BlochAngles(gamma, (phi + math.pi) % (2 * math.pi))), params)
+        assert mirror.field == -shot.field
+        turn = (params.omega * (wait - mirror_wait)) % (2 * math.pi)
         assert min(turn, 2 * math.pi - turn) <= 1e-12
         # tau' comes from |a|, which the mirror and free evolution keep
-        assert mirror.control_time == plan.control_time
+        assert mirror.duration == shot.duration
 
     @settings(max_examples=100)
     @given(plan_cases)
@@ -341,12 +360,13 @@ class TestPlanProperties:
         params, gamma, phi = case
         state = from_bloch(BlochAngles(gamma, phi))
         assert reachable_by_single_control(state, params)
-        plan = plan_single_shot(state, params)
-        staged, out = execute(state, plan, params)
+        wait, shot = plan(state, params)
+        staged, out = execute(state, wait, shot, params)
         sw = switching_function(staged)
         if abs(sw) > EPS_SWITCH:
-            assert plan.field == bang_field(sw, params.s_max)
+            assert shot.field == bang_field(sw, params.s_max)
         assert fidelity(out) >= 1.0 - 1e-12
+        assert fidelity(shot.state_out) >= 1.0 - 1e-12
 
 
 class TestPhaseRatioLaw:
@@ -396,17 +416,17 @@ class TestHybridPolicy:
     def test_reachable_at_switch_point_waits_then_shoots(self):
         # the alignment wait and the shot come together, already propagated
         state = from_bloch(BlochAngles(THETA, 0.0))
-        plan = plan_single_shot(state, P)
         wait, shot = extended_segments(state)
+        # the policy runs the plan itself at a reachable switching point
+        assert plan_single_shot(state, P) == (wait, shot)
         assert (wait.kind, wait.field, wait.label) == ("free", 0.0, "")
-        assert (shot.kind, shot.field, shot.label) == ("control", plan.field, "single_shot")
-        assert wait.duration == plan.wait_time > 0.0
-        assert shot.duration == plan.control_time
+        assert (shot.kind, shot.label) == ("control", "single_shot")
+        assert wait.duration > 0.0
         assert_recorded(wait, state)
         assert_recorded(shot, wait.state_out)
         assert wait.state_out == evolve(state, free_unitary(P, wait.duration))
         assert shot.state_out == evolve(wait.state_out, controlled_unitary(P, shot.field, shot.duration))
-        assert fidelity(shot.state_out) == plan.predicted_fidelity >= 1.0 - 1e-9
+        assert fidelity(shot.state_out) >= 1.0 - 1e-9
         assert lyapunov(wait.state_out) == pytest.approx(lyapunov(wait.state_in), abs=1e-12)
 
     def test_aligned_reachable_fires_shot(self):
