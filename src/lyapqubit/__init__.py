@@ -15,11 +15,9 @@ from .control import (
     classify_regime,
     exact_steering_strength,
     fsc_gain_coefficient,
-    fsc_population_gain,
     segment_duration,
     select_field,
     ssc_fidelity_bound,
-    ssc_step,
 )
 from .engine import Policy, Sample, Segment, SimConfig, Trajectory, run, run_oracle
 from .extended import (
@@ -45,7 +43,6 @@ from .states import (
     SystemParams,
     fidelity,
     from_bloch,
-    gauge_fix,
     lyapunov,
     polar_angle,
     switching_function,
@@ -94,8 +91,6 @@ __all__ = [
     "free_unitary",
     "from_bloch",
     "fsc_gain_coefficient",
-    "fsc_population_gain",
-    "gauge_fix",
     "lyapunov",
     "next_action",
     "oracle_integrate",
@@ -110,7 +105,6 @@ __all__ = [
     "segment_duration",
     "select_field",
     "ssc_fidelity_bound",
-    "ssc_step",
     "sweep_first_segment",
     "sweep_ssc_fidelity",
     "switching_function",

@@ -30,6 +30,9 @@ from .sweeps import (
 
 CSV_HEADER = "t,re_a,im_a,re_b,im_b,V,dVdt,f,segment_kind"
 
+#: the ``[simulation]`` keys each sweep kind reads; none reads ``[policy] kind``
+_SWEEP_SETTINGS = {"ssc_fidelity": ("dt_free",), "fidelity_vs_strength": ("dt_free",)}
+
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
@@ -147,6 +150,11 @@ def cmd_sweep(args) -> int:
         return 1
     if scenario.sweep is None:
         print("sweep: scenario has no [sweep] section", file=sys.stderr)
+        return 1
+    reads = _SWEEP_SETTINGS.get(scenario.sweep_kind, ())
+    unread = ["[policy] kind" if k == "policy" else f"[simulation] {k}" for k in scenario.simulation if k not in reads]
+    if unread:
+        print("\n".join(f"{u}: a {scenario.sweep_kind} sweep does not read it" for u in unread), file=sys.stderr)
         return 1
     try:
         files = _sweep_files(scenario)

@@ -19,19 +19,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .propagator import controlled_unitary, evolve, free_unitary
+from .propagator import controlled_unitary, evolve
 from .states import (
-    BlochAngles,
     DegenerateStateError,
     PureState,
     SystemParams,
     _dressed_terms,
     fidelity,
-    from_bloch,
-    gauge_fix,
     polar_angle,
     switching_function,
-    to_bloch,
 )
 
 #: Magnitudes of Im(a b*) below this count as "at a switching point".
@@ -173,38 +169,6 @@ def classify_regime(
     return Regime.SSC
 
 
-def ssc_step(state: PureState, params: SystemParams, dt_free: float | None = None) -> PureState:
-    """One slow-switching step: an infinitesimal free tick triggers the bang
-    field, which then runs to its switching point (a half period).
-
-    Requires a state in the xz plane (relative phase 0 or pi) with polar
-    angle above ``theta_max``. Up to a correction that vanishes with the
-    tick, the polar angle shrinks by ``2*theta_max`` (reflected about the
-    pole when it would cross it) and the sign of ``b`` alternates. The
-    result is gauge-fixed.
-    """
-    if dt_free is None:
-        dt_free = DEFAULT_DT_FREE_FACTOR / params.omega
-    if dt_free <= 0.0:
-        raise ValueError(f"dt_free must be positive, got {dt_free!r}")
-    bl = to_bloch(state)
-    if bl.gamma <= params.theta_max:
-        raise RegimeError(
-            f"gamma = {bl.gamma!r} is inside the fast-switching regime "
-            f"(theta_max = {params.theta_max!r}); switch policy instead"
-        )
-    if bl.gamma >= math.pi - 1e-12:
-        raise DegenerateStateError("antipodal state: free evolution never triggers")
-    phase_dist = min(bl.phi, abs(bl.phi - math.pi), abs(bl.phi - 2.0 * math.pi))
-    if phase_dist > 1e-6:
-        raise ValueError(f"state must lie in the xz plane, got phi = {bl.phi!r}")
-    ticked = evolve(state, free_unitary(params, dt_free))
-    f = bang_field(switching_function(ticked), params.s_max)
-    if f == 0.0:
-        raise DegenerateStateError("free tick failed to trigger a field")
-    return gauge_fix(_switch(ticked, f, params)[1])
-
-
 def exact_steering_strength(gamma0: float, omega: float, n: int) -> float:
     """Field strength for which ``n`` slow-switching steps land exactly on the
     target: ``(omega/2) tan(gamma0 / (2n))``."""
@@ -226,39 +190,17 @@ def ssc_fidelity_bound(params: SystemParams) -> float:
     return 0.5 + 0.5 / math.sqrt(1.0 + (2.0 * params.s_max / params.omega) ** 2)
 
 
-def fsc_population_gain(gamma0: float, params: SystemParams, dt_free: float) -> float:
-    """Target-population gain of one fast-switching chatter cycle, simulated
-    literally: a free tick of ``dt_free`` followed by the triggered field run
-    to its switching point. Exceeds 1 for ``0 < gamma0 < theta_max``; the
-    excess scales as ``dt_free**2`` (see :func:`fsc_gain_coefficient`)."""
-    theta = params.theta_max
-    if not 0.0 < gamma0 < theta:
-        raise RegimeError(
-            f"gamma0 = {gamma0!r} outside the fast-switching regime (0, {theta!r})"
-        )
-    if dt_free < 0.0:
-        raise ValueError(f"dt_free must be non-negative, got {dt_free!r}")
-    if dt_free == 0.0:
-        return 1.0
-    start = from_bloch(BlochAngles(gamma0, 0.0))
-    ticked = evolve(start, free_unitary(params, dt_free))
-    f = bang_field(switching_function(ticked), params.s_max)
-    return fidelity(_switch(ticked, f, params)[1]) / fidelity(start)
-
-
 def fsc_gain_coefficient(gamma0: float, params: SystemParams) -> float:
-    """Exact second-order coefficient of the chatter-cycle gain: the gain is
-    ``1 + A * dt_free**2 + O(dt_free**4)`` with
+    """Exact second-order coefficient of the chatter-cycle gain (a free tick,
+    then the triggered field to its switching point, as a run takes it from
+    the in-plane ``gamma0``): the gain is ``1 + A * dt_free**2 + O(dt_free**4)`` with
 
-        A = omega^2 sin^2(gamma0/2) sin(theta) / sin(theta - gamma0)
+        A = omega^2 sin^2(gamma0/2) sin(theta) / sin(theta - gamma0),
 
-    obtained by expanding the one-cycle map (tick, trigger, half-crossing)
-    to second order in the tick. Singular at ``gamma0 = theta``."""
+    the one-cycle map to second order in the tick; singular at ``gamma0 = theta``."""
     theta = params.theta_max
     if not 0.0 < gamma0 < theta:
-        raise RegimeError(
-            f"gamma0 = {gamma0!r} outside the fast-switching regime (0, {theta!r})"
-        )
+        raise RegimeError(f"gamma0 = {gamma0!r} outside the fast-switching regime (0, {theta!r})")
     return (
         params.omega**2
         * math.sin(0.5 * gamma0) ** 2

@@ -15,7 +15,9 @@ Sections and keys::
 field strength in [0, 1e75]. ``[initial]`` needs ``gamma`` (``phi``
 defaults to 0). ``[policy] kind`` is ``standard`` or ``extended``.
 ``[simulation]`` keys the file leaves out take the defaults of
-:class:`~lyapqubit.engine.SimConfig`. ``[sweep] kind`` is ``first_segment``,
+:class:`~lyapqubit.engine.SimConfig`. A sweep reads no ``[policy]`` and
+of ``[simulation]`` only ``dt_free``, for the two slow-switching kinds;
+``lyapqubit sweep`` rejects the rest. ``[sweep] kind`` is ``first_segment``,
 ``ssc_fidelity``, ``fidelity_vs_strength`` or ``phase_alignment``; a
 ``fidelity_vs_strength`` sweep needs ``[initial]``. Its field strengths are
 the comma list ``s_values``, or ``s_count`` (default 25) points from
@@ -137,7 +139,7 @@ _GAMMA = _pi_units(_rule(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
 #: section -> key -> converter: every key a scenario file may set
 _KEYS = {
     "system": {"omega": _OMEGA, "s_max": _STRENGTH},
-    "initial": {"gamma": _GAMMA, "phi": _pi_units(_finite)},
+    "initial": {"gamma": _GAMMA, "phi": _rule(math.isfinite, "must be finite once multiplied by pi", _pi_units(float))},
     "policy": {"kind": _one_of(Policy)},
     # the ranges SimConfig enforces, reported here with their keys
     "simulation": {

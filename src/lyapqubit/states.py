@@ -2,8 +2,8 @@
 
 Basis convention: the target state ``|e>`` is ``(1, 0)`` and the ground
 state ``|g>`` is ``(0, 1)``. A pure state ``a|e> + b|g>`` keeps the full
-complex pair; global phase is only removed where a caller asks for it
-(:func:`gauge_fix`). Bloch coordinates use the polar angle ``gamma``
+complex pair, global phase included; nothing read from it depends on
+that phase. Bloch coordinates use the polar angle ``gamma``
 measured from the target pole (``gamma = 0`` is ``|e>``, ``gamma = pi``
 is ``|g>``) and the relative phase ``phi = arg(b) - arg(a)`` reduced to
 ``[0, 2*pi)``.
@@ -167,18 +167,3 @@ def switching_function(state: PureState) -> float:
     under global phase; flips sign under complex conjugation of the state.
     """
     return (state.a * state.b.conjugate()).imag
-
-
-def gauge_fix(state: PureState) -> PureState:
-    """Remove the global phase so that ``a`` is real and >= 0.
-
-    If ``a`` vanishes, make ``b`` real and >= 0 instead. Leaves fidelity and
-    the switching function unchanged.
-    """
-    if abs(state.a) >= POLE_TOL:
-        phase = state.a.conjugate() / abs(state.a)
-    elif abs(state.b) >= POLE_TOL:
-        phase = state.b.conjugate() / abs(state.b)
-    else:  # pragma: no cover - normalized states always have one amplitude
-        return state
-    return PureState(state.a * phase, state.b * phase)

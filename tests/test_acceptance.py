@@ -24,7 +24,6 @@ from lyapqubit import (
     fidelity,
     free_unitary,
     from_bloch,
-    fsc_population_gain,
     lyapunov,
     oracle_integrate,
     required_phase,
@@ -32,7 +31,6 @@ from lyapqubit import (
     segment_duration,
     select_field,
     ssc_fidelity_bound,
-    ssc_step,
     sweep_ssc_fidelity,
     switching_function,
     to_bloch,
@@ -79,18 +77,23 @@ def test_criterion_1_propagator_exactness():
 
 
 def test_criterion_2_ssc_geometry():
-    """One step strips 2*arctan(0.2) off the polar angle; the recursion holds
-    to the fast-switching boundary with alternating in-plane sign."""
+    """One slow-switching step of a standard run from an in-plane start (a
+    free trigger tick, then the bang field to its switching point) strips
+    2*arctan(0.2) off the polar angle; the recursion holds to the
+    fast-switching boundary with alternating in-plane sign."""
     dt = 1e-6
-    state = from_bloch(BlochAngles(math.pi / 2, 0.0))
-    state = ssc_step(state, P, dt_free=dt)
+    traj = run(SimConfig(P, BlochAngles(math.pi / 2, 0.0), dt_free=dt, max_switches=4))
+    kinds = [seg.kind for seg in traj.segments]
+    ok = kinds == ["free", "control"] * 4 and all(seg.duration == dt for seg in traj.segments[::2])
+    steps = iter(seg.state_out for seg in traj.segments[1::2])
+    state = next(steps)
     first = to_bloch(state).gamma
     expected_first = math.pi / 2 - 2 * math.atan(0.2)
-    ok = abs(first - expected_first) <= 1e-6
-    details = [f"step 1 angle {first:.9f} vs {expected_first:.9f}"]
+    ok = ok and abs(first - expected_first) <= 1e-6
+    details = [f"segments {'/'.join(kinds)}", f"step 1 angle {first:.9f} vs {expected_first:.9f}"]
     n = 1
     while to_bloch(state).gamma - 2 * THETA > THETA:
-        state = ssc_step(state, P, dt_free=dt)
+        state = next(steps)
         n += 1
         expected = math.pi / 2 - 2 * n * THETA
         gamma_n = to_bloch(state).gamma
@@ -100,7 +103,7 @@ def test_criterion_2_ssc_geometry():
         ok = ok and min(abs(phi_n - expected_phi), 2 * math.pi - abs(phi_n - expected_phi)) < 1e-3
         details.append(f"step {n} angle {gamma_n:.9f} vs {expected:.9f}")
     # one more step crosses into the fast-switching regime
-    state = ssc_step(state, P, dt_free=dt)
+    state = next(steps)
     ok = ok and classify_regime(state, P) is Regime.FSC
     report(2, ok, "; ".join(details) + f"; final regime {classify_regime(state, P).value}")
 
@@ -344,10 +347,17 @@ def test_criterion_9_fsc_gain_asymptotics():
     larger than the simulated excess by (sin(theta - gamma0) + sin(gamma0)/2)
     / sin(theta - gamma0) (3/2 at gamma0 = theta/2), and its ratio is kept in
     the report line. ``tests/test_control.py::TestFscGain`` recomputes the
-    cycle without the library."""
+    cycle without the library. The cycle is the one a standard run takes
+    from the in-plane start with ``max_switches = 1``."""
     gamma0 = THETA / 2
-    g1 = fsc_population_gain(gamma0, P, 1e-3)
-    g2 = fsc_population_gain(gamma0, P, 5e-4)
+
+    def gain(dt):
+        traj = run(SimConfig(P, BlochAngles(gamma0, 0.0), dt_free=dt, max_switches=1))
+        assert [seg.kind for seg in traj.segments] == ["free", "control"]
+        return traj.terminal_fidelity / fidelity(traj.segments[0].state_in)
+
+    g1 = gain(1e-3)
+    g2 = gain(5e-4)
     halving_ratio = (g1 - 1.0) / (g2 - 1.0)
     ok_scaling = 3.5 <= halving_ratio <= 4.5
 

@@ -98,6 +98,7 @@ class TestScenarioParsing:
             ("eps_target = 1e-9", "eps_target = 2", "[simulation] eps_target:"),
             ("s_max = 0.1", "s_max = inf", "[system] s_max:"),
             ("phi = 1.75", "phi = nan", "[initial] phi:"),
+            ("phi = 1.75", "phi = 1e308", "[initial] phi:"),
             ("gamma = 0.5", "gamma = 1.5", "[initial] gamma:"),
             (
                 "max_time = 100",
@@ -512,6 +513,44 @@ gamma_count = 10
         scenario = write(tmp_path, "empty.ini", text)
         code, _, err = run_cli("sweep", scenario, "--output", str(tmp_path / "x"))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "kind, settings, unread",
+        [
+            (
+                "first_segment",
+                "[policy]\nkind = extended\n[simulation]\neps_target = 0.01\nmax_switches = 1",
+                ["[simulation] eps_target", "[simulation] max_switches", "[policy] kind"],
+            ),
+            (
+                "ssc_fidelity",
+                "[simulation]\ndt_free = 1e-4\neps_target = 0.01\nmax_switches = 1\nsample_interval = 5",
+                ["[simulation] eps_target", "[simulation] max_switches", "[simulation] sample_interval"],
+            ),
+            (
+                "fidelity_vs_strength",
+                "[initial]\ngamma = 0.5\n[policy]\nkind = standard\n[simulation]\nkick_angle = 0.1\nmax_time = 5",
+                ["[simulation] kick_angle", "[simulation] max_time", "[policy] kind"],
+            ),
+            ("phase_alignment", "[simulation]\ndt_free = 1e-4", ["[simulation] dt_free"]),
+        ],
+        ids=["first_segment", "ssc_fidelity", "fidelity_vs_strength", "phase_alignment"],
+    )
+    def test_unread_run_setting_exits_one_with_its_key(self, tmp_path, kind, settings, unread):
+        text = f"[system]\nomega = 1.0\ns_max = 0.1\n{settings}\n[sweep]\nkind = {kind}\ngamma_max = 0.12\n"
+        code, _, err = run_cli("sweep", write(tmp_path, "unread.ini", text), "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert err.splitlines() == [f"{where}: a {kind} sweep does not read it" for where in unread]
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("kind", ["ssc_fidelity", "fidelity_vs_strength"])
+    def test_slow_switching_sweeps_read_dt_free(self, tmp_path, kind):
+        text = (
+            "[system]\nomega = 1.0\ns_max = 0.1\n[initial]\ngamma = 0.5\n[simulation]\ndt_free = 1e-3\n"
+            f"[sweep]\nkind = {kind}\ngamma_count = 3\nphi_count = 3\n"
+        )
+        code, _, err = run_cli("sweep", write(tmp_path, "dt.ini", text), "--output", str(tmp_path / "out"), "--quiet")
+        assert (code, err) == (0, "")
 
     def test_deterministic_tables(self, tmp_path):
         scenario = write(tmp_path, "sweep.ini", SWEEP_SCENARIO)

@@ -6,9 +6,9 @@ import pytest
 from lyapqubit import (
     BlochAngles,
     DegenerateStateError,
-    InfeasibleError,
     Regime,
     RegimeError,
+    SimConfig,
     SystemParams,
     bang_field,
     classify_regime,
@@ -19,13 +19,11 @@ from lyapqubit import (
     free_unitary,
     from_bloch,
     fsc_gain_coefficient,
-    fsc_population_gain,
-    gauge_fix,
     oracle_integrate,
+    run,
     segment_duration,
     select_field,
     ssc_fidelity_bound,
-    ssc_step,
     switching_function,
     to_bloch,
 )
@@ -164,53 +162,67 @@ class TestSegmentDuration:
             segment_duration(PureState(1.0, 0.0), 0.1, P)
 
 
+def ssc_steps(gamma0, phi0, n, dt=1e-6):
+    """The first ``n`` slow-switching steps of a standard run from an
+    in-plane start: each is a ``free`` trigger tick of ``dt`` and then a
+    ``control`` segment. Returns the control segments."""
+    traj = run(SimConfig(P, BlochAngles(gamma0, phi0), dt_free=dt, max_switches=n))
+    assert [seg.kind for seg in traj.segments] == ["free", "control"] * n
+    assert all(seg.duration == dt for seg in traj.segments[::2])
+    return traj.segments[1::2]
+
+
+def chatter_gain(gamma0, dt):
+    """Target-population gain of one fast-switching chatter cycle as a
+    standard run takes it from the in-plane polar angle ``gamma0``: a
+    ``free`` tick of ``dt``, then the triggered field to its switching point."""
+    traj = run(SimConfig(P, BlochAngles(gamma0, 0.0), dt_free=dt, max_switches=1))
+    assert [seg.kind for seg in traj.segments] == ["free", "control"]
+    return traj.terminal_fidelity / fidelity(traj.segments[0].state_in)
+
+
 class TestSscStep:
+    def test_step_is_tick_then_bang_to_the_switching_point(self):
+        for step in ssc_steps(math.pi / 2, 0.0, 3):
+            ticked = step.state_in
+            f = bang_field(switching_function(ticked), P.s_max)
+            assert step.field == f != 0.0
+            assert step.duration == segment_duration(ticked, f, P)
+            ref = evolve(ticked, controlled_unitary(P, f, step.duration))
+            overlap = ref.a.conjugate() * step.state_out.a + ref.b.conjugate() * step.state_out.b
+            assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+
     def test_single_step_angle_reduction(self):
-        state = from_bloch(BlochAngles(math.pi / 2, 0.0))
-        out = ssc_step(state, P, dt_free=1e-6)
-        assert to_bloch(out).gamma == pytest.approx(math.pi / 2 - 2 * THETA, abs=1e-6)
+        (step,) = ssc_steps(math.pi / 2, 0.0, 1)
+        assert to_bloch(step.state_out).gamma == pytest.approx(math.pi / 2 - 2 * THETA, abs=1e-6)
 
     def test_single_step_matches_oracle_propagation(self):
         # replay the same tick + field with the brute-force integrator
         dt = 1e-6
+        (step,) = ssc_steps(math.pi / 2, 0.0, 1, dt=dt)
         state = from_bloch(BlochAngles(math.pi / 2, 0.0))
-        out = ssc_step(state, P, dt_free=dt)
         ticked = oracle_integrate(state, P, 0.0, dt, h=dt / 10)
         f = bang_field(switching_function(ticked), P.s_max)
         tau = segment_duration(ticked, f, P)
         ref = oracle_integrate(ticked, P, f, tau, h=1e-4)
-        assert to_bloch(out).gamma == pytest.approx(to_bloch(ref).gamma, abs=1e-8)
+        assert to_bloch(step.state_out).gamma == pytest.approx(to_bloch(ref).gamma, abs=1e-8)
 
     def test_sign_alternation(self):
-        state = from_bloch(BlochAngles(math.pi / 2, 0.0))
-        expected_phases = (math.pi, 0.0, math.pi)
-        for expected in expected_phases:
-            state = ssc_step(state, P, dt_free=1e-6)
-            phi = to_bloch(state).phi
+        steps = ssc_steps(math.pi / 2, 0.0, 3)
+        for step, expected in zip(steps, (math.pi, 0.0, math.pi)):
+            phi = to_bloch(step.state_out).phi
             dist = min(abs(phi - expected), 2 * math.pi - abs(phi - expected))
             assert dist < 1e-3
 
     def test_overshoot_lands_in_fast_regime(self):
         gamma0 = 1.5 * THETA
-        state = from_bloch(BlochAngles(gamma0, 0.0))
-        out = ssc_step(state, P, dt_free=1e-6)
-        assert to_bloch(out).gamma == pytest.approx(abs(gamma0 - 2 * THETA), abs=1e-6)
-        assert classify_regime(out, P) is Regime.FSC
+        (step,) = ssc_steps(gamma0, 0.0, 1)
+        assert to_bloch(step.state_out).gamma == pytest.approx(abs(gamma0 - 2 * THETA), abs=1e-6)
+        assert classify_regime(step.state_out, P) is Regime.FSC
 
     def test_fidelity_strictly_increases(self):
-        state = from_bloch(BlochAngles(2.0, math.pi))
-        out = ssc_step(state, P, dt_free=1e-6)
-        assert fidelity(out) > fidelity(state)
-
-    def test_fast_regime_rejected(self):
-        state = from_bloch(BlochAngles(THETA / 2, 0.0))
-        with pytest.raises(RegimeError):
-            ssc_step(state, P)
-
-    def test_off_plane_state_rejected(self):
-        state = from_bloch(BlochAngles(1.0, 1.0))
-        with pytest.raises(ValueError):
-            ssc_step(state, P)
+        (step,) = ssc_steps(2.0, math.pi, 1)
+        assert fidelity(step.state_out) > fidelity(from_bloch(BlochAngles(2.0, math.pi)))
 
 
 class TestClassifyRegime:
@@ -244,15 +256,6 @@ class TestExactSteering:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-3
 
-    def test_designed_run_reaches_target(self):
-        n = 3
-        s = exact_steering_strength(math.pi / 2, 1.0, n)
-        params = SystemParams(1.0, s)
-        state = from_bloch(BlochAngles(math.pi / 2, 0.0))
-        for _ in range(n):
-            state = ssc_step(state, params, dt_free=1e-6)
-        assert fidelity(state) >= 1.0 - 1e-9
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             exact_steering_strength(math.pi / 2, 1.0, 0)
@@ -279,15 +282,10 @@ class TestFidelityBound:
 
 
 class TestFscGain:
-    def test_zero_tick(self):
-        assert fsc_population_gain(THETA / 2, P, 0.0) == 1.0
-
     def test_gain_exceeds_one(self):
-        assert fsc_population_gain(THETA / 2, P, 1e-3) > 1.0
+        assert chatter_gain(THETA / 2, 1e-3) > 1.0
 
     def test_regime_guard(self):
-        with pytest.raises(RegimeError):
-            fsc_population_gain(THETA * 1.1, P, 1e-3)
         with pytest.raises(RegimeError):
             fsc_gain_coefficient(THETA, P)
 
@@ -295,7 +293,7 @@ class TestFscGain:
         # replay one chatter cycle with the brute-force integrator
         dt = 1e-3
         gamma0 = THETA / 2
-        gain = fsc_population_gain(gamma0, P, dt)
+        gain = chatter_gain(gamma0, dt)
         state = from_bloch(BlochAngles(gamma0, 0.0))
         ticked = oracle_integrate(state, P, 0.0, dt, h=dt / 50)
         f = bang_field(switching_function(ticked), P.s_max)
@@ -306,8 +304,8 @@ class TestFscGain:
 
     def test_quadratic_scaling(self):
         gamma0 = THETA / 2
-        g1 = fsc_population_gain(gamma0, P, 1e-3)
-        g2 = fsc_population_gain(gamma0, P, 5e-4)
+        g1 = chatter_gain(gamma0, 1e-3)
+        g2 = chatter_gain(gamma0, 5e-4)
         assert (g1 - 1.0) / (g2 - 1.0) == pytest.approx(4.0, abs=0.5)
 
     def test_matches_exact_coefficient(self):
@@ -315,7 +313,7 @@ class TestFscGain:
         for frac in (0.25, 0.5, 0.75):
             gamma0 = frac * THETA
             coeff = fsc_gain_coefficient(gamma0, P)
-            gain = fsc_population_gain(gamma0, P, 1e-4)
+            gain = chatter_gain(gamma0, 1e-4)
             assert (gain - 1.0) / 1e-8 == pytest.approx(coeff, rel=1e-3)
 
     def test_coefficient_matches_independent_cycle(self):
@@ -370,12 +368,3 @@ class TestFscGain:
                 / math.sin(THETA - gamma0) ** 2
             )
             assert abs(measured / former - 1.0) > 0.1
-
-
-def test_gauge_fix_roundtrip_through_step():
-    # one full step keeps the state exactly normalized and in the plane
-    state = from_bloch(BlochAngles(2.5, math.pi))
-    out = ssc_step(state, P, dt_free=1e-6)
-    assert abs(abs(out.a) ** 2 + abs(out.b) ** 2 - 1.0) <= 1e-12
-    assert out.a.imag == pytest.approx(0.0, abs=1e-15)
-    assert gauge_fix(out).a.real >= 0.0

@@ -11,7 +11,6 @@ from lyapqubit import (
     controlled_unitary,
     fidelity,
     from_bloch,
-    gauge_fix,
     lyapunov,
     polar_angle,
     ssc_fidelity_bound,
@@ -175,22 +174,3 @@ class TestScalars:
         assert switching_function(rotated) == pytest.approx(switching_function(s), abs=1e-12)
         conjugated = PureState(s.a.conjugate(), s.b.conjugate())
         assert switching_function(conjugated) == pytest.approx(-switching_function(s), abs=1e-12)
-
-
-class TestGaugeFix:
-    def test_global_phase_removed(self):
-        s = gauge_fix(PureState(1j * SQ2, 1j * SQ2))
-        assert s.a == pytest.approx(SQ2, abs=1e-15)
-        assert s.b == pytest.approx(SQ2, abs=1e-15)
-
-    def test_zero_a_makes_b_real(self):
-        s = gauge_fix(PureState(0.0, cmath.exp(1j * math.pi / 3)))
-        assert s.a == 0.0
-        assert s.b == pytest.approx(1.0, abs=1e-15)
-
-    def test_invariants_preserved(self):
-        raw = PureState(0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(-1.1j))
-        fixed = gauge_fix(raw)
-        assert fixed.a.imag == pytest.approx(0.0, abs=1e-15) and fixed.a.real >= 0.0
-        assert fidelity(fixed) == pytest.approx(fidelity(raw), abs=1e-12)
-        assert switching_function(fixed) == pytest.approx(switching_function(raw), abs=1e-12)
