@@ -19,7 +19,7 @@ from .control import exact_steering_strength
 from .engine import Policy, SimConfig, Trajectory, run
 from .propagator import controlled_unitary, default_oracle_step, evolve, oracle_integrate
 from .scenario import Scenario, ScenarioError, parse_scenario
-from .states import BlochAngles, SystemParams, from_bloch, switching_function
+from .states import BlochAngles, SystemParams, from_bloch
 from .sweeps import (
     SweepGrid,
     fidelity_vs_strength,
@@ -30,8 +30,16 @@ from .sweeps import (
 
 CSV_HEADER = "t,re_a,im_a,re_b,im_b,V,dVdt,f,segment_kind"
 
-#: the ``[simulation]`` keys each sweep kind reads; none reads ``[policy] kind``
-_SWEEP_SETTINGS = {"ssc_fidelity": ("dt_free",), "fidelity_vs_strength": ("dt_free",)}
+#: what each command reads of a scenario besides ``[system]``: ``simulate``,
+#: then each sweep kind. Per section, the keys it reads, or ``None`` for all
+#: of them; a file that sets anything else is rejected.
+_READS = {
+    "simulate": {"initial": None, "policy": None, "simulation": None},
+    "first_segment": {"sweep": None},
+    "ssc_fidelity": {"sweep": None, "simulation": ("dt_free",)},
+    "fidelity_vs_strength": {"sweep": None, "initial": None, "simulation": ("dt_free",)},
+    "phase_alignment": {"sweep": None},
+}
 
 
 def _fmt(x: float) -> str:
@@ -60,11 +68,13 @@ _TRAJECTORY_ROW = "%.15g," * 8 + "%s"
 def trajectory_csv(traj: Trajectory) -> str:
     lines = [CSV_HEADER]
     for s in traj.samples:
-        a, b = s.state.a, s.state.b
-        # under the constant field f, dV/dt = 2 f Im(a b*)
-        rate = 2.0 * s.f * switching_function(s.state)
-        lines.append(_TRAJECTORY_ROW % (s.t, a.real, a.imag, b.real, b.imag, s.v, rate, s.f, s.kind))
-    return "\n".join(lines) + "\n"
+        a, b, f = s.state.a, s.state.b, s.f
+        # under the constant field f, dV/dt = 2 f Im(a b*): switching_function's expression, inline
+        rate = 2.0 * f * (a * b.conjugate()).imag
+        lines.append(_TRAJECTORY_ROW % (s.t, a.real, a.imag, b.real, b.imag, s.v, rate, f, s.kind))
+    # the empty last line gives the trailing newline without copying the text again
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _column_text(values) -> np.ndarray:
@@ -92,12 +102,29 @@ def _grid_long_columns(grid: SweepGrid, name: str, table: np.ndarray) -> dict[st
     return {"gamma": gg.ravel(), "phi": pp.ravel(), name: np.asarray(table).ravel()}
 
 
+def _reject_unread(scenario: Scenario, command: str, reader: str) -> None:
+    """Raise :class:`ScenarioError` naming every section or key that the
+    scenario sets and ``command`` does not read (see ``_READS``)."""
+    reads = _READS[command]
+    given = [("initial", None)] if scenario.initial is not None else []
+    given += [("policy", "kind") if k == "policy" else ("simulation", k) for k in scenario.simulation]
+    given += [("sweep", None)] if scenario.sweep is not None else []
+    unread = [
+        f"[{section}]" + (f" {key}" if key else "")
+        for section, key in given
+        if section not in reads or reads[section] is not None and key not in reads[section]
+    ]
+    if unread:
+        raise ScenarioError(f"{u}: {reader} does not read it" for u in unread)
+
+
 def cmd_simulate(args) -> int:
     if not args.output:
         print("simulate: --output is required", file=sys.stderr)
         return 1
     try:
         scenario = parse_scenario(args.scenario)
+        _reject_unread(scenario, "simulate", "simulate")
         config = scenario.sim_config()
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
@@ -145,16 +172,13 @@ def cmd_sweep(args) -> int:
         return 1
     try:
         scenario = parse_scenario(args.scenario)
+        if scenario.sweep is not None:
+            _reject_unread(scenario, scenario.sweep_kind, f"a {scenario.sweep_kind} sweep")
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     if scenario.sweep is None:
         print("sweep: scenario has no [sweep] section", file=sys.stderr)
-        return 1
-    reads = _SWEEP_SETTINGS.get(scenario.sweep_kind, ())
-    unread = ["[policy] kind" if k == "policy" else f"[simulation] {k}" for k in scenario.simulation if k not in reads]
-    if unread:
-        print("\n".join(f"{u}: a {scenario.sweep_kind} sweep does not read it" for u in unread), file=sys.stderr)
         return 1
     try:
         files = _sweep_files(scenario)

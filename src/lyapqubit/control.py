@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .propagator import controlled_unitary, evolve
+from .propagator import _controlled, evolve
 from .states import (
     DegenerateStateError,
     PureState,
@@ -79,14 +79,6 @@ def select_field(state: PureState, params: SystemParams) -> ControlDecision:
     return ControlDecision(bang_field(switching_function(state), params.s_max))
 
 
-def _switch_coefficients(state: PureState, params: SystemParams, f: float):
-    eplus, sin_theta, cos_theta = _dressed_terms(params, f)
-    ab = state.a * state.b.conjugate()
-    p = ab.imag
-    q = 0.5 * sin_theta * (abs(state.a) ** 2 - abs(state.b) ** 2) - cos_theta * ab.real
-    return eplus, p, q
-
-
 def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
     """Smallest ``tau > 0`` at which ``Im(a b*)`` vanishes under constant ``f``.
 
@@ -106,7 +98,11 @@ def _switch(state: PureState, f: float, params: SystemParams) -> tuple[float, Pu
         raise ValueError("a zero field never produces a switching event")
     if abs(state.a) < 1e-12 or abs(state.b) < 1e-12:
         raise DegenerateStateError("polar states have no switching geometry")
-    eplus, p, q = _switch_coefficients(state, params, f)
+    # the field's dressed terms serve the coefficients and every probe
+    eplus, sin_theta, cos_theta = _dressed_terms(params, f)
+    ab = state.a * state.b.conjugate()
+    p = ab.imag
+    q = 0.5 * sin_theta * (abs(state.a) ** 2 - abs(state.b) ** 2) - cos_theta * ab.real
     r = math.hypot(p, q)
     if r < 1e-15:
         raise DegenerateStateError(
@@ -117,8 +113,9 @@ def _switch(state: PureState, f: float, params: SystemParams) -> tuple[float, Pu
         alpha = math.pi
     tau0 = alpha / (2.0 * eplus)
 
+    # _controlled skips the duration check: every probe is positive
     def g(tau: float) -> tuple[float, PureState]:
-        end = evolve(state, controlled_unitary(params, f, tau))
+        end = evolve(state, _controlled(eplus, sin_theta, cos_theta, tau))
         return switching_function(end), end
 
     g0, end = g(tau0)

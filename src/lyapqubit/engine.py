@@ -24,11 +24,17 @@ from .states import (
     BlochAngles,
     PureState,
     SystemParams,
+    _unchecked,
     fidelity,
     from_bloch,
     lyapunov,
     switching_function,
 )
+
+
+#: Defaults of ``sample_interval`` and ``max_time``, in units of ``1/omega``.
+DEFAULT_SAMPLE_INTERVAL_FACTOR = 0.1
+DEFAULT_MAX_TIME_FACTOR = 1000.0
 
 
 @dataclass(frozen=True)
@@ -52,9 +58,9 @@ class SimConfig:
         if self.dt_free is None:
             object.__setattr__(self, "dt_free", DEFAULT_DT_FREE_FACTOR * scale)
         if self.sample_interval is None:
-            object.__setattr__(self, "sample_interval", 0.1 * scale)
+            object.__setattr__(self, "sample_interval", DEFAULT_SAMPLE_INTERVAL_FACTOR * scale)
         if self.max_time is None:
-            object.__setattr__(self, "max_time", 1000.0 * scale)
+            object.__setattr__(self, "max_time", DEFAULT_MAX_TIME_FACTOR * scale)
         if not self.dt_free > 0.0:
             raise ValueError(f"dt_free must be positive, got {self.dt_free!r}")
         if not self.sample_interval > 0.0:
@@ -69,7 +75,7 @@ class SimConfig:
             raise ValueError(f"max_time must be positive, got {self.max_time!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """A recorded point of a run and the field ``f`` applied from it.
     ``v = |b|^2`` is stored because it is read twice: by the CSV writer and
@@ -80,6 +86,9 @@ class Sample:
     v: float
     f: float
     kind: str
+
+
+_sample = _unchecked(Sample)
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,7 @@ def _record(samples: list[Sample], t0: float, seg: Segment, config: SimConfig) -
     """Append the samples of ``seg`` run from ``t0``: its start, unless one
     lies there already (as after a kick), and its grid points."""
     if not samples or t0 > samples[-1].t:
-        samples.append(Sample(t0, seg.state_in, lyapunov(seg.state_in), seg.field, seg.kind))
+        samples.append(_sample(t0, seg.state_in, lyapunov(seg.state_in), seg.field, seg.kind))
     delta = config.sample_interval
     end = t0 + seg.duration
     j = math.floor(t0 / delta) + 1
@@ -119,7 +128,7 @@ def _record(samples: list[Sample], t0: float, seg: Segment, config: SimConfig) -
         tg = j * delta
         if tg > t0:
             state = _state_at(seg, tg - t0, config.params)
-            samples.append(Sample(tg, state, lyapunov(state), seg.field, seg.kind))
+            samples.append(_sample(tg, state, lyapunov(state), seg.field, seg.kind))
         j += 1
 
 
@@ -160,7 +169,7 @@ def run(config: SimConfig) -> Trajectory:
 
     f, kind = (segments[-1].field, segments[-1].kind) if segments else (0.0, "free")
     if not samples or t > samples[-1].t:
-        samples.append(Sample(t, state, lyapunov(state), f, kind))
+        samples.append(_sample(t, state, lyapunov(state), f, kind))
     return Trajectory(
         segments=tuple(segments),
         samples=tuple(samples),

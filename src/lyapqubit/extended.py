@@ -25,12 +25,13 @@ only stops, clips, records and counts.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 from .control import DEFAULT_EPS_TARGET, InfeasibleError, _switch, bang_field
 from .propagator import Unitary2, controlled_unitary, evolve, free_unitary
-from .states import TWO_PI, PureState, SystemParams, fidelity, switching_function, to_bloch
+from .states import TWO_PI, PureState, SystemParams, _unchecked, fidelity, switching_function, to_bloch
 
 
 class Policy(str, enum.Enum):
@@ -38,7 +39,7 @@ class Policy(str, enum.Enum):
     EXTENDED = "extended"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One piecewise interval of a run. ``kind`` is ``control``, ``free`` or
     ``kick``; kicks are instantaneous symmetry-breaking rotations. V is
@@ -50,6 +51,16 @@ class Segment:
     state_in: PureState
     state_out: PureState
     label: str = ""
+
+
+_segment = _unchecked(Segment)
+
+
+@functools.lru_cache(maxsize=8)
+def _tick(params: SystemParams, dt_free: float) -> Unitary2:
+    """The trigger tick's propagator; a run builds it once for its
+    ``(params, dt_free)``."""
+    return free_unitary(params, dt_free)
 
 
 def _kick_unitary(angle: float) -> Unitary2:
@@ -132,7 +143,7 @@ def _plan_in_band(state: PureState, params: SystemParams) -> tuple[Segment, ...]
     bl = to_bloch(state)
     if math.sin(0.5 * bl.gamma) <= 1e-12:
         final = evolve(state, controlled_unitary(params, params.s_max, 0.0))
-        return (Segment("control", params.s_max, 0.0, state, final, "single_shot"),)
+        return (_segment("control", params.s_max, 0.0, state, final, "single_shot"),)
     phi_star, tau_prime = _aligned_phase(bl.gamma, params)
     waits = [((target - bl.phi) % TWO_PI) / params.omega for target in (phi_star, phi_star + math.pi)]
     waits = [0.0 if w * params.omega > TWO_PI - 1e-9 else w for w in waits]
@@ -143,8 +154,8 @@ def _plan_in_band(state: PureState, params: SystemParams) -> tuple[Segment, ...]
     predicted = fidelity(final)
     if predicted < 1.0 - 1e-9:
         raise InfeasibleError(f"the closed-form shot misses the target: predicted fidelity {predicted!r}")
-    shot = Segment("control", field, tau_prime, staged, final, "single_shot")
-    return (Segment("free", 0.0, wait, state, staged), shot) if wait > 0.0 else (shot,)
+    shot = _segment("control", field, tau_prime, staged, final, "single_shot")
+    return (_segment("free", 0.0, wait, state, staged), shot) if wait > 0.0 else (shot,)
 
 
 def next_action(
@@ -175,15 +186,15 @@ def next_action(
     entered.
     """
     if fidelity(state) <= min(eps_target, DEFAULT_EPS_TARGET):
-        return (Segment("kick", 0.0, 0.0, state, evolve(state, _kick_unitary(kick_angle))),)
+        return (_segment("kick", 0.0, 0.0, state, evolve(state, _kick_unitary(kick_angle))),)
     # decided before the single shot: with no field there is nothing to plan
     if params.s_max == 0.0:
-        return (Segment("free", 0.0, math.inf, state, state),)
+        return (_segment("free", 0.0, math.inf, state, state),)
     f = bang_field(switching_function(state), params.s_max)
     if f != 0.0:
         tau, end = _switch(state, f, params)
-        return (Segment("control", f, tau, state, end),)
+        return (_segment("control", f, tau, state, end),)
     # no field inside the EPS_SWITCH band: a switching point
     if policy is Policy.EXTENDED and reachable_by_single_control(state, params):
         return _plan_in_band(state, params)
-    return (Segment("free", 0.0, dt_free, state, evolve(state, free_unitary(params, dt_free))),)
+    return (_segment("free", 0.0, dt_free, state, evolve(state, _tick(params, dt_free))),)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .states import NORM_TOL, PureState, SystemParams, _dressed_terms
+from .states import NORM_TOL, PureState, SystemParams, _dressed_terms, _unchecked
 
 #: Unitarity drift accepted when constructing a Unitary2.
 UNITARY_TOL = 1e-12
@@ -38,7 +38,7 @@ def _check_unitary(u11: complex, u12: complex, u21: complex, u22: complex) -> No
         raise ValueError("entries do not form a unitary matrix")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unitary2:
     """A 2x2 unitary stored as four complex entries."""
 
@@ -52,17 +52,12 @@ class Unitary2:
             object.__setattr__(self, name, complex(getattr(self, name)))
         _check_unitary(self.u11, self.u12, self.u21, self.u22)
 
-    @classmethod
-    def _exact(cls, u11: complex, u12: complex, u21: complex, u22: complex) -> "Unitary2":
+    @staticmethod
+    def _exact(u11: complex, u12: complex, u21: complex, u22: complex) -> "Unitary2":
         """Build from entries that are already ``complex`` (closed forms),
         with the same unitarity check but no re-conversion."""
         _check_unitary(u11, u12, u21, u22)
-        u = object.__new__(cls)
-        object.__setattr__(u, "u11", u11)
-        object.__setattr__(u, "u12", u12)
-        object.__setattr__(u, "u21", u21)
-        object.__setattr__(u, "u22", u22)
-        return u
+        return _new_unitary(u11, u12, u21, u22)
 
     def adjoint(self) -> "Unitary2":
         return Unitary2(
@@ -73,6 +68,9 @@ class Unitary2:
         )
 
 
+_new_unitary = _unchecked(Unitary2)
+
+
 def controlled_unitary(params: SystemParams, f: float, t: float) -> Unitary2:
     """Propagator for a constant field ``f`` over duration ``t >= 0``.
 
@@ -81,7 +79,12 @@ def controlled_unitary(params: SystemParams, f: float, t: float) -> Unitary2:
     """
     if not t >= 0.0:
         raise ValueError(f"duration must be non-negative, got {t!r}")
-    eplus, st, ct = _dressed_terms(params, f)
+    return _controlled(*_dressed_terms(params, f), t)
+
+
+def _controlled(eplus: float, st: float, ct: float, t: float) -> Unitary2:
+    """:func:`controlled_unitary` from the field's ``_dressed_terms`` and a
+    duration ``t >= 0``, both checked by the caller."""
     c = math.cos(eplus * t)
     s = math.sin(eplus * t)
     off = -1j * s * st

@@ -15,9 +15,11 @@ Sections and keys::
 field strength in [0, 1e75]. ``[initial]`` needs ``gamma`` (``phi``
 defaults to 0). ``[policy] kind`` is ``standard`` or ``extended``.
 ``[simulation]`` keys the file leaves out take the defaults of
-:class:`~lyapqubit.engine.SimConfig`. A sweep reads no ``[policy]`` and
-of ``[simulation]`` only ``dt_free``, for the two slow-switching kinds;
-``lyapqubit sweep`` rejects the rest. ``[sweep] kind`` is ``first_segment``,
+:class:`~lyapqubit.engine.SimConfig`. ``lyapqubit simulate`` reads no
+``[sweep]``. A sweep reads no ``[policy]``, of ``[simulation]`` only
+``dt_free``, for the two slow-switching kinds, and ``[initial]`` only for
+``fidelity_vs_strength``; the command line rejects a section or key that
+its command does not read. ``[sweep] kind`` is ``first_segment``,
 ``ssc_fidelity``, ``fidelity_vs_strength`` or ``phase_alignment``; a
 ``fidelity_vs_strength`` sweep needs ``[initial]``. Its field strengths are
 the comma list ``s_values``, or ``s_count`` (default 25) points from
@@ -38,6 +40,16 @@ pi fraction). Times carry the same unit as ``1/omega``; the file always
 states ``omega`` explicitly. Counts (``max_switches`` and the ``*_count``
 keys) are integers >= 1. Unknown sections or keys are rejected; every
 problem is reported with its section and key.
+
+The work a file may ask for is capped before anything is allocated, from
+the memory it takes: about 176 B per run record (a sample or a segment,
+with its state) and 300-400 B per sweep cell with its CSV text. A run
+may ask for at most :data:`MAX_GRID_SAMPLES` (1e6) grid samples,
+``max_time / sample_interval`` with their defaults. A sweep may ask for at
+most :data:`MAX_SWEEP_CELLS` (1e6) cells, ``gamma_count x phi_count x``
+strengths for ``first_segment`` and ``ssc_fidelity``, the strengths for
+``fidelity_vs_strength`` and ``gamma_count`` for ``phase_alignment``, and
+for at most as many points on any one axis.
 """
 
 from __future__ import annotations
@@ -50,12 +62,27 @@ from typing import Mapping
 import numpy as np
 
 from .control import InfeasibleError
-from .engine import Policy, SimConfig
+from .engine import DEFAULT_MAX_TIME_FACTOR, DEFAULT_SAMPLE_INTERVAL_FACTOR, Policy, SimConfig
 from .extended import required_phase
 from .states import SCALE_RANGE, BlochAngles, SystemParams
 from .sweeps import SweepGrid
 
 SWEEP_KINDS = ("first_segment", "ssc_fidelity", "fidelity_vs_strength", "phase_alignment")
+
+#: Most grid samples a file may ask a run for: about 180 MB of records.
+MAX_GRID_SAMPLES = 1_000_000
+
+#: Most cells a file may ask a sweep for, and most points of any one axis:
+#: about 400 MB at the sweeps' peak.
+MAX_SWEEP_CELLS = 1_000_000
+
+#: the count keys of the axes whose grid each sweep kind evaluates
+_SWEEP_COUNTS = {
+    "first_segment": ("gamma_count", "phi_count", "s_count"),
+    "ssc_fidelity": ("gamma_count", "phi_count", "s_count"),
+    "fidelity_vs_strength": ("s_count",),
+    "phase_alignment": ("gamma_count",),
+}
 
 
 class ScenarioError(ValueError):
@@ -181,6 +208,29 @@ def _axis(sweep, complain, name, lo, hi, count, endpoint=True) -> tuple[float, .
     return axis
 
 
+def _sweep_fits(sweep, complain) -> bool:
+    """Whether a sweep's axes fit :data:`MAX_SWEEP_CELLS`, judged from their
+    counts before any axis is built; complains with the largest count's key
+    when they do not."""
+    if "s_values" in sweep:
+        strengths = len(sweep["s_values"])
+    else:
+        strengths = sweep.get("s_count", 25) if "s_min" in sweep else 1
+    counts = {"gamma_count": sweep.get("gamma_count", 101), "phi_count": sweep.get("phi_count", 101)}
+    counts["s_count"] = strengths
+    largest = max(counts, key=counts.get)
+    evaluated = [counts[key] for key in _SWEEP_COUNTS[sweep["kind"]]]
+    cells = math.prod(evaluated)
+    if counts[largest] > MAX_SWEEP_CELLS:
+        message = f"{counts[largest]} points exceed the cap of {MAX_SWEEP_CELLS}"
+    elif cells > MAX_SWEEP_CELLS:
+        message = f"{' x '.join(map(str, evaluated))} = {cells} cells exceed the cap of {MAX_SWEEP_CELLS}"
+    else:
+        return True
+    complain("sweep", "s_values" if largest == "s_count" and "s_values" in sweep else largest, message)
+    return False
+
+
 def parse_scenario(path: str) -> Scenario:
     """Parse and validate one scenario file; raises :class:`ScenarioError`
     carrying every diagnostic found."""
@@ -240,9 +290,15 @@ def parse_scenario(path: str) -> Scenario:
     simulation = dict(values.get("simulation", {}))
     if "kind" in values.get("policy", {}):
         simulation["policy"] = values["policy"]["kind"]
+    scale = 1.0 / params.omega
+    horizon = simulation.get("max_time", DEFAULT_MAX_TIME_FACTOR * scale)
+    samples = horizon / simulation.get("sample_interval", DEFAULT_SAMPLE_INTERVAL_FACTOR * scale)
+    if samples > MAX_GRID_SAMPLES:
+        message = f"max_time / sample_interval = {samples:.6g} grid samples exceed the cap of {MAX_GRID_SAMPLES}"
+        complain("simulation", "sample_interval", message)
 
     grid = None
-    if sweep is not None:
+    if sweep is not None and _sweep_fits(sweep, complain):
         gamma_axis = _axis(sweep, complain, "gamma", 0.01, math.pi - 0.01, 101)
         phi_axis = _axis(sweep, complain, "phi", 0.0, 2.0 * math.pi, 101, endpoint=False)
         s_values = sweep.get("s_values") or (
@@ -257,8 +313,9 @@ def parse_scenario(path: str) -> Scenario:
                 required_phase(gamma_axis[-1], params)
             except InfeasibleError as exc:
                 complain("sweep", "gamma_max", f"outside the reachable band of [system] s_max: {exc}")
-        if diagnostics:
-            raise ScenarioError(diagnostics)
+    if diagnostics:
+        raise ScenarioError(diagnostics)
+    if sweep is not None:
         try:
             grid = SweepGrid(gamma_axis, phi_axis, s_values, params.omega)
         except ValueError as exc:  # pragma: no cover - the checks above come first

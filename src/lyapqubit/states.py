@@ -12,6 +12,7 @@ is ``|g>``) and the relative phase ``phi = arg(b) - arg(a)`` reduced to
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,31 @@ class FieldBoundError(ValueError):
     """A control field exceeds the configured strength bound."""
 
 
-@dataclass(frozen=True)
+def _unchecked(cls):
+    """A builder of the frozen, slotted dataclass ``cls`` that takes its
+    field values as ``__init__`` does but skips ``__init__`` and
+    ``__post_init__``: it fills each slot through its member descriptor and
+    converts or validates nothing. It serves internal paths whose values
+    already hold the class's invariants. It is generated once per class,
+    as ``dataclasses`` generates ``__init__``: a loop over the descriptors
+    takes nearly twice as long."""
+    env = {"_new": object.__new__, "_cls": cls}
+    params, body = [], []
+    for f in dataclasses.fields(cls):
+        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is dataclasses.MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(obj, {f.name})\n")
+    source = f"def build({', '.join(params)}):\n    obj = _new(_cls)\n{''.join(body)}    return obj\n"
+    # a file name of its own tells the builders apart in a profile
+    exec(compile(source, f"<unchecked {cls.__name__}>", "exec"), env)
+    return env["build"]
+
+
+@dataclass(frozen=True, slots=True)
 class PureState:
     """Normalized amplitude pair ``(a, b)`` on the basis ``{|e>, |g>}``."""
 
@@ -53,14 +78,14 @@ class PureState:
         if not abs(n2 - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: |a|^2 + |b|^2 = {n2!r}")
 
-    @classmethod
-    def _checked_by_caller(cls, a: complex, b: complex) -> "PureState":
+    @staticmethod
+    def _checked_by_caller(a: complex, b: complex) -> "PureState":
         """Wrap complex amplitudes whose norm the caller has just found within
         ``NORM_TOL`` (see ``propagator.evolve``), without testing it again."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "a", a)
-        object.__setattr__(state, "b", b)
-        return state
+        return _new_state(a, b)
+
+
+_new_state = _unchecked(PureState)
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,9 @@ class TestScenarioParsing:
             ("[system]\nomega = 1.0\ns_max = 0.1\n", "", "[system]:"),
             ("max_time = 100", "max_time = 100\n[sweep]\nkind = ssc_fidelity\ns_values =", "[sweep] s_values:"),
             ("kind = standard", "kind = fancy", "[policy] kind:"),
+            # a section simulate does not read, and more grid samples than the cap
+            ("max_time = 100", "max_time = 100\n[sweep]\nkind = ssc_fidelity", "[sweep]: simulate does not read it"),
+            ("sample_interval = 0.1", "sample_interval = 1e-9", "[simulation] sample_interval:"),
         ],
     )
     def test_out_of_range_value_exits_one_with_its_key(self, tmp_path, old, new, where):
@@ -155,6 +158,8 @@ class TestScenarioParsing:
             ("kind = phase_alignment", "[sweep] gamma_max:"),
             ("kind = ssc_fidelity\ns_values = 0.1, 1e300", "[sweep] s_values:"),
             ("kind = ssc_fidelity\ns_min = 0.1\ns_max = 1e300", "[sweep] s_max:"),
+            # more cells than the cap
+            ("kind = ssc_fidelity\ngamma_count = 100000000\nphi_count = 100000000", "[sweep] gamma_count:"),
         ],
     )
     def test_sweep_key_conflict_exits_one_with_its_key(self, tmp_path, sweep, where):
@@ -208,6 +213,50 @@ class TestScenarioParsing:
                 assert (scenario.sweep_kind, scenario.sweep) == want, name
         in_plane = parse_scenario(str(SCENARIOS / "fidelity_vs_strength.ini")).initial
         assert in_plane == BlochAngles(0.5 * math.pi, 0.0)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (
+                "[sweep]\nkind = ssc_fidelity\ngamma_count = 100000000\nphi_count = 100000000",
+                "[sweep] gamma_count: 100000000 points exceed the cap of 1000000",
+            ),
+            ("[sweep]\nkind = first_segment\nphi_count = 9901", "[sweep] phi_count: 101 x 9901 x 1 = 1000001 cells"),
+            (
+                "[sweep]\nkind = ssc_fidelity\ns_values = 0.05, 0.1\ngamma_count = 5000\nphi_count = 101",
+                "[sweep] gamma_count: 5000 x 101 x 2 = 1010000 cells",
+            ),
+            (
+                "[initial]\ngamma = 0.5\n[sweep]\nkind = fidelity_vs_strength\n"
+                "s_min = 0.01\ns_max = 0.5\ns_count = 1000001",
+                "[sweep] s_count: 1000001 points exceed",
+            ),
+            # an axis the kind does not evaluate is still built
+            ("[sweep]\nkind = phase_alignment\ngamma_max = 0.1\nphi_count = 10000000000", "[sweep] phi_count:"),
+            (
+                "[initial]\ngamma = 0.5\n[simulation]\nsample_interval = 1e-9\nmax_time = 100",
+                "[simulation] sample_interval: max_time / sample_interval = 1e+11 grid samples exceed the cap",
+            ),
+            # against the default sample_interval, 0.1/omega
+            ("[initial]\ngamma = 0.5\n[simulation]\nmax_time = 1e308", "[simulation] sample_interval: max_time"),
+        ],
+    )
+    def test_work_beyond_the_caps_is_refused_before_allocation(self, tmp_path, monkeypatch, text, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(scenario_module, "_axis", refuse)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(write(tmp_path, "big.ini", f"[system]\nomega = 1.0\ns_max = 0.1\n{text}\n"))
+        assert where in str(exc.value)
+
+    def test_work_at_the_caps_is_accepted(self, tmp_path):
+        text = (
+            "[system]\nomega = 1.0\ns_max = 0.1\n[simulation]\nsample_interval = 1\nmax_time = 1000000\n"
+            "[sweep]\nkind = first_segment\ngamma_count = 1000\nphi_count = 1000\n"
+        )
+        grid = parse_scenario(write(tmp_path, "cap.ini", text)).sweep
+        assert len(grid.gamma_axis) * len(grid.phi_axis) * len(grid.s_values) == scenario_module.MAX_SWEEP_CELLS
 
     def test_docstring_names_exactly_the_key_table(self):
         block = scenario_module.__doc__.split("Sections and keys::")[1].split("\n\n")[1]
@@ -533,8 +582,15 @@ gamma_count = 10
                 ["[simulation] kick_angle", "[simulation] max_time", "[policy] kind"],
             ),
             ("phase_alignment", "[simulation]\ndt_free = 1e-4", ["[simulation] dt_free"]),
+            # only fidelity_vs_strength reads [initial]
+            ("first_segment", "[initial]\ngamma = 0.5", ["[initial]"]),
+            ("ssc_fidelity", "[initial]\ngamma = 0.5\n[policy]\nkind = extended", ["[initial]", "[policy] kind"]),
+            ("phase_alignment", "[initial]\ngamma = 0.5", ["[initial]"]),
         ],
-        ids=["first_segment", "ssc_fidelity", "fidelity_vs_strength", "phase_alignment"],
+        ids=[
+            "first_segment", "ssc_fidelity", "fidelity_vs_strength", "phase_alignment",
+            "first_segment_initial", "ssc_fidelity_initial", "phase_alignment_initial",
+        ],
     )
     def test_unread_run_setting_exits_one_with_its_key(self, tmp_path, kind, settings, unread):
         text = f"[system]\nomega = 1.0\ns_max = 0.1\n{settings}\n[sweep]\nkind = {kind}\ngamma_max = 0.12\n"
@@ -545,8 +601,10 @@ gamma_count = 10
 
     @pytest.mark.parametrize("kind", ["ssc_fidelity", "fidelity_vs_strength"])
     def test_slow_switching_sweeps_read_dt_free(self, tmp_path, kind):
+        # only fidelity_vs_strength reads [initial]
+        initial = "[initial]\ngamma = 0.5\n" if kind == "fidelity_vs_strength" else ""
         text = (
-            "[system]\nomega = 1.0\ns_max = 0.1\n[initial]\ngamma = 0.5\n[simulation]\ndt_free = 1e-3\n"
+            f"[system]\nomega = 1.0\ns_max = 0.1\n{initial}[simulation]\ndt_free = 1e-3\n"
             f"[sweep]\nkind = {kind}\ngamma_count = 3\nphi_count = 3\n"
         )
         code, _, err = run_cli("sweep", write(tmp_path, "dt.ini", text), "--output", str(tmp_path / "out"), "--quiet")

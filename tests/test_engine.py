@@ -182,6 +182,34 @@ class TestRunBasics:
         assert traj.samples[-1].t == config.max_time
         assert traj.switch_count < config.max_switches
 
+    def test_run_records_equal_their_public_twins(self, frozen_record):
+        # next_action and the run build their segments and samples unchecked
+        for policy in (Policy.STANDARD, Policy.EXTENDED):
+            traj = run(fig1_config(policy=policy, max_switches=200))
+            kinds = {(seg.kind, seg.label): seg for seg in traj.segments}
+            assert len(kinds) == (2 if policy is Policy.STANDARD else 3)
+            for rec in (*kinds.values(), traj.samples[0], traj.samples[1], traj.samples[-1]):
+                frozen_record(rec, type(rec)(*(getattr(rec, f.name) for f in dataclasses.fields(rec))))
+
+    def test_tick_cache_keeps_each_run_as_run_alone(self):
+        # the trigger tick's propagator is built once per (params, dt_free)
+        other = SystemParams(2.0, 0.3)
+        configs = [
+            fig1_config(max_switches=300),
+            fig1_config(params=other, max_switches=300),
+            fig1_config(dt_free=3e-4, max_switches=300),
+            fig1_config(params=other, dt_free=3e-4, max_switches=300),
+            fig1_config(max_switches=300),
+        ]
+        alone = []
+        for config in configs:
+            extended._tick.cache_clear()
+            alone.append(run(config))
+        extended._tick.cache_clear()
+        together = [run(config) for config in configs]
+        assert together == alone
+        assert [trajectory_csv(t) for t in together] == [trajectory_csv(t) for t in alone]
+
 
 class TestStandardRunStructure:
     def test_lyapunov_monotone(self):

@@ -91,7 +91,7 @@ class TestUnitary2:
             Unitary2._exact(*entries)
         assert str(exact.value) == str(public.value)
 
-    def test_closed_forms_equal_public_construction(self):
+    def test_closed_forms_equal_public_construction(self, frozen_record):
         for u in (
             controlled_unitary(P, 0.1, 0.37),
             controlled_unitary(P, -0.03, 12.5),
@@ -99,8 +99,7 @@ class TestUnitary2:
             free_unitary(P, 1.3),
             free_unitary(P, 0.0),
         ):
-            public = Unitary2(u.u11, u.u12, u.u21, u.u22)
-            assert u == public
+            frozen_record(u, Unitary2(u.u11, u.u12, u.u21, u.u22))
             assert all(type(getattr(u, n)) is complex for n in ("u11", "u12", "u21", "u22"))
 
 

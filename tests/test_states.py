@@ -74,9 +74,9 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(0.0, a)
 
-    def test_constructor_for_evolve_equals_public(self):
+    def test_constructor_for_evolve_equals_public(self, frozen_record):
         a, b = 0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(-1.1j)
-        assert PureState._checked_by_caller(a, b) == PureState(a, b)
+        frozen_record(PureState._checked_by_caller(a, b), PureState(a, b))
 
 
 class TestFromBloch:
