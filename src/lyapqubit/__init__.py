@@ -19,7 +19,7 @@ from .control import (
     select_field,
     ssc_fidelity_bound,
 )
-from .engine import Policy, Sample, Segment, SimConfig, Trajectory, run, run_oracle
+from .engine import OracleRun, Policy, Sample, Segment, SimConfig, Trajectory, run, run_oracle
 from .extended import (
     next_action,
     plan_single_shot,
@@ -66,6 +66,7 @@ __all__ = [
     "EPS_SWITCH",
     "FieldBoundError",
     "InfeasibleError",
+    "OracleRun",
     "Policy",
     "PureState",
     "Regime",

@@ -30,18 +30,6 @@ from .sweeps import (
 
 CSV_HEADER = "t,re_a,im_a,re_b,im_b,V,dVdt,f,segment_kind"
 
-#: what each command reads of a scenario besides ``[system]``: ``simulate``,
-#: then each sweep kind. Per section, the keys it reads, or ``None`` for all
-#: of them; a file that sets anything else is rejected.
-_READS = {
-    "simulate": {"initial": None, "policy": None, "simulation": None},
-    "first_segment": {"sweep": None},
-    "ssc_fidelity": {"sweep": None, "simulation": ("dt_free",)},
-    "fidelity_vs_strength": {"sweep": None, "initial": None, "simulation": ("dt_free",)},
-    "phase_alignment": {"sweep": None},
-}
-
-
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
@@ -102,34 +90,19 @@ def _grid_long_columns(grid: SweepGrid, name: str, table: np.ndarray) -> dict[st
     return {"gamma": gg.ravel(), "phi": pp.ravel(), name: np.asarray(table).ravel()}
 
 
-def _reject_unread(scenario: Scenario, command: str, reader: str) -> None:
-    """Raise :class:`ScenarioError` naming every section or key that the
-    scenario sets and ``command`` does not read (see ``_READS``)."""
-    reads = _READS[command]
-    given = [("initial", None)] if scenario.initial is not None else []
-    given += [("policy", "kind") if k == "policy" else ("simulation", k) for k in scenario.simulation]
-    given += [("sweep", None)] if scenario.sweep is not None else []
-    unread = [
-        f"[{section}]" + (f" {key}" if key else "")
-        for section, key in given
-        if section not in reads or reads[section] is not None and key not in reads[section]
-    ]
-    if unread:
-        raise ScenarioError(f"{u}: {reader} does not read it" for u in unread)
-
-
 def cmd_simulate(args) -> int:
     if not args.output:
         print("simulate: --output is required", file=sys.stderr)
         return 1
     try:
         scenario = parse_scenario(args.scenario)
-        _reject_unread(scenario, "simulate", "simulate")
-        config = scenario.sim_config()
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    traj = run(config)
+    if scenario.sweep is not None:
+        print("simulate: scenario has a [sweep] section", file=sys.stderr)
+        return 1
+    traj = run(scenario.sim_config())
     try:
         _write_atomic(args.output, trajectory_csv(traj))
     except OSError as exc:
@@ -172,8 +145,6 @@ def cmd_sweep(args) -> int:
         return 1
     try:
         scenario = parse_scenario(args.scenario)
-        if scenario.sweep is not None:
-            _reject_unread(scenario, scenario.sweep_kind, f"a {scenario.sweep_kind} sweep")
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return 1

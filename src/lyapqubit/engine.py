@@ -8,7 +8,8 @@ series. A record keeps states, not numbers derived from them, except a
 sample's V, computed once per sample.
 ``run_oracle`` re-simulates the same scenario by brute force: a fixed
 step ``h`` with the feedback law re-evaluated every step, serving as
-ground truth for the event-driven segmentation.
+ground truth for the event-driven segmentation. It returns an
+:class:`OracleRun`, which has no segments.
 """
 
 from __future__ import annotations
@@ -94,14 +95,28 @@ _sample = _unchecked(Sample)
 @dataclass(frozen=True)
 class Trajectory:
     """The record of one run. Unless ``converged``, a budget stopped it.
-    ``switch_count`` counts ``control`` segments for :func:`run`, but
-    changes of the applied field value for :func:`run_oracle`."""
+    ``switch_count`` counts ``control`` segments."""
 
     segments: tuple[Segment, ...]
     samples: tuple[Sample, ...]
     switch_count: int
     converged: bool
     final_regime: Regime
+    total_time: float
+    final_state: PureState
+
+    @property
+    def terminal_fidelity(self) -> float:
+        return fidelity(self.final_state)
+
+
+@dataclass(frozen=True)
+class OracleRun:
+    """The record of one :func:`run_oracle` rerun. ``field_changes`` counts
+    step-to-step changes of the applied field value."""
+
+    samples: tuple[Sample, ...]
+    field_changes: int
     total_time: float
     final_state: PureState
 
@@ -181,15 +196,13 @@ def run(config: SimConfig) -> Trajectory:
     )
 
 
-def run_oracle(config: SimConfig, h: float) -> Trajectory:
+def run_oracle(config: SimConfig, h: float) -> OracleRun:
     """Brute-force rerun of a scenario: fixed step ``h``, feedback law
     re-evaluated every step.
 
     Requires ``h <= dt_free / 10`` so the sampled law resolves the trigger
-    tick of the event-driven run. The horizon is ``max_time``; there is no
-    event segmentation, so ``segments`` is empty and ``switch_count`` counts
-    step-to-step changes of the applied field value. Samples land on
-    multiples of ``stride * h`` with ``stride = round(sample_interval / h)``.
+    tick of the event-driven run. The horizon is ``max_time``. Samples land
+    on multiples of ``stride * h`` with ``stride = round(sample_interval / h)``.
     """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h!r}")
@@ -209,13 +222,9 @@ def run_oracle(config: SimConfig, h: float) -> Trajectory:
     f0 = bang_field(switching_function(state0), params.s_max)
     points = [(0.0, state0, f0)]
     points += [(stride * h * (j + 1), PureState(sa, sb), sf) for j, (sa, sb, sf) in enumerate(sampled)]
-    final = PureState(a, b)
-    return Trajectory(
-        segments=(),
+    return OracleRun(
         samples=tuple(Sample(t, st, lyapunov(st), f, "control" if f != 0.0 else "free") for t, st, f in points),
-        switch_count=switches,
-        converged=fidelity(final) >= 1.0 - config.eps_target,
-        final_regime=classify_regime(final, params, config.eps_target),
+        field_changes=switches,
         total_time=n_steps * h,
-        final_state=final,
+        final_state=PureState(a, b),
     )

@@ -11,29 +11,30 @@ Sections and keys::
                   phi_min, phi_max, phi_count,
                   s_values, s_min, s_max, s_count
 
+A file with ``[sweep]`` is a sweep of its ``kind`` (``first_segment``,
+``ssc_fidelity``, ``fidelity_vs_strength`` or ``phase_alignment``), and a
+file without it is a run; :data:`READS` says what each reads, and the
+rest is rejected. A sweep's grid has the axes its kind evaluates, and on
+each other axis the one point the file fixes: ``[initial]`` ``gamma`` and
+``phi``, and ``[system] s_max``.
+
 ``[system]`` needs both keys; ``omega`` lies in [1e-75, 1e75] and every
 field strength in [0, 1e75]. ``[initial]`` needs ``gamma`` (``phi``
 defaults to 0). ``[policy] kind`` is ``standard`` or ``extended``.
 ``[simulation]`` keys the file leaves out take the defaults of
-:class:`~lyapqubit.engine.SimConfig`. ``lyapqubit simulate`` reads no
-``[sweep]``. A sweep reads no ``[policy]``, of ``[simulation]`` only
-``dt_free``, for the two slow-switching kinds, and ``[initial]`` only for
-``fidelity_vs_strength``; the command line rejects a section or key that
-its command does not read. ``[sweep] kind`` is ``first_segment``,
-``ssc_fidelity``, ``fidelity_vs_strength`` or ``phase_alignment``; a
-``fidelity_vs_strength`` sweep needs ``[initial]``. Its field strengths are
-the comma list ``s_values``, or ``s_count`` (default 25) points from
-``s_min`` to ``s_max``, or else ``[system] s_max``; a ``first_segment``
-sweep takes one strength. A ``phase_alignment`` sweep's ``gamma`` axis
-must stay in the band ``sin(gamma/2) <= sin(theta_max)`` that
-``[system] s_max`` reaches.
+:class:`~lyapqubit.engine.SimConfig`. Field strengths are the comma list
+``s_values``, or ``s_count`` (default 25) points from ``s_min`` to
+``s_max``, or else ``[system] s_max``; a ``first_segment`` sweep takes
+one strength. A ``phase_alignment`` sweep's ``gamma`` axis must stay in
+the band ``sin(gamma/2) <= sin(theta_max)`` that ``[system] s_max``
+reaches.
 
 Angle convention: ``gamma``/``phi`` values (including sweep bounds) are in
 units of pi, so ``phi = 1.75`` means ``7*pi/4``. ``gamma``, ``gamma_min``
 and ``gamma_max`` lie in [0, 1]; ``phi_min`` lies in [0, 2) and ``phi_max``,
 which is exclusive, in (0, 2]; the initial ``phi`` is reduced modulo 2. By
-default the sweep axes run ``gamma`` from 0.01 to pi - 0.01 radians and
-``phi`` over [0, 2*pi), 101 points each; a ``*_max`` must exceed its
+default an evaluated axis runs ``gamma`` from 0.01 to pi - 0.01 radians
+or ``phi`` over [0, 2*pi), 101 points; a ``*_max`` must exceed its
 ``*_min`` unless the count is 1, and the points must lie further apart
 than float spacing. ``kick_angle`` is in radians (it is not a
 pi fraction). Times carry the same unit as ``1/omega``; the file always
@@ -45,11 +46,11 @@ The work a file may ask for is capped before anything is allocated, from
 the memory it takes: about 176 B per run record (a sample or a segment,
 with its state) and 300-400 B per sweep cell with its CSV text. A run
 may ask for at most :data:`MAX_GRID_SAMPLES` (1e6) grid samples,
-``max_time / sample_interval`` with their defaults. A sweep may ask for at
-most :data:`MAX_SWEEP_CELLS` (1e6) cells, ``gamma_count x phi_count x``
-strengths for ``first_segment`` and ``ssc_fidelity``, the strengths for
-``fidelity_vs_strength`` and ``gamma_count`` for ``phase_alignment``, and
-for at most as many points on any one axis.
+``max_time / sample_interval`` with their defaults, and at most
+:data:`MAX_SWITCHES` (1e5) switches, so that the run's safety net of
+``10 * max_switches + 10_000`` segments holds about as many records. A
+sweep may ask for at most :data:`MAX_SWEEP_CELLS` (1e6) cells, the
+product of the counts of the axes it evaluates.
 """
 
 from __future__ import annotations
@@ -72,17 +73,12 @@ SWEEP_KINDS = ("first_segment", "ssc_fidelity", "fidelity_vs_strength", "phase_a
 #: Most grid samples a file may ask a run for: about 180 MB of records.
 MAX_GRID_SAMPLES = 1_000_000
 
-#: Most cells a file may ask a sweep for, and most points of any one axis:
-#: about 400 MB at the sweeps' peak.
-MAX_SWEEP_CELLS = 1_000_000
+#: Most switches a file may ask a run for: the run's safety net of
+#: ``10 * max_switches + 10_000`` segments then holds about as many records.
+MAX_SWITCHES = 100_000
 
-#: the count keys of the axes whose grid each sweep kind evaluates
-_SWEEP_COUNTS = {
-    "first_segment": ("gamma_count", "phi_count", "s_count"),
-    "ssc_fidelity": ("gamma_count", "phi_count", "s_count"),
-    "fidelity_vs_strength": ("s_count",),
-    "phase_alignment": ("gamma_count",),
-}
+#: Most cells a file may ask a sweep for: about 400 MB at the sweeps' peak.
+MAX_SWEEP_CELLS = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -100,7 +96,7 @@ class Scenario:
     #: the :class:`SimConfig` keywords the file sets: ``policy`` from
     #: ``[policy] kind`` and the ``[simulation]`` keys
     simulation: Mapping[str, object]
-    #: the ``[sweep]`` axes, with ``[system] omega``, and ``[sweep] kind``
+    #: the grid the sweep computes, with ``[system] omega``, and ``[sweep] kind``
     sweep: SweepGrid | None
     sweep_kind: str | None
 
@@ -174,7 +170,7 @@ _KEYS = {
         "kick_angle": _POSITIVE,
         "sample_interval": _POSITIVE,
         "eps_target": _rule(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-        "max_switches": _COUNT,
+        "max_switches": _rule(lambda v: 1 <= v <= MAX_SWITCHES, f"must lie in [1, {MAX_SWITCHES}]", int),
         "max_time": _POSITIVE,
     },
     "sweep": {
@@ -192,7 +188,23 @@ _KEYS = {
     },
 }
 
-_REQUIRED = (("system", "omega"), ("system", "s_max"), ("initial", "gamma"), ("sweep", "kind"))
+_SYSTEM, _INITIAL, _DT_FREE = ("omega", "s_max"), ("gamma", "phi"), ("dt_free",)
+_GAMMA_AXIS, _PHI_AXIS = ("gamma_min", "gamma_max", "gamma_count"), ("phi_min", "phi_max", "phi_count")
+_S_AXIS = ("s_values", "s_min", "s_max", "s_count")
+
+#: reader -> section -> the keys it reads: ``simulate``, then each sweep
+#: kind, which reads of ``[sweep]`` the keys of the axes it evaluates
+READS = {
+    "simulate": {"system": _SYSTEM, "initial": _INITIAL, "policy": ("kind",), "simulation": (*_KEYS["simulation"],)},
+    "first_segment": {"system": _SYSTEM, "sweep": ("kind", *_GAMMA_AXIS, *_PHI_AXIS, *_S_AXIS)},
+    "ssc_fidelity": {"system": _SYSTEM, "simulation": _DT_FREE, "sweep": ("kind", *_GAMMA_AXIS, *_PHI_AXIS, *_S_AXIS)},
+    "fidelity_vs_strength": {
+        "system": _SYSTEM, "initial": _INITIAL, "simulation": _DT_FREE, "sweep": ("kind", *_S_AXIS)
+    },
+    "phase_alignment": {"system": _SYSTEM, "sweep": ("kind", *_GAMMA_AXIS)},
+}
+
+_REQUIRED = (("system", "omega"), ("system", "s_max"), ("initial", "gamma"))
 
 
 def _axis(sweep, complain, name, lo, hi, count, endpoint=True) -> tuple[float, ...]:
@@ -208,26 +220,21 @@ def _axis(sweep, complain, name, lo, hi, count, endpoint=True) -> tuple[float, .
     return axis
 
 
-def _sweep_fits(sweep, complain) -> bool:
-    """Whether a sweep's axes fit :data:`MAX_SWEEP_CELLS`, judged from their
-    counts before any axis is built; complains with the largest count's key
-    when they do not."""
+def _sweep_fits(sweep, evaluated, complain) -> bool:
+    """Whether the axes a sweep evaluates fit :data:`MAX_SWEEP_CELLS`, judged
+    from their counts before any axis is built; complains with the largest
+    count's key when they do not."""
+    counts = {key: sweep.get(key, 101) for key in ("gamma_count", "phi_count") if key in evaluated}
     if "s_values" in sweep:
-        strengths = len(sweep["s_values"])
-    else:
-        strengths = sweep.get("s_count", 25) if "s_min" in sweep else 1
-    counts = {"gamma_count": sweep.get("gamma_count", 101), "phi_count": sweep.get("phi_count", 101)}
-    counts["s_count"] = strengths
-    largest = max(counts, key=counts.get)
-    evaluated = [counts[key] for key in _SWEEP_COUNTS[sweep["kind"]]]
-    cells = math.prod(evaluated)
-    if counts[largest] > MAX_SWEEP_CELLS:
-        message = f"{counts[largest]} points exceed the cap of {MAX_SWEEP_CELLS}"
-    elif cells > MAX_SWEEP_CELLS:
-        message = f"{' x '.join(map(str, evaluated))} = {cells} cells exceed the cap of {MAX_SWEEP_CELLS}"
-    else:
+        counts["s_values"] = len(sweep["s_values"])
+    elif "s_count" in evaluated:
+        counts["s_count"] = sweep.get("s_count", 25) if "s_min" in sweep else 1
+    cells = math.prod(counts.values())
+    if cells <= MAX_SWEEP_CELLS:
         return True
-    complain("sweep", "s_values" if largest == "s_count" and "s_values" in sweep else largest, message)
+    product = " x ".join(map(str, counts.values()))
+    message = f"{product} = {cells} cells" if len(counts) > 1 else f"{cells} cells"
+    complain("sweep", max(counts, key=counts.get), f"{message} exceed the cap of {MAX_SWEEP_CELLS}")
     return False
 
 
@@ -243,6 +250,16 @@ def parse_scenario(path: str) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError([f"{path}: parse error: {exc}"]) from exc
 
+    # the file names its reader; with no sweep kind there is none to judge by
+    reader = "simulate"
+    if parser.has_section("sweep"):
+        try:
+            reader = _KEYS["sweep"]["kind"](parser["sweep"].get("kind", ""))
+        except ValueError as exc:
+            raise ScenarioError([f"[sweep] kind: {exc}"]) from None
+    reads = READS[reader]
+    who = reader if reader == "simulate" else f"a {reader} sweep"
+
     diagnostics: list[str] = []
 
     def complain(section: str, key: str | None, message: str) -> None:
@@ -253,21 +270,28 @@ def parse_scenario(path: str) -> Scenario:
         if section not in _KEYS:
             complain(section, None, "unknown section")
             continue
-        values[section] = {}
+        if section in reads:
+            values[section] = {}
+        elif not parser.options(section):
+            complain(section, None, f"{who} does not read it")
         for key, raw in parser.items(section):
             if key not in _KEYS[section]:
                 complain(section, key, "unknown key")
-                continue
-            try:
-                values[section][key] = _KEYS[section][key](raw)
-            except ValueError as exc:
-                complain(section, key, f"invalid value {raw!r} ({exc})")
+            elif key not in reads.get(section, ()):
+                complain(section, key, f"{who} does not read it")
+            else:
+                try:
+                    values[section][key] = _KEYS[section][key](raw)
+                except ValueError as exc:
+                    complain(section, key, f"invalid value {raw!r} ({exc})")
     if "system" not in values:
         complain("system", None, "required section is missing")
         raise ScenarioError(diagnostics)
     for section, key in _REQUIRED:
         if section in values and not parser.has_option(section, key):
             complain(section, key, "required key is missing")
+    if "initial" in reads and "initial" not in values:
+        complain("initial", None, f"section required by {who}")
 
     sweep = values.get("sweep")
     if sweep is not None:
@@ -279,8 +303,6 @@ def parse_scenario(path: str) -> Scenario:
             complain("sweep", bounds[0], "needs both s_min and s_max")
         if "s_count" in given and not bounds:
             complain("sweep", "s_count", "needs s_min and s_max")
-        if sweep.get("kind") == "fidelity_vs_strength" and "initial" not in values:
-            complain("initial", None, "section required for a fidelity_vs_strength sweep")
     if diagnostics:
         raise ScenarioError(diagnostics)
 
@@ -298,16 +320,22 @@ def parse_scenario(path: str) -> Scenario:
         complain("simulation", "sample_interval", message)
 
     grid = None
-    if sweep is not None and _sweep_fits(sweep, complain):
-        gamma_axis = _axis(sweep, complain, "gamma", 0.01, math.pi - 0.01, 101)
-        phi_axis = _axis(sweep, complain, "phi", 0.0, 2.0 * math.pi, 101, endpoint=False)
+    evaluated = reads.get("sweep", ())
+    if sweep is not None and _sweep_fits(sweep, evaluated, complain):
+        # an axis the kind does not evaluate is the one point the file fixes
+        fixed = start or BlochAngles(0.0, 0.0)
+        gamma_axis, phi_axis = (fixed.gamma,), (fixed.phi,)
+        if "gamma_count" in evaluated:
+            gamma_axis = _axis(sweep, complain, "gamma", 0.01, math.pi - 0.01, 101)
+        if "phi_count" in evaluated:
+            phi_axis = _axis(sweep, complain, "phi", 0.0, 2.0 * math.pi, 101, endpoint=False)
         s_values = sweep.get("s_values") or (
             _axis(sweep, complain, "s", None, None, 25) if "s_min" in sweep else (params.s_max,)
         )
-        if sweep["kind"] == "first_segment" and len(s_values) > 1:
+        if reader == "first_segment" and len(s_values) > 1:
             key = "s_values" if "s_values" in sweep else "s_count"
             complain("sweep", key, f"a first_segment sweep takes one strength, got {len(s_values)}")
-        if sweep["kind"] == "phase_alignment" and gamma_axis:
+        if reader == "phase_alignment" and gamma_axis:
             # the reachable band depends on [system] s_max only
             try:
                 required_phase(gamma_axis[-1], params)
@@ -320,5 +348,5 @@ def parse_scenario(path: str) -> Scenario:
             grid = SweepGrid(gamma_axis, phi_axis, s_values, params.omega)
         except ValueError as exc:  # pragma: no cover - the checks above come first
             raise ScenarioError([f"[sweep]: {exc}"]) from exc
-    kind = None if sweep is None else sweep["kind"]
+    kind = None if sweep is None else reader
     return Scenario(params=params, initial=start, simulation=simulation, sweep=grid, sweep_kind=kind)

@@ -7,14 +7,27 @@ import stat
 import struct
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyapqubit import BlochAngles, Policy, ScenarioError, SimConfig, SweepGrid, SystemParams, parse_scenario
+from lyapqubit import (
+    BlochAngles,
+    Policy,
+    ScenarioError,
+    SimConfig,
+    SweepGrid,
+    SystemParams,
+    fidelity_vs_strength,
+    parse_scenario,
+    phase_alignment_table,
+)
 from lyapqubit import scenario as scenario_module
+from lyapqubit import sweeps as sweeps_module
 from lyapqubit.cli import _fmt, _write_atomic, main, table_csv
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -115,8 +128,12 @@ class TestScenarioParsing:
             ("[system]\nomega = 1.0\ns_max = 0.1\n", "", "[system]:"),
             ("max_time = 100", "max_time = 100\n[sweep]\nkind = ssc_fidelity\ns_values =", "[sweep] s_values:"),
             ("kind = standard", "kind = fancy", "[policy] kind:"),
-            # a section simulate does not read, and more grid samples than the cap
-            ("max_time = 100", "max_time = 100\n[sweep]\nkind = ssc_fidelity", "[sweep]: simulate does not read it"),
+            # a run's section read as a sweep's, and more grid samples than the cap
+            (
+                "max_time = 100",
+                "max_time = 100\n[sweep]\nkind = ssc_fidelity",
+                "[initial] gamma: a ssc_fidelity sweep does not read it",
+            ),
             ("sample_interval = 0.1", "sample_interval = 1e-9", "[simulation] sample_interval:"),
         ],
     )
@@ -160,6 +177,9 @@ class TestScenarioParsing:
             ("kind = ssc_fidelity\ns_min = 0.1\ns_max = 1e300", "[sweep] s_max:"),
             # more cells than the cap
             ("kind = ssc_fidelity\ngamma_count = 100000000\nphi_count = 100000000", "[sweep] gamma_count:"),
+            # no kind, so no reader
+            ("kind = fancy", "[sweep] kind: expected one of first_segment,"),
+            ("gamma_count = 3", "[sweep] kind: expected one of first_segment,"),
         ],
     )
     def test_sweep_key_conflict_exits_one_with_its_key(self, tmp_path, sweep, where):
@@ -172,7 +192,7 @@ class TestScenarioParsing:
     def test_shipped_scenarios(self):
         params = SystemParams(1.0, 0.1)
         reference = BlochAngles(0.5 * math.pi, 1.75 * math.pi)
-        # the default axes the module docstring states
+        # the default axes the module docstring states, where the kind evaluates them
         gamma = np.linspace(0.01, math.pi - 0.01, 101)
         phi = np.linspace(0.0, 2.0 * math.pi, 101, endpoint=False)
         expected = {
@@ -183,13 +203,14 @@ class TestScenarioParsing:
             "reference_extended.ini": SimConfig(
                 params, reference, Policy.EXTENDED, dt_free=1e-4, sample_interval=0.1, eps_target=1e-9
             ),
+            # the grids fidelity_vs_strength and phase_alignment_table compute
             "fidelity_vs_strength.ini": (
                 "fidelity_vs_strength",
-                SweepGrid(gamma, phi, np.linspace(0.01, 0.5, 50), 1.0),
+                SweepGrid((math.pi / 2,), (0.0,), np.linspace(0.01, 0.5, 50), 1.0),
             ),
             "phase_alignment.ini": (
                 "phase_alignment",
-                SweepGrid(np.linspace(0.002 * math.pi, 0.125 * math.pi, 60), phi, (0.1,), 1.0),
+                SweepGrid(np.linspace(0.002 * math.pi, 0.125 * math.pi, 60), (0.0,), (0.1,), 1.0),
             ),
             "sweep_first_segment.ini": ("first_segment", SweepGrid(gamma, phi, (0.1,), 1.0)),
             "sweep_ssc_fidelity.ini": (
@@ -214,12 +235,20 @@ class TestScenarioParsing:
         in_plane = parse_scenario(str(SCENARIOS / "fidelity_vs_strength.ini")).initial
         assert in_plane == BlochAngles(0.5 * math.pi, 0.0)
 
+    def test_sweep_grid_is_the_grid_its_kind_computes(self, tmp_path):
+        text = (SCENARIOS / "fidelity_vs_strength.ini").read_text().replace("phi = 0.0", "phi = 1.75")
+        fvs = parse_scenario(write(tmp_path, "fvs.ini", text))
+        assert fvs.initial.phi == 1.75 * math.pi
+        assert fvs.sweep == fidelity_vs_strength(fvs.sweep.s_values, fvs.initial, fvs.params.omega).grid
+        phase = parse_scenario(str(SCENARIOS / "phase_alignment.ini"))
+        assert phase.sweep == phase_alignment_table(phase.sweep.gamma_axis, phase.params).grid
+
     @pytest.mark.parametrize(
         "text, where",
         [
             (
                 "[sweep]\nkind = ssc_fidelity\ngamma_count = 100000000\nphi_count = 100000000",
-                "[sweep] gamma_count: 100000000 points exceed the cap of 1000000",
+                "[sweep] gamma_count: 100000000 x 100000000 x 1 = 10000000000000000 cells exceed the cap of 1000000",
             ),
             ("[sweep]\nkind = first_segment\nphi_count = 9901", "[sweep] phi_count: 101 x 9901 x 1 = 1000001 cells"),
             (
@@ -229,10 +258,13 @@ class TestScenarioParsing:
             (
                 "[initial]\ngamma = 0.5\n[sweep]\nkind = fidelity_vs_strength\n"
                 "s_min = 0.01\ns_max = 0.5\ns_count = 1000001",
-                "[sweep] s_count: 1000001 points exceed",
+                "[sweep] s_count: 1000001 cells exceed the cap of 1000000",
             ),
-            # an axis the kind does not evaluate is still built
-            ("[sweep]\nkind = phase_alignment\ngamma_max = 0.1\nphi_count = 10000000000", "[sweep] phi_count:"),
+            # an axis the kind does not evaluate is not read, so not built
+            (
+                "[sweep]\nkind = phase_alignment\ngamma_max = 0.1\nphi_count = 10000000000",
+                "[sweep] phi_count: a phase_alignment sweep does not read it",
+            ),
             (
                 "[initial]\ngamma = 0.5\n[simulation]\nsample_interval = 1e-9\nmax_time = 100",
                 "[simulation] sample_interval: max_time / sample_interval = 1e+11 grid samples exceed the cap",
@@ -251,12 +283,58 @@ class TestScenarioParsing:
         assert where in str(exc.value)
 
     def test_work_at_the_caps_is_accepted(self, tmp_path):
-        text = (
-            "[system]\nomega = 1.0\ns_max = 0.1\n[simulation]\nsample_interval = 1\nmax_time = 1000000\n"
-            "[sweep]\nkind = first_segment\ngamma_count = 1000\nphi_count = 1000\n"
+        system = "[system]\nomega = 1.0\ns_max = 0.1\n"
+        run = (
+            f"{system}[initial]\ngamma = 0.5\n[simulation]\nsample_interval = 1\nmax_time = 1000000\n"
+            f"max_switches = {scenario_module.MAX_SWITCHES}\n"
         )
-        grid = parse_scenario(write(tmp_path, "cap.ini", text)).sweep
+        config = parse_scenario(write(tmp_path, "run.ini", run)).sim_config()
+        assert config.max_time / config.sample_interval == scenario_module.MAX_GRID_SAMPLES
+        assert config.max_switches == scenario_module.MAX_SWITCHES
+        sweep = f"{system}[sweep]\nkind = first_segment\ngamma_count = 1000\nphi_count = 1000\n"
+        grid = parse_scenario(write(tmp_path, "sweep.ini", sweep)).sweep
         assert len(grid.gamma_axis) * len(grid.phi_axis) * len(grid.s_values) == scenario_module.MAX_SWEEP_CELLS
+
+    def test_max_switches_beyond_the_cap_is_refused_before_a_run(self, tmp_path, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("lyapqubit.cli.run", refuse)
+        over = scenario_module.MAX_SWITCHES + 1
+        text = FIG1_SCENARIO.replace("max_switches = 2000", f"max_switches = {over}")
+        code, _, err = run_cli("simulate", write(tmp_path, "big.ini", text), "--output", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert err.startswith("[simulation] max_switches: ")
+        assert not os.path.exists(tmp_path / "x.csv")
+        # the shipped budget is well inside the cap, and SimConfig keeps its own limit
+        shipped = parse_scenario(str(SCENARIOS / "reference_standard.ini")).sim_config()
+        assert shipped.max_switches == 10_000 < scenario_module.MAX_SWITCHES
+        assert SimConfig(shipped.params, shipped.initial, max_switches=1_000_000).max_switches == 1_000_000
+
+    def test_reads_names_known_keys_and_every_key_has_a_reader(self):
+        reads = scenario_module.READS
+        assert list(reads) == ["simulate", *scenario_module.SWEEP_KINDS]
+        read = {(section, key) for table in reads.values() for section, keys in table.items() for key in keys}
+        assert read == {(section, key) for section, table in scenario_module._KEYS.items() for key in table}
+        # a sweep kind reads its own kind; a run reads no [sweep]
+        assert all("kind" in reads[kind]["sweep"] for kind in scenario_module.SWEEP_KINDS)
+        assert "sweep" not in reads["simulate"]
+
+    @pytest.mark.parametrize(
+        "name, added",
+        [
+            ("fidelity_vs_strength.ini", ["gamma_count = 3", "phi_min = 1.0"]),
+            ("phase_alignment.ini", ["phi_count = 7", "s_values = 0.05"]),
+        ],
+    )
+    def test_axis_keys_the_kind_does_not_evaluate_exit_one(self, tmp_path, name, added):
+        # [sweep] is the last section of both shipped files
+        text = (SCENARIOS / name).read_text() + "\n".join(added) + "\n"
+        kind = name.removesuffix(".ini")
+        code, _, err = run_cli("sweep", write(tmp_path, name, text), "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert err.splitlines() == [f"[sweep] {line.split()[0]}: a {kind} sweep does not read it" for line in added]
+        assert not os.path.exists(tmp_path / "out")
 
     def test_docstring_names_exactly_the_key_table(self):
         block = scenario_module.__doc__.split("Sections and keys::")[1].split("\n\n")[1]
@@ -359,6 +437,12 @@ eps_target = 0.01
         code, out, err = run_cli("simulate", scenario, "--output", str(tmp_path / "loose.csv"))
         assert (code, err) == (0, "")
         assert "status=converged" in out
+
+    def test_sweep_file_exits_one(self, tmp_path):
+        output = tmp_path / "x.csv"
+        code, out, err = run_cli("simulate", str(SCENARIOS / "phase_alignment.ini"), "--output", str(output))
+        assert (code, out, err) == (1, "", "simulate: scenario has a [sweep] section\n")
+        assert not os.path.exists(output)
 
     def test_parse_error_exits_one(self, tmp_path):
         scenario = write(tmp_path, "bad.ini", "[system]\nomega = 1.0\n")
@@ -569,7 +653,7 @@ gamma_count = 10
             (
                 "first_segment",
                 "[policy]\nkind = extended\n[simulation]\neps_target = 0.01\nmax_switches = 1",
-                ["[simulation] eps_target", "[simulation] max_switches", "[policy] kind"],
+                ["[policy] kind", "[simulation] eps_target", "[simulation] max_switches"],
             ),
             (
                 "ssc_fidelity",
@@ -579,17 +663,19 @@ gamma_count = 10
             (
                 "fidelity_vs_strength",
                 "[initial]\ngamma = 0.5\n[policy]\nkind = standard\n[simulation]\nkick_angle = 0.1\nmax_time = 5",
-                ["[simulation] kick_angle", "[simulation] max_time", "[policy] kind"],
+                # nor gamma_max: it evaluates the strength axis only
+                ["[policy] kind", "[simulation] kick_angle", "[simulation] max_time", "[sweep] gamma_max"],
             ),
             ("phase_alignment", "[simulation]\ndt_free = 1e-4", ["[simulation] dt_free"]),
-            # only fidelity_vs_strength reads [initial]
-            ("first_segment", "[initial]\ngamma = 0.5", ["[initial]"]),
-            ("ssc_fidelity", "[initial]\ngamma = 0.5\n[policy]\nkind = extended", ["[initial]", "[policy] kind"]),
-            ("phase_alignment", "[initial]\ngamma = 0.5", ["[initial]"]),
+            # only fidelity_vs_strength reads [initial]; a section with no keys is named alone
+            ("first_segment", "[initial]\ngamma = 0.5", ["[initial] gamma"]),
+            ("ssc_fidelity", "[initial]\ngamma = 0.5\n[policy]\nkind = extended", ["[initial] gamma", "[policy] kind"]),
+            ("phase_alignment", "[initial]\ngamma = 0.5", ["[initial] gamma"]),
+            ("first_segment", "[initial]", ["[initial]"]),
         ],
         ids=[
             "first_segment", "ssc_fidelity", "fidelity_vs_strength", "phase_alignment",
-            "first_segment_initial", "ssc_fidelity_initial", "phase_alignment_initial",
+            "first_segment_initial", "ssc_fidelity_initial", "phase_alignment_initial", "first_segment_empty_initial",
         ],
     )
     def test_unread_run_setting_exits_one_with_its_key(self, tmp_path, kind, settings, unread):
@@ -601,11 +687,14 @@ gamma_count = 10
 
     @pytest.mark.parametrize("kind", ["ssc_fidelity", "fidelity_vs_strength"])
     def test_slow_switching_sweeps_read_dt_free(self, tmp_path, kind):
-        # only fidelity_vs_strength reads [initial]
-        initial = "[initial]\ngamma = 0.5\n" if kind == "fidelity_vs_strength" else ""
+        # only fidelity_vs_strength reads [initial], and it evaluates no angle axis
+        if kind == "fidelity_vs_strength":
+            initial, axes = "[initial]\ngamma = 0.5\n", ""
+        else:
+            initial, axes = "", "gamma_count = 3\nphi_count = 3\n"
         text = (
             f"[system]\nomega = 1.0\ns_max = 0.1\n{initial}[simulation]\ndt_free = 1e-3\n"
-            f"[sweep]\nkind = {kind}\ngamma_count = 3\nphi_count = 3\n"
+            f"[sweep]\nkind = {kind}\n{axes}"
         )
         code, _, err = run_cli("sweep", write(tmp_path, "dt.ini", text), "--output", str(tmp_path / "out"), "--quiet")
         assert (code, err) == (0, "")
@@ -712,3 +801,75 @@ def test_module_entry_point(tmp_path):
     )
     assert out.returncode == 2
     assert "status=truncated" in out.stdout
+
+
+# each key's valid values, then its boundary values; HOSTILE ones go to every
+# key. Run budgets stay small: the valid max_switches are few, and a long
+# horizon meets the grid-sample cap unless sample_interval is as long
+VALUES = {
+    ("system", "omega"): (["1.0", "2.5"], ["1e-75", "1e75"]),
+    ("system", "s_max"): (["0.1", "0.05"], ["0", "1e75"]),
+    ("initial", "gamma"): (["0.5", "0.2"], ["0", "1"]),
+    ("initial", "phi"): (["1.75", "0"], ["2", "-0.5"]),
+    ("policy", "kind"): (["standard", "extended"], ["EXTENDED"]),
+    ("simulation", "dt_free"): (["1e-4", "1e-2"], []),
+    ("simulation", "kick_angle"): (["1e-6", "0.3"], []),
+    ("simulation", "sample_interval"): (["0.1", "1"], []),
+    ("simulation", "eps_target"): (["1e-9", "0.01"], ["0", "1"]),
+    ("simulation", "max_switches"): (["1", "20"], ["0", str(scenario_module.MAX_SWITCHES + 1)]),
+    ("simulation", "max_time"): (["1", "10"], []),
+    ("sweep", "kind"): (list(scenario_module.SWEEP_KINDS), ["FIRST_SEGMENT"]),
+    ("sweep", "gamma_min"): (["0.05"], ["0"]),
+    ("sweep", "gamma_max"): (["0.12"], ["1"]),
+    ("sweep", "gamma_count"): (["1", "3"], ["0"]),
+    ("sweep", "phi_min"): (["0", "0.5"], ["1.5"]),
+    ("sweep", "phi_max"): (["2", "1"], []),
+    ("sweep", "phi_count"): (["1", "4"], ["0"]),
+    ("sweep", "s_values"): (["0.1", "0.05, 0.1"], ["0.1, 0.1"]),
+    ("sweep", "s_min"): (["0.01"], ["0"]),
+    ("sweep", "s_max"): (["0.5"], ["0.01"]),
+    ("sweep", "s_count"): (["2", "1"], ["0"]),
+}
+HOSTILE = ["nan", "inf", "-0", "1e308", "1e-308", "junk"]
+REQUIRED = [("system", "omega"), ("system", "s_max"), ("initial", "gamma"), ("sweep", "kind")]
+# the strength keys a file may set together
+S_FORMS = [(), ("s_values",), ("s_min", "s_max"), ("s_min", "s_max", "s_count")]
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_any_scenario_file_exits_with_output_or_keyed_lines(data):
+    assert set(VALUES) == {(section, key) for section, table in scenario_module._KEYS.items() for key in table}
+    reader = data.draw(st.sampled_from(list(scenario_module.READS)), label="reader")
+    reads = scenario_module.READS[reader]
+    # valid values only, or boundary values too, or hostile values too and a key the reader does not read
+    mode = data.draw(st.sampled_from(["valid", "boundary", "hostile"]), label="mode")
+    read = [(s, k) for s, ks in reads.items() for k in ks if not k.startswith("s_") or s != "sweep"]
+    keys = [sk for sk in read if sk in REQUIRED or data.draw(st.booleans())]
+    if "s_values" in reads.get("sweep", ()):
+        keys += [("sweep", key) for key in data.draw(st.sampled_from(S_FORMS))]
+    if mode == "hostile":
+        keys.append(data.draw(st.sampled_from([sk for sk in VALUES if sk[1] not in reads.get(sk[0], ())])))
+    sections = {}
+    for section, key in keys:
+        valid, boundary = VALUES[section, key]
+        if (section, key) == ("sweep", "kind") and reader != "simulate":
+            valid = [reader]
+        pool = valid + (boundary if mode != "valid" else []) + (HOSTILE if mode == "hostile" else [])
+        sections.setdefault(section, []).append(f"{key} = {data.draw(st.sampled_from(pool))}")
+    text = "".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines) for section, lines in sections.items())
+    # a strength far below omega takes a slow-switching cell to the step cap;
+    # a lower cap keeps such a sweep cheap and still flags the cell
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sweeps_module, "SSC_STEP_CAP", 200):
+        path = os.path.join(tmp, "drawn.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("simulate", "sweep"):
+            output = os.path.join(tmp, command)
+            code, _, err = run_cli(command, path, "--output", output, "--quiet")
+            if code in (0, 2):
+                assert os.path.isfile(output) if command == "simulate" else os.listdir(output), (command, text)
+            else:
+                assert code == 1, (command, text, err)
+                lines = err.splitlines()
+                assert lines and all(line.startswith(("[", f"{command}:")) for line in lines), (command, text, err)

@@ -478,7 +478,7 @@ class TestOracleAgainstPlainStepping:
         switches, samples, final = _plain_oracle(cfg, h)
         oracle = run_oracle(cfg, h)
         assert switches >= 3
-        assert oracle.switch_count == switches
+        assert oracle.field_changes == switches
         assert [(s.t, s.f) for s in oracle.samples] == [(t, f) for t, f, _ in samples]
         for s, (_, _, state) in zip(oracle.samples, samples):
             assert abs(s.state.a - state.a) <= 1e-12
