@@ -88,18 +88,18 @@ def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
     the actually evolved state. The result always lies in
     ``(0, pi/(2 eplus)]``.
     """
-    return _switch(state, f, params)[0]
+    return _switch(state, f, _dressed_terms(params, f))[0]
 
 
-def _switch(state: PureState, f: float, params: SystemParams) -> tuple[float, PureState]:
+def _switch(state: PureState, f: float, terms: tuple[float, float, float]) -> tuple[float, PureState]:
     """:func:`segment_duration`'s ``tau`` and the state evolved over it
-    under ``f``, the one that confirmed it."""
+    under ``f``, the one that confirmed it. ``terms`` are the field's
+    ``_dressed_terms``, which serve the coefficients and every probe."""
     if f == 0.0:
         raise ValueError("a zero field never produces a switching event")
     if abs(state.a) < 1e-12 or abs(state.b) < 1e-12:
         raise DegenerateStateError("polar states have no switching geometry")
-    # the field's dressed terms serve the coefficients and every probe
-    eplus, sin_theta, cos_theta = _dressed_terms(params, f)
+    eplus, sin_theta, cos_theta = terms
     ab = state.a * state.b.conjugate()
     p = ab.imag
     q = 0.5 * sin_theta * (abs(state.a) ** 2 - abs(state.b) ** 2) - cos_theta * ab.real
@@ -114,13 +114,13 @@ def _switch(state: PureState, f: float, params: SystemParams) -> tuple[float, Pu
     tau0 = alpha / (2.0 * eplus)
 
     # _controlled skips the duration check: every probe is positive
+    end = evolve(state, _controlled(eplus, sin_theta, cos_theta, tau0))
+    if abs(switching_function(end)) <= 1e-13 * r:
+        return tau0, end
+
     def g(tau: float) -> tuple[float, PureState]:
         end = evolve(state, _controlled(eplus, sin_theta, cos_theta, tau))
         return switching_function(end), end
-
-    g0, end = g(tau0)
-    if abs(g0) <= 1e-13 * r:
-        return tau0, end
 
     delta = max(1e-9 / eplus, 1e-12 * tau0)
     for _ in range(40):

@@ -1,11 +1,15 @@
 """Execution of full control runs.
 
-``run`` executes the segments that :func:`extended.next_action` returns,
-under either policy, each already propagated: it stops on convergence or
+``run`` binds the feedback law of :func:`extended.next_action` once, to
+its configuration, and executes the segments the law returns, under
+either policy, each already propagated: it reads each state's fidelity
+once, for its convergence test and for the law, stops on convergence or
 on the switch, time or segment budget, clips a segment to the time left,
 counts control segments, and records every segment and a sampled time
-series. A record keeps states, not numbers derived from them, except a
-sample's V, computed once per sample.
+series. A grid sample inside a control segment is propagated from the
+bound law's dressed terms of its field. A record keeps states, not
+numbers derived from them, except a sample's V, computed once per
+sample.
 ``run_oracle`` re-simulates the same scenario by brute force: a fixed
 step ``h`` with the feedback law re-evaluated every step, serving as
 ground truth for the event-driven segmentation. It returns an
@@ -19,8 +23,8 @@ from dataclasses import dataclass, replace
 
 from . import _kernels
 from .control import DEFAULT_DT_FREE_FACTOR, EPS_SWITCH, Regime, bang_field, classify_regime
-from .extended import Policy, Segment, next_action
-from .propagator import controlled_unitary, evolve, free_unitary
+from .extended import Policy, Segment, _bind
+from .propagator import _controlled, controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
     PureState,
@@ -62,14 +66,15 @@ class SimConfig:
             object.__setattr__(self, "sample_interval", DEFAULT_SAMPLE_INTERVAL_FACTOR * scale)
         if self.max_time is None:
             object.__setattr__(self, "max_time", DEFAULT_MAX_TIME_FACTOR * scale)
-        if not self.dt_free > 0.0:
-            raise ValueError(f"dt_free must be positive, got {self.dt_free!r}")
+        # the run binds its tick and kick at its start (see extended._bind)
+        if not 0.0 < self.dt_free < math.inf:
+            raise ValueError(f"dt_free must be positive and finite, got {self.dt_free!r}")
         if not self.sample_interval > 0.0:
             raise ValueError(f"sample_interval must be positive, got {self.sample_interval!r}")
         if not 0.0 < self.eps_target < 1.0:
             raise ValueError(f"eps_target must lie in (0, 1), got {self.eps_target!r}")
-        if not self.kick_angle > 0.0:
-            raise ValueError(f"kick_angle must be positive, got {self.kick_angle!r}")
+        if not 0.0 < self.kick_angle < math.inf:
+            raise ValueError(f"kick_angle must be positive and finite, got {self.kick_angle!r}")
         if self.max_switches < 1:
             raise ValueError(f"max_switches must be at least 1, got {self.max_switches!r}")
         if not self.max_time > 0.0:
@@ -125,26 +130,11 @@ class OracleRun:
         return fidelity(self.final_state)
 
 
-def _state_at(seg: Segment, dt: float, params: SystemParams) -> PureState:
-    """The state ``dt`` into the free or control segment ``seg``."""
-    u = controlled_unitary(params, seg.field, dt) if seg.kind == "control" else free_unitary(params, dt)
+def _state_at(seg: Segment, dt: float, params: SystemParams, terms) -> PureState:
+    """The state ``dt > 0`` into the free or control segment ``seg``; a
+    control segment's field is a key of the bound law's ``terms``."""
+    u = _controlled(*terms[seg.field], dt) if seg.kind == "control" else free_unitary(params, dt)
     return evolve(seg.state_in, u)
-
-
-def _record(samples: list[Sample], t0: float, seg: Segment, config: SimConfig) -> None:
-    """Append the samples of ``seg`` run from ``t0``: its start, unless one
-    lies there already (as after a kick), and its grid points."""
-    if not samples or t0 > samples[-1].t:
-        samples.append(_sample(t0, seg.state_in, lyapunov(seg.state_in), seg.field, seg.kind))
-    delta = config.sample_interval
-    end = t0 + seg.duration
-    j = math.floor(t0 / delta) + 1
-    while j * delta < end - 1e-15 * max(1.0, end):
-        tg = j * delta
-        if tg > t0:
-            state = _state_at(seg, tg - t0, config.params)
-            samples.append(_sample(tg, state, lyapunov(state), seg.field, seg.kind))
-        j += 1
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -156,41 +146,59 @@ def run(config: SimConfig) -> Trajectory:
     finishes with an exactly planned single-shot segment, labelled
     ``single_shot``.
     """
-    params = config.params
+    params, eps_target, delta = config.params, config.eps_target, config.sample_interval
+    max_time, max_switches = config.max_time, config.max_switches
+    act, terms = _bind(params, config.policy, config.dt_free, config.kick_angle, eps_target)
     state = from_bloch(config.initial)
     segments: list[Segment] = []
     samples: list[Sample] = []
     t = 0.0
+    # the time of the last sample
+    t_last = -math.inf
     controls = 0
-    max_segments = 10 * config.max_switches + 10_000
+    max_segments = 10 * max_switches + 10_000
 
     while True:
-        converged = fidelity(state) >= 1.0 - config.eps_target
-        budget_left = t < config.max_time * (1.0 - 1e-15) and controls < config.max_switches
+        fid = fidelity(state)
+        converged = fid >= 1.0 - eps_target
+        budget_left = t < max_time * (1.0 - 1e-15) and controls < max_switches
         if converged or not budget_left or len(segments) >= max_segments:
             break
-        for seg in next_action(state, params, config.policy, config.dt_free, config.kick_angle, config.eps_target):
-            left = config.max_time - t
+        for seg in act(state, fid):
+            left = max_time - t
             clipped = seg.duration > left
             if clipped:
-                seg = replace(seg, duration=left, state_out=_state_at(seg, left, params))
-            _record(samples, t, seg, config)
+                seg = replace(seg, duration=left, state_out=_state_at(seg, left, params, terms))
+            # the segment's start, unless a sample lies there already (as
+            # after a kick), then its grid points
+            if t > t_last:
+                samples.append(_sample(t, seg.state_in, lyapunov(seg.state_in), seg.field, seg.kind))
+                t_last = t
+            end = t + seg.duration
+            j = math.floor(t / delta) + 1
+            while j * delta < end - 1e-15 * max(1.0, end):
+                tg = j * delta
+                if tg > t:
+                    at = _state_at(seg, tg - t, params, terms)
+                    samples.append(_sample(tg, at, lyapunov(at), seg.field, seg.kind))
+                    t_last = tg
+                j += 1
             segments.append(seg)
             controls += seg.kind == "control"
             state = seg.state_out
-            t += seg.duration
+            t = end
             if clipped:
                 break
 
     f, kind = (segments[-1].field, segments[-1].kind) if segments else (0.0, "free")
-    if not samples or t > samples[-1].t:
+    if t > t_last:
         samples.append(_sample(t, state, lyapunov(state), f, kind))
     return Trajectory(
         segments=tuple(segments),
         samples=tuple(samples),
         switch_count=controls,
         converged=converged,
-        final_regime=classify_regime(state, params, config.eps_target),
+        final_regime=classify_regime(state, params, eps_target),
         total_time=t,
         final_state=state,
     )

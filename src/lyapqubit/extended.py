@@ -15,23 +15,26 @@ the alignment wait (a ``free`` :class:`Segment`, left out when it is zero)
 and the exact shot (a ``control`` segment labelled ``single_shot``), whose
 ``state_out`` is the state the plan reaches.
 
-:func:`next_action` is the one place that decides what a run does next:
-kick, free tick, bang field, or (under the extended policy) the wait and
-the exact shot. It returns, as :class:`Segment` records, the segments it
-propagated to decide, so each is evolved once; the executor in ``engine``
-only stops, clips, records and counts.
+The feedback law decides what a run does next: kick, free tick, bang
+field, or (under the extended policy) the wait and the exact shot. It
+returns, as :class:`Segment` records, the segments it propagated to
+decide, so each is evolved once; the executor in ``engine`` only stops,
+clips, records and counts. A run binds the law once to its settings, so
+the tick, the kick, both bang fields' dressed terms and the band floor
+are built at its start, and each state is read once: the law takes the
+fidelity the executor computed for its convergence test.
+:func:`next_action` is that law applied once.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 from .control import DEFAULT_EPS_TARGET, InfeasibleError, _switch, bang_field
 from .propagator import Unitary2, controlled_unitary, evolve, free_unitary
-from .states import TWO_PI, PureState, SystemParams, _unchecked, fidelity, switching_function, to_bloch
+from .states import TWO_PI, PureState, SystemParams, _dressed_terms, _unchecked, fidelity, switching_function, to_bloch
 
 
 class Policy(str, enum.Enum):
@@ -56,13 +59,6 @@ class Segment:
 _segment = _unchecked(Segment)
 
 
-@functools.lru_cache(maxsize=8)
-def _tick(params: SystemParams, dt_free: float) -> Unitary2:
-    """The trigger tick's propagator; a run builds it once for its
-    ``(params, dt_free)``."""
-    return free_unitary(params, dt_free)
-
-
 def _kick_unitary(angle: float) -> Unitary2:
     # rotation about x by `angle`; takes |g> to polar angle pi - angle at
     # relative phase pi/2, breaking the antipodal equilibrium
@@ -72,11 +68,16 @@ def _kick_unitary(angle: float) -> Unitary2:
     return Unitary2._exact(complex(c), off, off, complex(c))
 
 
-def _in_band(population: float, params: SystemParams) -> bool:
+def _band_floor(params: SystemParams) -> float:
     """The one reachable-band rule: a target population ``|a|^2`` is in the
-    band iff it is at least ``cos^2(theta_max)``, less 1e-12."""
+    band iff it is at least this floor, ``cos^2(theta_max)`` less 1e-12."""
     cos2_theta = (0.25 * params.omega**2) / (0.25 * params.omega**2 + params.s_max**2)
-    return population >= cos2_theta - 1e-12
+    return cos2_theta - 1e-12
+
+
+def _in_band(population: float, params: SystemParams) -> bool:
+    """Whether a target population lies in the reachable band."""
+    return population >= _band_floor(params)
 
 
 def reachable_by_single_control(state: PureState, params: SystemParams) -> bool:
@@ -184,17 +185,45 @@ def next_action(
     the extended policy is guaranteed because every slow-switching step
     shrinks the polar angle by ``2*theta_max`` until the reachable set is
     entered.
+
+    Raises ``ValueError`` for a ``dt_free`` or ``kick_angle`` that is not
+    positive and finite.
     """
-    if fidelity(state) <= min(eps_target, DEFAULT_EPS_TARGET):
-        return (_segment("kick", 0.0, 0.0, state, evolve(state, _kick_unitary(kick_angle))),)
-    # decided before the single shot: with no field there is nothing to plan
-    if params.s_max == 0.0:
-        return (_segment("free", 0.0, math.inf, state, state),)
-    f = bang_field(switching_function(state), params.s_max)
-    if f != 0.0:
-        tau, end = _switch(state, f, params)
-        return (_segment("control", f, tau, state, end),)
-    # no field inside the EPS_SWITCH band: a switching point
-    if policy is Policy.EXTENDED and reachable_by_single_control(state, params):
-        return _plan_in_band(state, params)
-    return (_segment("free", 0.0, dt_free, state, evolve(state, _tick(params, dt_free))),)
+    return _bind(params, policy, dt_free, kick_angle, eps_target)[0](state, fidelity(state))
+
+
+def _bind(params: SystemParams, policy: Policy, dt_free: float, kick_angle: float, eps_target: float):
+    """:func:`next_action`'s law bound to one run's settings, as ``(act,
+    terms)``. ``act(state, fid)`` returns the segments :func:`next_action`
+    returns for ``state``, whose fidelity ``fid`` the caller computed.
+    ``terms`` maps each bang field, ``+s_max`` and ``-s_max``, to its
+    ``_dressed_terms``. The tick, the kick, the terms, the antipodal floor
+    and the band floor are built here, once per run."""
+    for name, value in (("dt_free", dt_free), ("kick_angle", kick_angle)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    s_max = params.s_max
+    tick = free_unitary(params, dt_free)
+    kick = _kick_unitary(kick_angle)
+    plus, minus = _dressed_terms(params, s_max), _dressed_terms(params, -s_max)
+    antipodal = min(eps_target, DEFAULT_EPS_TARGET)
+    extended = policy is Policy.EXTENDED
+    floor = _band_floor(params)
+
+    def act(state: PureState, fid: float) -> tuple[Segment, ...]:
+        if fid <= antipodal:
+            return (_segment("kick", 0.0, 0.0, state, evolve(state, kick)),)
+        # decided before the single shot: with no field there is nothing to plan
+        if s_max == 0.0:
+            return (_segment("free", 0.0, math.inf, state, state),)
+        f = bang_field(switching_function(state), s_max)
+        if f != 0.0:
+            tau, end = _switch(state, f, plus if f > 0.0 else minus)
+            return (_segment("control", f, tau, state, end),)
+        # no field inside the EPS_SWITCH band: a switching point
+        if extended and fid >= floor:
+            return _plan_in_band(state, params)
+        return (_segment("free", 0.0, dt_free, state, evolve(state, tick)),)
+
+    # with s_max = 0 both keys are 0.0, and +s_max's terms win
+    return act, {-s_max: minus, s_max: plus}

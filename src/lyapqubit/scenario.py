@@ -50,7 +50,12 @@ may ask for at most :data:`MAX_GRID_SAMPLES` (1e6) grid samples,
 :data:`MAX_SWITCHES` (1e5) switches, so that the run's safety net of
 ``10 * max_switches + 10_000`` segments holds about as many records. A
 sweep may ask for at most :data:`MAX_SWEEP_CELLS` (1e6) cells, the
-product of the counts of the axes it evaluates.
+product of the counts of the axes it evaluates. A slow-switching sweep
+(``ssc_fidelity`` or ``fidelity_vs_strength``) may ask for at most
+:data:`MAX_SWEEP_STEPS` (1e7) steps over its cells, a strength's cell
+taking about ``gamma_max / (2 theta_max)`` steps, at most
+:data:`~lyapqubit.sweeps.SSC_STEP_CAP`: a strength far below ``omega``
+costs the step cap in every cell.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import sweeps
 from .control import InfeasibleError
 from .engine import DEFAULT_MAX_TIME_FACTOR, DEFAULT_SAMPLE_INTERVAL_FACTOR, Policy, SimConfig
 from .extended import required_phase
@@ -79,6 +85,10 @@ MAX_SWITCHES = 100_000
 
 #: Most cells a file may ask a sweep for: about 400 MB at the sweeps' peak.
 MAX_SWEEP_CELLS = 1_000_000
+
+#: Most slow-switching steps a file may ask a sweep for, summed over its
+#: cells: 0.3-0.9 us each over hundreds of cells or more, so a few seconds.
+MAX_SWEEP_STEPS = 10_000_000
 
 
 class ScenarioError(ValueError):
@@ -188,6 +198,9 @@ _KEYS = {
     },
 }
 
+#: the default gamma axis' ends, in radians
+_GAMMA_LO, _GAMMA_HI = 0.01, math.pi - 0.01
+
 _SYSTEM, _INITIAL, _DT_FREE = ("omega", "s_max"), ("gamma", "phi"), ("dt_free",)
 _GAMMA_AXIS, _PHI_AXIS = ("gamma_min", "gamma_max", "gamma_count"), ("phi_min", "phi_max", "phi_count")
 _S_AXIS = ("s_values", "s_min", "s_max", "s_count")
@@ -235,6 +248,38 @@ def _sweep_fits(sweep, evaluated, complain) -> bool:
     product = " x ".join(map(str, counts.values()))
     message = f"{product} = {cells} cells" if len(counts) > 1 else f"{cells} cells"
     complain("sweep", max(counts, key=counts.get), f"{message} exceed the cap of {MAX_SWEEP_CELLS}")
+    return False
+
+
+def _steps_fit(sweep, reader, system, initial, complain) -> bool:
+    """Whether a slow-switching sweep's estimated steps fit
+    :data:`MAX_SWEEP_STEPS`, judged before any axis is built: a cell of
+    strength ``s > 0`` takes about ``gamma_max / (2 theta_max(s))`` steps,
+    at most ``sweeps.SSC_STEP_CAP``, from the largest polar angle swept.
+    Complains with the key the strengths come from when they do not."""
+    if reader == "ssc_fidelity":
+        cells = sweep.get("gamma_count", 101) * sweep.get("phi_count", 101)
+        # one point is the axis' lower end
+        one = sweep.get("gamma_count", 101) == 1
+        gamma = sweep.get("gamma_min", _GAMMA_LO) if one else sweep.get("gamma_max", _GAMMA_HI)
+    elif reader == "fidelity_vs_strength":
+        cells, gamma = 1, initial["gamma"]
+    else:
+        return True
+    if "s_values" in sweep:
+        section, key, strengths = "sweep", "s_values", np.array(sweep["s_values"])
+    elif "s_min" in sweep:
+        strengths = np.linspace(sweep["s_min"], sweep["s_max"], sweep.get("s_count", 25))
+        section, key = "sweep", "s_min"
+    else:
+        section, key, strengths = "system", "s_max", np.array([system["s_max"]])
+    theta = np.arctan2(2.0 * strengths, system["omega"])
+    # a theta_max that underflows takes the step cap, as its cells do
+    steps = np.minimum(gamma / np.maximum(2.0 * theta, np.finfo(float).tiny), sweeps.SSC_STEP_CAP)
+    work = cells * float(np.sum(steps[strengths > 0.0]))
+    if work <= MAX_SWEEP_STEPS:
+        return True
+    complain(section, key, f"about {work:.3g} slow-switching steps exceed the cap of {MAX_SWEEP_STEPS}")
     return False
 
 
@@ -321,12 +366,13 @@ def parse_scenario(path: str) -> Scenario:
 
     grid = None
     evaluated = reads.get("sweep", ())
-    if sweep is not None and _sweep_fits(sweep, evaluated, complain):
+    fits = sweep is not None and _sweep_fits(sweep, evaluated, complain)
+    if fits and _steps_fit(sweep, reader, system, initial, complain):
         # an axis the kind does not evaluate is the one point the file fixes
         fixed = start or BlochAngles(0.0, 0.0)
         gamma_axis, phi_axis = (fixed.gamma,), (fixed.phi,)
         if "gamma_count" in evaluated:
-            gamma_axis = _axis(sweep, complain, "gamma", 0.01, math.pi - 0.01, 101)
+            gamma_axis = _axis(sweep, complain, "gamma", _GAMMA_LO, _GAMMA_HI, 101)
         if "phi_count" in evaluated:
             phi_axis = _axis(sweep, complain, "phi", 0.0, 2.0 * math.pi, 101, endpoint=False)
         s_values = sweep.get("s_values") or (

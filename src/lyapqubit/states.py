@@ -176,13 +176,18 @@ def to_bloch(state: PureState) -> BlochAngles:
 
 
 def fidelity(state: PureState) -> float:
-    """Population of the target state, ``|a|^2``; clamped to [0, 1]."""
-    return min(max(abs(state.a) ** 2, 0.0), 1.0)
+    """Population of the target state, ``|a|^2``; clamped to [0, 1]. A
+    square is never negative, so only the top is clamped, and a NaN passes
+    through."""
+    x = abs(state.a) ** 2
+    return 1.0 if x > 1.0 else x
 
 
 def lyapunov(state: PureState) -> float:
-    """Population outside the target state, ``|b|^2 = 1 - fidelity``."""
-    return min(max(abs(state.b) ** 2, 0.0), 1.0)
+    """Population outside the target state, ``|b|^2 = 1 - fidelity``;
+    clamped as :func:`fidelity` is."""
+    x = abs(state.b) ** 2
+    return 1.0 if x > 1.0 else x
 
 
 def switching_function(state: PureState) -> float:

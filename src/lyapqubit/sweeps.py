@@ -212,7 +212,7 @@ def _bang_segments(cells: _Cells, field, terms, params: Sequence[SystemParams]):
         for i in redo:
             state = PureState._checked_by_caller(complex(a[i]), complex(b[i]))
             cell_params, f = params[int(k[i])], float(field[i])
-            tau[i], fixed = _switch(state, f, cell_params)
+            tau[i], fixed = _switch(state, f, _dressed_terms(cell_params, f))
             end.a[i], end.b[i] = fixed.a, fixed.b
         end.put(redo, _cells(end.a[redo], end.b[redo]))
     return end, tau

@@ -295,6 +295,51 @@ class TestScenarioParsing:
         grid = parse_scenario(write(tmp_path, "sweep.ini", sweep)).sweep
         assert len(grid.gamma_axis) * len(grid.phi_axis) * len(grid.s_values) == scenario_module.MAX_SWEEP_CELLS
 
+    @pytest.mark.parametrize(
+        "initial, sweep, key, per_n",
+        [
+            # every cell of a strength far below omega costs SSC_STEP_CAP
+            ("", "ssc_fidelity\ngamma_count = 1\nphi_count = {n}\ns_min = 0.01\ns_max = 0.5\ns_count = 2", "s_min", 2),
+            ("", "ssc_fidelity\ngamma_count = 1\nphi_count = {n}\ns_values = 0.01, 0.5", "s_values", 2),
+            ("", "ssc_fidelity\ngamma_count = 2\nphi_count = {n}", "s_max", 2),
+            ("[initial]\ngamma = 0.5\n", "fidelity_vs_strength\ns_min = 0.01\ns_max = 0.5\ns_count = {n}", "s_min", 1),
+        ],
+    )
+    def test_slow_switching_steps_are_capped_at_parse_time(self, tmp_path, monkeypatch, initial, sweep, key, per_n):
+        # at omega = 1e75 each cell takes SSC_STEP_CAP steps: at the cap the
+        # file parses, and with n + 1 it is refused before an axis is built
+        assert sweeps_module.SSC_STEP_CAP == 100_000
+        # the file asks for per_n * n cells
+        n = scenario_module.MAX_SWEEP_STEPS // (per_n * sweeps_module.SSC_STEP_CAP)
+        section = "system" if key == "s_max" else "sweep"
+
+        def text(n):
+            return f"[system]\nomega = 1e75\ns_max = 0.1\n{initial}[sweep]\nkind = {sweep.format(n=n)}\n"
+
+        grid = parse_scenario(write(tmp_path, "at.ini", text(n))).sweep
+        cells = len(grid.gamma_axis) * len(grid.phi_axis) * len(grid.s_values)
+        assert cells * sweeps_module.SSC_STEP_CAP == scenario_module.MAX_SWEEP_STEPS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(scenario_module, "_axis", refuse)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(write(tmp_path, "over.ini", text(n + 1)))
+        assert str(exc.value).startswith(f"[{section}] {key}: about ")
+        assert str(exc.value).endswith(f"slow-switching steps exceed the cap of {scenario_module.MAX_SWEEP_STEPS}")
+
+    def test_the_step_cap_refuses_a_slow_sweep_that_ran_for_half_a_minute(self, tmp_path):
+        # 4 x 101 cells at two strengths far below omega ran 31-40 s before
+        # the cap
+        text = (
+            "[system]\nomega = 1e75\ns_max = 0.1\n[sweep]\nkind = ssc_fidelity\n"
+            "gamma_count = 4\nphi_count = 101\ns_min = 0.01\ns_max = 0.5\ns_count = 2\n"
+        )
+        code, out, err = run_cli("sweep", write(tmp_path, "slow.ini", text), "--output", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == "[sweep] s_min: about 8.08e+07 slow-switching steps exceed the cap of 10000000\n"
+
     def test_max_switches_beyond_the_cap_is_refused_before_a_run(self, tmp_path, monkeypatch):
         def refuse(config):
             raise AssertionError("a run started")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lyapqubit import (
     BlochAngles,
@@ -192,7 +192,8 @@ class TestRunBasics:
                 frozen_record(rec, type(rec)(*(getattr(rec, f.name) for f in dataclasses.fields(rec))))
 
     def test_tick_cache_keeps_each_run_as_run_alone(self):
-        # the trigger tick's propagator is built once per (params, dt_free)
+        # each run binds its own trigger tick for its (params, dt_free); no
+        # run may see another's
         other = SystemParams(2.0, 0.3)
         configs = [
             fig1_config(max_switches=300),
@@ -203,12 +204,24 @@ class TestRunBasics:
         ]
         alone = []
         for config in configs:
-            extended._tick.cache_clear()
             alone.append(run(config))
-        extended._tick.cache_clear()
         together = [run(config) for config in configs]
         assert together == alone
         assert [trajectory_csv(t) for t in together] == [trajectory_csv(t) for t in alone]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1e-3])
+    @pytest.mark.parametrize("name", ["dt_free", "kick_angle"])
+    def test_tick_and_kick_must_be_positive_and_finite(self, name, value):
+        # a run builds its tick and kick at its start, so a config refuses
+        # what they cannot be built from; next_action refuses the same
+        # values with the same message, from a kicked start and a bang start
+        message = f"{name} must be positive and finite"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(params=P, initial=FIG1, **{name: value})
+        values = {"dt_free": 1e-4, "kick_angle": 1e-6, name: value}
+        for start in (BlochAngles(math.pi, 0.0), FIG1):
+            with pytest.raises(ValueError, match=message):
+                next_action(from_bloch(start), P, Policy.STANDARD, values["dt_free"], values["kick_angle"], 1e-9)
 
 
 class TestStandardRunStructure:
@@ -385,6 +398,29 @@ class TestRunProperties:
             assert (t.field, t.label) == (seg.field, seg.label)
             assert t.duration == pytest.approx(seg.duration, rel=1e-8)
             assert lyapunov(t.state_out) == pytest.approx(lyapunov(seg.state_out), abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(run_cases)
+    # the antipodal kick, a zero bound (one unbounded free segment, clipped),
+    # and a reachable switching point under each policy
+    @example((P, BlochAngles(math.pi, 0.0), Policy.STANDARD))
+    @example((SystemParams(1.0, 0.0), BlochAngles(1.0, 0.5), Policy.EXTENDED))
+    @example((P, BlochAngles(THETA, 0.0), Policy.STANDARD))
+    @example((P, BlochAngles(THETA, 0.0), Policy.EXTENDED))
+    def test_run_takes_the_segments_next_action_chains(self, case):
+        # run binds the law that next_action applies once: up to the one
+        # segment the time budget clips, a run is next_action's chain
+        params, initial, policy = case
+        config = SimConfig(params=params, initial=initial, policy=policy, max_switches=60)
+        traj = run(config)
+        chain = action_chain(from_bloch(initial), config, limit=len(traj.segments))
+        assert len(chain) >= len(traj.segments)
+        for seg, link in zip(traj.segments, chain):
+            if seg != link:
+                assert seg is traj.segments[-1] and traj.total_time >= config.max_time * (1.0 - 1e-15)
+                assert (seg.kind, seg.field, seg.label) == (link.kind, link.field, link.label)
+                assert seg.state_in == link.state_in
+                assert seg.duration < link.duration
 
 
 def action_chain(state, config, limit=120):

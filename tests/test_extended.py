@@ -218,7 +218,9 @@ class TestPlanSingleShot:
             plan_single_shot(state, zero)
 
     def test_tests_reachability_and_resolves_phase_once(self, monkeypatch):
-        calls = {"reachable": 0, "phase": 0}
+        # _band_floor is the one band rule: plan_single_shot's reachability
+        # test reads it, and the feedback law reads it when it is bound
+        calls = {"band": 0, "phase": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -227,18 +229,23 @@ class TestPlanSingleShot:
 
             return wrapper
 
-        monkeypatch.setattr(
-            extended, "reachable_by_single_control", counted("reachable", extended.reachable_by_single_control)
-        )
+        monkeypatch.setattr(extended, "_band_floor", counted("band", extended._band_floor))
         monkeypatch.setattr(extended, "_aligned_phase", counted("phase", extended._aligned_phase))
         wait, _ = extended.plan_single_shot(from_bloch(BlochAngles(THETA, 0.4)), P)
         assert wait.duration > 0.0
-        assert calls == {"reachable": 1, "phase": 1}
+        assert calls == {"band": 1, "phase": 1}
         # a reachable switching point: next_action's own test is the only one
         at_switch = from_bloch(BlochAngles(THETA, 0.0))
         assert abs(switching_function(at_switch)) <= EPS_SWITCH
         assert extended_segments(at_switch)[-1].label == "single_shot"
-        assert calls == {"reachable": 2, "phase": 2}
+        assert calls == {"band": 2, "phase": 2}
+        # a run binds the law once: its switching points compare with the
+        # one floor, and its one shot resolves the phase once
+        config = SimConfig(P, BlochAngles(math.pi / 2, 7 * math.pi / 4), policy=Policy.EXTENDED)
+        traj = run(config)
+        assert sum(seg.kind == "free" and seg.duration == config.dt_free for seg in traj.segments) == 3
+        assert traj.segments[-1].label == "single_shot"
+        assert calls == {"band": 3, "phase": 3}
 
     def test_phase_propagates_nothing(self, monkeypatch):
         def refuse(*args):
