@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .states import NORM_TOL, PureState, SystemParams, _dressed_terms, _unchecked
+from .states import NORM_TOL, PureState, SystemParams, _dressed_terms, _new_state, _unchecked
 
 #: Unitarity drift accepted when constructing a Unitary2.
 UNITARY_TOL = 1e-12
@@ -107,7 +107,7 @@ def evolve(state: PureState, u: Unitary2) -> PureState:
     b = u.u21 * state.a + u.u22 * state.b
     n2 = abs(a) ** 2 + abs(b) ** 2
     if abs(n2 - 1.0) <= NORM_TOL:
-        return PureState._checked_by_caller(a, b)
+        return _new_state(a, b)
     if not 0.0 < n2 < math.inf:
         raise ValueError(f"evolved state has norm^2 {n2!r}")
     inv = 1.0 / math.sqrt(n2)

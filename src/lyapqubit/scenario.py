@@ -52,10 +52,13 @@ may ask for at most :data:`MAX_GRID_SAMPLES` (1e6) grid samples,
 sweep may ask for at most :data:`MAX_SWEEP_CELLS` (1e6) cells, the
 product of the counts of the axes it evaluates. A slow-switching sweep
 (``ssc_fidelity`` or ``fidelity_vs_strength``) may ask for at most
-:data:`MAX_SWEEP_STEPS` (1e7) steps over its cells, a strength's cell
-taking about ``gamma_max / (2 theta_max)`` steps, at most
-:data:`~lyapqubit.sweeps.SSC_STEP_CAP`: a strength far below ``omega``
-costs the step cap in every cell.
+:data:`MAX_SWEEP_STEPS` (1e7) cell-steps. A strength's cell takes about
+``gamma_max / (2 theta_max)`` steps, at most
+:data:`~lyapqubit.sweeps.SSC_STEP_CAP`, and each step of a strength loop
+costs :data:`~lyapqubit.sweeps.SSC_STEP_OVERHEAD` (200) more:
+``ssc_fidelity`` runs a loop per strength, ``fidelity_vs_strength`` one
+loop as long as its longest strength's. A loop at the step cap, which a
+strength far below ``omega`` reaches, exceeds the cap by itself.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ MAX_SWITCHES = 100_000
 #: Most cells a file may ask a sweep for: about 400 MB at the sweeps' peak.
 MAX_SWEEP_CELLS = 1_000_000
 
-#: Most slow-switching steps a file may ask a sweep for, summed over its
-#: cells: 0.3-0.9 us each over hundreds of cells or more, so a few seconds.
+#: Most slow-switching cell-steps a file may ask a sweep for, a step's fixed
+#: cost included: about 0.2-0.3 us each, so a few seconds.
 MAX_SWEEP_STEPS = 10_000_000
 
 
@@ -198,8 +201,11 @@ _KEYS = {
     },
 }
 
-#: the default gamma axis' ends, in radians
-_GAMMA_LO, _GAMMA_HI = 0.01, math.pi - 0.01
+#: an evaluated axis' defaults: ``*_min``, ``*_max``, ``*_count``, and
+#: whether ``*_max`` is on the axis; strengths have no default ends
+_SPANS = {
+    "gamma": (0.01, math.pi - 0.01, 101, True), "phi": (0.0, 2.0 * math.pi, 101, False), "s": (None, None, 25, True)
+}
 
 _SYSTEM, _INITIAL, _DT_FREE = ("omega", "s_max"), ("gamma", "phi"), ("dt_free",)
 _GAMMA_AXIS, _PHI_AXIS = ("gamma_min", "gamma_max", "gamma_count"), ("phi_min", "phi_max", "phi_count")
@@ -220,9 +226,7 @@ READS = {
 _REQUIRED = (("system", "omega"), ("system", "s_max"), ("initial", "gamma"))
 
 
-def _axis(sweep, complain, name, lo, hi, count, endpoint=True) -> tuple[float, ...]:
-    lo, hi = sweep.get(f"{name}_min", lo), sweep.get(f"{name}_max", hi)
-    count = sweep.get(f"{name}_count", count)
+def _axis(complain, name, lo, hi, count, endpoint) -> tuple[float, ...]:
     if count > 1 and not lo < hi:
         complain("sweep", f"{name}_max", f"must exceed {name}_min")
         return ()
@@ -233,54 +237,60 @@ def _axis(sweep, complain, name, lo, hi, count, endpoint=True) -> tuple[float, .
     return axis
 
 
-def _sweep_fits(sweep, evaluated, complain) -> bool:
-    """Whether the axes a sweep evaluates fit :data:`MAX_SWEEP_CELLS`, judged
-    from their counts before any axis is built; complains with the largest
-    count's key when they do not."""
-    counts = {key: sweep.get(key, 101) for key in ("gamma_count", "phi_count") if key in evaluated}
-    if "s_values" in sweep:
-        counts["s_values"] = len(sweep["s_values"])
-    elif "s_count" in evaluated:
-        counts["s_count"] = sweep.get("s_count", 25) if "s_min" in sweep else 1
+def _sweep_axes(sweep, reader, params, fixed, complain):
+    """The ``gamma``, ``phi`` and ``s`` axes of a sweep of kind ``reader``, or
+    None after complaining. An axis the kind evaluates is its span ``(min,
+    max, count)``, or the strengths ``s_values``; any other is the one point
+    the file fixes, ``fixed`` or ``[system] s_max``. Both work caps are
+    judged from this, and only then are the spans built and checked."""
+    axes = {"gamma": (fixed.gamma,), "phi": (fixed.phi,), "s": sweep.get("s_values", (params.s_max,))}
+    # the evaluated axes' spans, and their counts by the key each comes from
+    spans, counts = {}, {}
+    for name, (lo, hi, count, endpoint) in _SPANS.items():
+        if f"{name}_count" not in READS[reader]["sweep"]:
+            continue
+        key = "s_values" if name == "s" and "s_values" in sweep else f"{name}_count"
+        if name == "s" and "s_min" not in sweep:
+            counts[key] = len(axes["s"])
+            continue
+        span = (sweep.get(f"{name}_min", lo), sweep.get(f"{name}_max", hi), sweep.get(f"{name}_count", count))
+        spans[name], counts[key] = (*span, endpoint), span[2]
     cells = math.prod(counts.values())
-    if cells <= MAX_SWEEP_CELLS:
-        return True
-    product = " x ".join(map(str, counts.values()))
-    message = f"{product} = {cells} cells" if len(counts) > 1 else f"{cells} cells"
-    complain("sweep", max(counts, key=counts.get), f"{message} exceed the cap of {MAX_SWEEP_CELLS}")
-    return False
+    if cells > MAX_SWEEP_CELLS:
+        product = " x ".join(map(str, counts.values()))
+        message = f"{product} = {cells} cells" if len(counts) > 1 else f"{cells} cells"
+        complain("sweep", max(counts, key=counts.get), f"{message} exceed the cap of {MAX_SWEEP_CELLS}")
+        return None
 
+    if reader in ("ssc_fidelity", "fidelity_vs_strength"):
+        # the largest polar angle swept: the span's max, or its min when it is one point
+        gamma = axes["gamma"][0]
+        if "gamma" in spans:
+            lo, hi, count, _ = spans["gamma"]
+            gamma = hi if count > 1 else lo
+        steps = sweeps._ssc_steps(gamma, np.linspace(*spans["s"]) if "s" in spans else axes["s"], params.omega)
+        # a loop's step costs its cells and the overhead: ssc_fidelity runs a
+        # loop per strength, fidelity_vs_strength one as long as its longest
+        loops = steps.sum() if reader == "ssc_fidelity" else steps.max()
+        work = cells // steps.size * steps.sum() + sweeps.SSC_STEP_OVERHEAD * loops
+        if work > MAX_SWEEP_STEPS:
+            key = "s_values" if "s_values" in sweep else "s_min" if "s" in spans else "s_max"
+            message = f"about {work:.3g} slow-switching steps exceed the cap of {MAX_SWEEP_STEPS}"
+            complain("system" if key == "s_max" else "sweep", key, message)
+            return None
 
-def _steps_fit(sweep, reader, system, initial, complain) -> bool:
-    """Whether a slow-switching sweep's estimated steps fit
-    :data:`MAX_SWEEP_STEPS`, judged before any axis is built: a cell of
-    strength ``s > 0`` takes about ``gamma_max / (2 theta_max(s))`` steps,
-    at most ``sweeps.SSC_STEP_CAP``, from the largest polar angle swept.
-    Complains with the key the strengths come from when they do not."""
-    if reader == "ssc_fidelity":
-        cells = sweep.get("gamma_count", 101) * sweep.get("phi_count", 101)
-        # one point is the axis' lower end
-        one = sweep.get("gamma_count", 101) == 1
-        gamma = sweep.get("gamma_min", _GAMMA_LO) if one else sweep.get("gamma_max", _GAMMA_HI)
-    elif reader == "fidelity_vs_strength":
-        cells, gamma = 1, initial["gamma"]
-    else:
-        return True
-    if "s_values" in sweep:
-        section, key, strengths = "sweep", "s_values", np.array(sweep["s_values"])
-    elif "s_min" in sweep:
-        strengths = np.linspace(sweep["s_min"], sweep["s_max"], sweep.get("s_count", 25))
-        section, key = "sweep", "s_min"
-    else:
-        section, key, strengths = "system", "s_max", np.array([system["s_max"]])
-    theta = np.arctan2(2.0 * strengths, system["omega"])
-    # a theta_max that underflows takes the step cap, as its cells do
-    steps = np.minimum(gamma / np.maximum(2.0 * theta, np.finfo(float).tiny), sweeps.SSC_STEP_CAP)
-    work = cells * float(np.sum(steps[strengths > 0.0]))
-    if work <= MAX_SWEEP_STEPS:
-        return True
-    complain(section, key, f"about {work:.3g} slow-switching steps exceed the cap of {MAX_SWEEP_STEPS}")
-    return False
+    for name, span in spans.items():
+        axes[name] = _axis(complain, name, *span)
+    if reader == "first_segment" and len(axes["s"]) > 1:
+        key = "s_values" if "s_values" in sweep else "s_count"
+        complain("sweep", key, f"a first_segment sweep takes one strength, got {len(axes['s'])}")
+    if reader == "phase_alignment" and axes["gamma"]:
+        # the reachable band depends on [system] s_max only
+        try:
+            required_phase(axes["gamma"][-1], params)
+        except InfeasibleError as exc:
+            complain("sweep", "gamma_max", f"outside the reachable band of [system] s_max: {exc}")
+    return axes["gamma"], axes["phi"], axes["s"]
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -364,34 +374,13 @@ def parse_scenario(path: str) -> Scenario:
         message = f"max_time / sample_interval = {samples:.6g} grid samples exceed the cap of {MAX_GRID_SAMPLES}"
         complain("simulation", "sample_interval", message)
 
-    grid = None
-    evaluated = reads.get("sweep", ())
-    fits = sweep is not None and _sweep_fits(sweep, evaluated, complain)
-    if fits and _steps_fit(sweep, reader, system, initial, complain):
-        # an axis the kind does not evaluate is the one point the file fixes
-        fixed = start or BlochAngles(0.0, 0.0)
-        gamma_axis, phi_axis = (fixed.gamma,), (fixed.phi,)
-        if "gamma_count" in evaluated:
-            gamma_axis = _axis(sweep, complain, "gamma", _GAMMA_LO, _GAMMA_HI, 101)
-        if "phi_count" in evaluated:
-            phi_axis = _axis(sweep, complain, "phi", 0.0, 2.0 * math.pi, 101, endpoint=False)
-        s_values = sweep.get("s_values") or (
-            _axis(sweep, complain, "s", None, None, 25) if "s_min" in sweep else (params.s_max,)
-        )
-        if reader == "first_segment" and len(s_values) > 1:
-            key = "s_values" if "s_values" in sweep else "s_count"
-            complain("sweep", key, f"a first_segment sweep takes one strength, got {len(s_values)}")
-        if reader == "phase_alignment" and gamma_axis:
-            # the reachable band depends on [system] s_max only
-            try:
-                required_phase(gamma_axis[-1], params)
-            except InfeasibleError as exc:
-                complain("sweep", "gamma_max", f"outside the reachable band of [system] s_max: {exc}")
+    axes = None if sweep is None else _sweep_axes(sweep, reader, params, start or BlochAngles(0.0, 0.0), complain)
     if diagnostics:
         raise ScenarioError(diagnostics)
-    if sweep is not None:
+    grid = None
+    if axes is not None:
         try:
-            grid = SweepGrid(gamma_axis, phi_axis, s_values, params.omega)
+            grid = SweepGrid(*axes, params.omega)
         except ValueError as exc:  # pragma: no cover - the checks above come first
             raise ScenarioError([f"[sweep]: {exc}"]) from exc
     kind = None if sweep is None else reader

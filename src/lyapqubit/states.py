@@ -78,13 +78,9 @@ class PureState:
         if not abs(n2 - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: |a|^2 + |b|^2 = {n2!r}")
 
-    @staticmethod
-    def _checked_by_caller(a: complex, b: complex) -> "PureState":
-        """Wrap complex amplitudes whose norm the caller has just found within
-        ``NORM_TOL`` (see ``propagator.evolve``), without testing it again."""
-        return _new_state(a, b)
 
-
+# wraps complex amplitudes whose norm the caller has just found within
+# NORM_TOL (see propagator.evolve), without testing it again
 _new_state = _unchecked(PureState)
 
 

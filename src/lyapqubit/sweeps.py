@@ -25,9 +25,9 @@ from .propagator import UNITARY_TOL, free_unitary
 from .states import (
     NORM_TOL,
     BlochAngles,
-    PureState,
     SystemParams,
     _dressed_terms,
+    _new_state,
     from_bloch,
     lyapunov,
 )
@@ -43,6 +43,10 @@ FLAGGED = float("nan")
 #: Steps (free ticks and bang segments) after which a slow-switching cell
 #: that has not stopped is given up.
 SSC_STEP_CAP = 100_000
+
+#: A slow-switching step's fixed cost, in cell-steps: about 50 us however few
+#: cells it moves, and 0.23 us per cell (fit over 1-40,000 cells, Intel Xeon).
+SSC_STEP_OVERHEAD = 200
 
 
 @dataclass(frozen=True)
@@ -135,12 +139,21 @@ def _population(squared: np.ndarray) -> np.ndarray:
 
 
 def _strength_terms(params: Sequence[SystemParams], k: np.ndarray) -> np.ndarray:
-    """Per cell ``k`` (an index into ``params``), the rows ``s_max``,
-    ``eplus``, ``sin(theta)``, ``cos(theta)`` of the field ``+s_max``,
-    ``theta_max`` and ``k`` itself, from the scalar closed forms (which
-    also apply the field bound)."""
-    rows = [(P.s_max, *_dressed_terms(P, P.s_max), P.theta_max, i) for i, P in enumerate(params)]
+    """Per cell ``k`` (an index into ``params``), the rows ``s_max``, ``eplus``,
+    ``sin(theta)``, ``cos(theta)`` of the field ``+s_max`` and ``theta_max``,
+    from the scalar closed forms (which also apply the field bound)."""
+    rows = [(P.s_max, *_dressed_terms(P, P.s_max), P.theta_max) for P in params]
     return np.array(rows).T[:, k]
+
+
+def _ssc_steps(gamma: float, s_values, omega: float) -> np.ndarray:
+    """About how many steps :func:`_ssc_terminal` takes a cell of polar angle
+    ``gamma`` at each strength: ``gamma / (2 theta_max)``, at most
+    :data:`SSC_STEP_CAP` (also where ``theta_max`` underflows), none at 0."""
+    s_values = np.asarray(s_values, dtype=float)
+    theta = np.arctan2(2.0 * s_values, omega)
+    steps = np.minimum(gamma / np.maximum(2.0 * theta, np.finfo(float).tiny), SSC_STEP_CAP)
+    return np.where(s_values > 0.0, steps, 0.0)
 
 
 def _normalised(a: np.ndarray, b: np.ndarray) -> _Cells:
@@ -176,7 +189,7 @@ def _check_unitary(u11, u12, u21, u22) -> None:
         raise ValueError("entries do not form a unitary matrix")
 
 
-def _bang_segments(cells: _Cells, field, terms, params: Sequence[SystemParams]):
+def _bang_segments(cells: _Cells, field, terms):
     """Every cell under its bang ``field`` up to its next switching point;
     returns the end cells and the durations.
 
@@ -188,7 +201,7 @@ def _bang_segments(cells: _Cells, field, terms, params: Sequence[SystemParams]):
     state. A cell that fails the confirmation is redone by
     ``segment_duration``'s solver, which also returns its end state.
     """
-    _, eplus, sin_t, cos_t, _, k = terms
+    _, eplus, sin_t, cos_t, _ = terms
     sin_t = np.copysign(sin_t, field)
     p = cells.ab.imag
     q = 0.5 * sin_t * (cells.a2 - cells.b2) - cos_t * cells.ab.real
@@ -210,9 +223,9 @@ def _bang_segments(cells: _Cells, field, terms, params: Sequence[SystemParams]):
     if np.count_nonzero(redo):
         redo = np.flatnonzero(redo)
         for i in redo:
-            state = PureState._checked_by_caller(complex(a[i]), complex(b[i]))
-            cell_params, f = params[int(k[i])], float(field[i])
-            tau[i], fixed = _switch(state, f, _dressed_terms(cell_params, f))
+            state = _new_state(complex(a[i]), complex(b[i]))
+            # the cell's row is its field's _dressed_terms
+            tau[i], fixed = _switch(state, float(field[i]), (float(eplus[i]), float(sin_t[i]), float(cos_t[i])))
             end.a[i], end.b[i] = fixed.a, fixed.b
         end.put(redo, _cells(end.a[redo], end.b[redo]))
     return end, tau
@@ -222,7 +235,7 @@ def _free_ticks(a: np.ndarray, b: np.ndarray, free) -> _Cells:
     return _normalised(free.u11 * a, free.u22 * b)
 
 
-def _ssc_terminal(cells: _Cells, terms, params: Sequence[SystemParams], dt_free: float):
+def _ssc_terminal(cells: _Cells, terms, params: SystemParams, dt_free: float):
     """Run the standard policy from every cell until it enters the
     fast-switching regime (or the target or antipodal band); returns the
     terminal fidelities and the control-segment counts. A cell still
@@ -230,8 +243,8 @@ def _ssc_terminal(cells: _Cells, terms, params: Sequence[SystemParams], dt_free:
 
     Each step is ``next_action``'s: a free tick of ``dt_free`` at a
     switching point, the bang field up to the next one elsewhere. A cell
-    with ``s_max = 0`` never gets a field and stops where it starts. All
-    of ``params`` share one ``omega``."""
+    with ``s_max = 0`` never gets a field and stops where it starts. The
+    free tick is that of ``params``' ``omega``, which every cell shares."""
     fid = _population(cells.a2)
     n_controls = np.zeros(fid.size)
     live = np.flatnonzero(terms[0] > 0.0)
@@ -254,19 +267,19 @@ def _ssc_terminal(cells: _Cells, terms, params: Sequence[SystemParams], dt_free:
         tick = field == 0.0
         ticks = np.count_nonzero(tick)
         if ticks and free is None:
-            free = free_unitary(params[0], dt_free)
+            free = free_unitary(params, dt_free)
         # a confirmed segment ends in the band and a tick leaves it, so cells
         # that start alike alternate in lockstep: a step mostly ticks or
         # bangs whole, without gathering its cells
         if ticks == live.size:
             cells = _free_ticks(cells.a, cells.b, free)
         elif not ticks:
-            cells = _bang_segments(cells, field, terms, params)[0]
+            cells = _bang_segments(cells, field, terms)[0]
             n_controls[live] += 1
         else:
             bang = ~tick
             ticked = _free_ticks(cells.a[tick], cells.b[tick], free)
-            ended = _bang_segments(cells.take(bang), field[bang], terms[:, bang], params)[0]
+            ended = _bang_segments(cells.take(bang), field[bang], terms[:, bang])[0]
             cells.put(tick, ticked)
             cells.put(bang, ended)
             n_controls[live[bang]] += 1
@@ -290,7 +303,7 @@ def sweep_first_segment(grid: SweepGrid) -> SweepResult:
     run = np.flatnonzero(~polar & ~(np.abs(cells.ab.imag) <= EPS_SWITCH))
     cells = cells.take(run)
     terms = _strength_terms(params, np.zeros(run.size, dtype=int))
-    end, tau = _bang_segments(cells, bang_field(cells.ab.imag, terms[0], EPS_SWITCH), terms, params)
+    end, tau = _bang_segments(cells, bang_field(cells.ab.imag, terms[0], EPS_SWITCH), terms)
     tables = {name: np.full(shape, FLAGGED) for name in ("ratio_a", "ratio_b", "tau")}
     tables["ratio_a"].flat[run] = _population(cells.a2) / _population(end.a2)
     tables["ratio_b"].flat[run] = _population(end.b2) / _population(cells.b2)
@@ -309,16 +322,16 @@ def sweep_ssc_fidelity(
     :data:`FLAGGED` in both tables. The grid holds ``s`` as its one strength."""
     if grid.s_values != (s,):
         raise ValueError(f"slow-switching sweep of strength {s!r} needs grid strengths ({s!r},), got {grid.s_values!r}")
-    params = (SystemParams(grid.omega, s),)
+    params = SystemParams(grid.omega, s)
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / grid.omega
     shape = (len(grid.gamma_axis), len(grid.phi_axis))
     cells = _initial_states(grid.gamma_axis, grid.phi_axis)
-    fid, n_max = _ssc_terminal(cells, _strength_terms(params, np.zeros(cells.a.size, dtype=int)), params, dt_free)
+    fid, n_max = _ssc_terminal(cells, _strength_terms((params,), np.zeros(cells.a.size, dtype=int)), params, dt_free)
     return SweepResult(
         grid,
         {"fidelity": fid.reshape(shape), "n_max": n_max.reshape(shape)},
-        {"dt_free": dt_free, "bound": ssc_fidelity_bound(params[0])},
+        {"dt_free": dt_free, "bound": ssc_fidelity_bound(params)},
     )
 
 
@@ -338,7 +351,7 @@ def fidelity_vs_strength(
     params = tuple(SystemParams(omega, s) for s in grid.s_values)
     # the one initial cell, once per strength
     cells = _initial_states((initial.gamma,), (initial.phi,)).take(np.zeros(len(params), dtype=int))
-    fid, _ = _ssc_terminal(cells, _strength_terms(params, np.arange(len(params))), params, dt_free)
+    fid, _ = _ssc_terminal(cells, _strength_terms(params, np.arange(len(params))), params[0], dt_free)
     return SweepResult(
         grid,
         {"fidelity": fid, "bound": np.array([ssc_fidelity_bound(P) for P in params])},

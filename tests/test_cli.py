@@ -296,32 +296,67 @@ class TestScenarioParsing:
         assert len(grid.gamma_axis) * len(grid.phi_axis) * len(grid.s_values) == scenario_module.MAX_SWEEP_CELLS
 
     @pytest.mark.parametrize(
-        "initial, sweep, key, per_n",
+        "initial, sweep, key, per_n, work",
         [
-            # every cell of a strength far below omega costs SSC_STEP_CAP
-            ("", "ssc_fidelity\ngamma_count = 1\nphi_count = {n}\ns_min = 0.01\ns_max = 0.5\ns_count = 2", "s_min", 2),
-            ("", "ssc_fidelity\ngamma_count = 1\nphi_count = {n}\ns_values = 0.01, 0.5", "s_values", 2),
-            ("", "ssc_fidelity\ngamma_count = 2\nphi_count = {n}", "s_max", 2),
-            ("[initial]\ngamma = 0.5\n", "fidelity_vs_strength\ns_min = 0.01\ns_max = 0.5\ns_count = {n}", "s_min", 1),
+            # every cell of a strength far below omega costs SSC_STEP_CAP, and
+            # each step of a strength loop costs its cells and the overhead k:
+            # two loops of n cells each
+            (
+                "",
+                "ssc_fidelity\ngamma_count = 1\nphi_count = {n}\ns_min = 0.01\ns_max = 0.5\ns_count = 2",
+                "s_min",
+                2,
+                lambda n, k: 2 * (n + k),
+            ),
+            (
+                "",
+                "ssc_fidelity\ngamma_count = 1\nphi_count = {n}\ns_values = 0.01, 0.5",
+                "s_values",
+                2,
+                lambda n, k: 2 * (n + k),
+            ),
+            # one loop of 2 n cells
+            ("", "ssc_fidelity\ngamma_count = 2\nphi_count = {n}", "s_max", 2, lambda n, k: 2 * n + k),
+            # one loop over n strengths of one cell each
+            (
+                "[initial]\ngamma = 0.5\n",
+                "fidelity_vs_strength\ns_min = 0.01\ns_max = 0.5\ns_count = {n}",
+                "s_min",
+                1,
+                lambda n, k: n + k,
+            ),
         ],
     )
-    def test_slow_switching_steps_are_capped_at_parse_time(self, tmp_path, monkeypatch, initial, sweep, key, per_n):
-        # at omega = 1e75 each cell takes SSC_STEP_CAP steps: at the cap the
-        # file parses, and with n + 1 it is refused before an axis is built
-        assert sweeps_module.SSC_STEP_CAP == 100_000
-        # the file asks for per_n * n cells
-        n = scenario_module.MAX_SWEEP_STEPS // (per_n * sweeps_module.SSC_STEP_CAP)
+    def test_slow_switching_steps_are_capped_at_parse_time(
+        self, tmp_path, monkeypatch, initial, sweep, key, per_n, work
+    ):
+        # at omega = 1e75 each cell takes SSC_STEP_CAP steps: the file asks
+        # for per_n * n cells; at the cap it parses, and with n + 1 it is
+        # refused before an axis is built
         section = "system" if key == "s_max" else "sweep"
+        overhead = sweeps_module.SSC_STEP_OVERHEAD
+        assert sweeps_module.SSC_STEP_CAP == 100_000
 
         def text(n):
             return f"[system]\nomega = 1e75\ns_max = 0.1\n{initial}[sweep]\nkind = {sweep.format(n=n)}\n"
 
-        grid = parse_scenario(write(tmp_path, "at.ini", text(n))).sweep
-        cells = len(grid.gamma_axis) * len(grid.phi_axis) * len(grid.s_values)
-        assert cells * sweeps_module.SSC_STEP_CAP == scenario_module.MAX_SWEEP_STEPS
-
         def refuse(*args, **kwargs):
             raise AssertionError("an axis was built")
+
+        # one strength loop at the shipped step cap alone exceeds the cap
+        assert work(1, overhead) * sweeps_module.SSC_STEP_CAP > scenario_module.MAX_SWEEP_STEPS
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario_module, "_axis", refuse)
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(write(tmp_path, "one.ini", text(1)))
+        assert str(exc.value).startswith(f"[{section}] {key}: about ")
+        # a lower step cap, which the estimate reads, lets loops fit
+        monkeypatch.setattr(sweeps_module, "SSC_STEP_CAP", 1000)
+        budget = scenario_module.MAX_SWEEP_STEPS // sweeps_module.SSC_STEP_CAP
+        n = max(n for n in range(1, budget) if work(n, overhead) <= budget)
+        assert work(n, overhead) * sweeps_module.SSC_STEP_CAP == scenario_module.MAX_SWEEP_STEPS
+        grid = parse_scenario(write(tmp_path, "at.ini", text(n))).sweep
+        assert len(grid.gamma_axis) * len(grid.phi_axis) * len(grid.s_values) == per_n * n
 
         monkeypatch.setattr(scenario_module, "_axis", refuse)
         with pytest.raises(ScenarioError) as exc:
@@ -331,14 +366,67 @@ class TestScenarioParsing:
 
     def test_the_step_cap_refuses_a_slow_sweep_that_ran_for_half_a_minute(self, tmp_path):
         # 4 x 101 cells at two strengths far below omega ran 31-40 s before
-        # the cap
+        # the cap: 2 loops of 1e5 steps, each step 404 cells and the overhead
         text = (
             "[system]\nomega = 1e75\ns_max = 0.1\n[sweep]\nkind = ssc_fidelity\n"
             "gamma_count = 4\nphi_count = 101\ns_min = 0.01\ns_max = 0.5\ns_count = 2\n"
         )
+        assert sweeps_module.SSC_STEP_OVERHEAD == 200
         code, out, err = run_cli("sweep", write(tmp_path, "slow.ini", text), "--output", str(tmp_path / "out"))
         assert (code, out) == (1, "")
-        assert err == "[sweep] s_min: about 8.08e+07 slow-switching steps exceed the cap of 10000000\n"
+        assert err == "[sweep] s_min: about 1.21e+08 slow-switching steps exceed the cap of 10000000\n"
+
+    # one cell (gamma = 0.99 pi, phi = pi/4) at strengths far below omega = 1,
+    # where every strength loop runs to the step cap
+    ONE_CELL = "gamma_min = 0.99\ngamma_count = 1\nphi_min = 0.25\nphi_count = 1\n"
+    TINY = "s_min = 1e-9\ns_max = 1e-7\ns_count = {n}\n"
+
+    @pytest.mark.parametrize(
+        "initial, sweep, line",
+        [
+            # 2 strengths took 12.1 s; 100 strengths estimated 1e7 steps without
+            # the overhead, and ran about 10 minutes
+            ("", f"ssc_fidelity\n{ONE_CELL}{TINY.format(n=100)}", "[sweep] s_min: about 2.01e+09"),
+            # one loop, which pays the overhead once
+            (
+                "[initial]\ngamma = 0.99\nphi = 0.25\n",
+                "fidelity_vs_strength\ns_values = 1e-9, 2e-9\n",
+                "[sweep] s_values: about 2.02e+07",
+            ),
+        ],
+    )
+    def test_a_strength_loop_at_the_step_cap_is_refused(self, tmp_path, monkeypatch, initial, sweep, line):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(scenario_module, "_axis", refuse)
+        path = write(tmp_path, "tiny.ini", f"[system]\nomega = 1.0\ns_max = 0.1\n{initial}[sweep]\nkind = {sweep}")
+        code, out, err = run_cli("sweep", path, "--output", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == f"{line} slow-switching steps exceed the cap of 10000000\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "initial, sweep, fits",
+        [
+            # each strength a loop of its own: n x 200 x (1 + 200) steps
+            ("", f"ssc_fidelity\n{ONE_CELL}{TINY}", 248),
+            # one loop over every strength: 200 x (n + 200) steps
+            ("[initial]\ngamma = 0.99\nphi = 0.25\n", f"fidelity_vs_strength\n{TINY}", 49_800),
+        ],
+    )
+    def test_strength_loops_pay_the_step_overhead_once_each(self, tmp_path, monkeypatch, initial, sweep, fits):
+        # with the step cap lowered to 200, as the fuzz property has it, the
+        # largest strength count that fits parses and one more is refused
+        monkeypatch.setattr(sweeps_module, "SSC_STEP_CAP", 200)
+
+        def text(n):
+            return f"[system]\nomega = 1.0\ns_max = 0.1\n{initial}[sweep]\nkind = {sweep.format(n=n)}"
+
+        assert len(parse_scenario(write(tmp_path, "at.ini", text(fits))).sweep.s_values) == fits
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(write(tmp_path, "over.ini", text(fits + 1)))
+        assert str(exc.value).startswith("[sweep] s_min: about ")
 
     def test_max_switches_beyond_the_cap_is_refused_before_a_run(self, tmp_path, monkeypatch):
         def refuse(config):

@@ -17,7 +17,7 @@ from lyapqubit import (
     switching_function,
     to_bloch,
 )
-from lyapqubit.states import SCALE_RANGE
+from lyapqubit.states import SCALE_RANGE, _new_state
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -76,7 +76,7 @@ class TestPureState:
 
     def test_constructor_for_evolve_equals_public(self, frozen_record):
         a, b = 0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(-1.1j)
-        frozen_record(PureState._checked_by_caller(a, b), PureState(a, b))
+        frozen_record(_new_state(a, b), PureState(a, b))
 
 
 class TestFromBloch:

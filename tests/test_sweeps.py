@@ -344,7 +344,7 @@ class TestArrayKernelAgainstScalarReference:
         calls.clear()
         cells = sweeps._cells(np.array([state.a]), np.array([state.b]))
         terms = sweeps._strength_terms((params,), np.zeros(1, dtype=int))
-        end, tau_k = sweeps._bang_segments(cells, np.array([f]), terms, (params,))
+        end, tau_k = sweeps._bang_segments(cells, np.array([f]), terms)
         assert len(calls) == 1
         assert tau_k[0] == tau == segment_duration(state, f, params)
         assert fixed == evolve(state, controlled_unitary(params, f, tau))
@@ -402,12 +402,12 @@ def check_segment_starts(monkeypatch):
     sizes = []
     bang_segments = sweeps._bang_segments
 
-    def checking(cells, field, terms, params):
+    def checking(cells, field, terms):
         for carried, fresh in zip(cells, sweeps._cells(cells.a, cells.b)):
             assert carried.tobytes() == fresh.tobytes()
         assert np.all(np.abs(cells.a2 + cells.b2 - 1.0) <= NORM_TOL)
         sizes.append(field.size)
-        return bang_segments(cells, field, terms, params)
+        return bang_segments(cells, field, terms)
 
     monkeypatch.setattr(sweeps, "_bang_segments", checking)
     return sizes
