@@ -52,10 +52,11 @@ may ask for at most :data:`MAX_GRID_SAMPLES` (1e6) grid samples,
 sweep may ask for at most :data:`MAX_SWEEP_CELLS` (1e6) cells, the
 product of the counts of the axes it evaluates. A slow-switching sweep
 (``ssc_fidelity`` or ``fidelity_vs_strength``) may ask for at most
-:data:`MAX_SWEEP_STEPS` (1e7) cell-steps. A strength's cell takes about
-``gamma_max / (2 theta_max)`` steps, at most
-:data:`~lyapqubit.sweeps.SSC_STEP_CAP`, and each step of a strength loop
-costs :data:`~lyapqubit.sweeps.SSC_STEP_OVERHEAD` (200) more:
+:data:`MAX_SWEEP_STEPS` (1e7) cell-steps, a step being a free tick and a
+bang segment. A strength's cell takes about ``gamma_max / (2 theta_max)``
+steps, one per control, at most :data:`~lyapqubit.sweeps.SSC_STEP_CAP`,
+and each step of a strength loop costs
+:data:`~lyapqubit.sweeps.SSC_STEP_OVERHEAD` (400) more:
 ``ssc_fidelity`` runs a loop per strength, ``fidelity_vs_strength`` one
 loop as long as its longest strength's. A loop at the step cap, which a
 strength far below ``omega`` reaches, exceeds the cap by itself.
@@ -89,8 +90,8 @@ MAX_SWITCHES = 100_000
 #: Most cells a file may ask a sweep for: about 400 MB at the sweeps' peak.
 MAX_SWEEP_CELLS = 1_000_000
 
-#: Most slow-switching cell-steps a file may ask a sweep for, a step's fixed
-#: cost included: about 0.2-0.3 us each, so a few seconds.
+#: Most slow-switching cell-steps (a tick and a bang each) a file may ask a
+#: sweep for, a step's fixed cost included: 0.15-0.3 us each, a few seconds.
 MAX_SWEEP_STEPS = 10_000_000
 
 

@@ -1,13 +1,16 @@
 """Parameter sweeps: first-segment population ratios, slow-switching fidelity
 maps, fidelity-versus-strength curves, and the single-shot phase table.
 
-The first three evaluate their cells together, as numpy arrays: each step
-of the standard policy advances every cell that is still running, and a
-cell leaves the arrays when it stops. No cell's arithmetic depends on the
-other cells, so identical inputs produce identical tables, whether a grid
-is swept whole or row by row. The scalar functions step in only where the
-closed-form switching time needs refining, and every check they make
-(field bound, unitarity, normalisation) is made on every cell.
+The first three evaluate their cells together, as numpy arrays, and a cell
+leaves the arrays when it stops. A slow-switching step is the standard
+policy's free tick for the cells at a switching point, then its bang
+segment for every cell outside the switching band: a segment ends at a
+switching point and a tick leaves it, so after the first step every cell
+still running ticks and bangs in lockstep. No cell's arithmetic depends
+on the other cells, so identical inputs produce identical tables, whether
+a grid is swept whole or row by row. The scalar functions step in only
+where the closed-form switching time needs refining, and every check they
+make (field bound, unitarity, normalisation) is made on every cell.
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ SWEEP_DT_FREE_FACTOR = 1e-6
 #: and for slow-switching cells still running at :data:`SSC_STEP_CAP`.
 FLAGGED = float("nan")
 
-#: Steps (free ticks and bang segments) after which a slow-switching cell
-#: that has not stopped is given up.
-SSC_STEP_CAP = 100_000
+#: Steps (each a free tick where a cell is at a switching point, then a bang
+#: segment) after which a slow-switching cell that has not stopped is given up.
+SSC_STEP_CAP = 50_000
 
-#: A slow-switching step's fixed cost, in cell-steps: about 50 us however few
-#: cells it moves, and 0.23 us per cell (fit over 1-40,000 cells, Intel Xeon).
-SSC_STEP_OVERHEAD = 200
+#: A slow-switching step's fixed cost, in cell-steps: about 60 us however few
+#: cells it moves, and 0.15 us per cell (fit over 1-40,000 cells, Intel Xeon).
+SSC_STEP_OVERHEAD = 400
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,9 @@ def _strength_terms(params: Sequence[SystemParams], k: np.ndarray) -> np.ndarray
 
 def _ssc_steps(gamma: float, s_values, omega: float) -> np.ndarray:
     """About how many steps :func:`_ssc_terminal` takes a cell of polar angle
-    ``gamma`` at each strength: ``gamma / (2 theta_max)``, at most
-    :data:`SSC_STEP_CAP` (also where ``theta_max`` underflows), none at 0."""
+    ``gamma`` at each strength, one per control: ``gamma / (2 theta_max)``,
+    at most :data:`SSC_STEP_CAP` (also where ``theta_max`` underflows), none
+    at 0."""
     s_values = np.asarray(s_values, dtype=float)
     theta = np.arctan2(2.0 * s_values, omega)
     steps = np.minimum(gamma / np.maximum(2.0 * theta, np.finfo(float).tiny), SSC_STEP_CAP)
@@ -231,8 +235,18 @@ def _bang_segments(cells: _Cells, field, terms):
     return end, tau
 
 
-def _free_ticks(a: np.ndarray, b: np.ndarray, free) -> _Cells:
-    return _normalised(free.u11 * a, free.u22 * b)
+def _drop_stopped(fid, live, cells: _Cells, terms):
+    """The ``live`` cells, with their ``cells`` and ``terms``, outside the
+    target and antipodal bands and fast switching; ``fid`` gets the others'."""
+    # the fidelity min(|a|^2, 1) lies in a band exactly when |a|^2 does;
+    # terms[4] is theta_max (see _strength_terms)
+    stop = (cells.a2 >= 1.0 - DEFAULT_EPS_TARGET) | (cells.a2 <= DEFAULT_EPS_TARGET)
+    stop |= 2.0 * np.arccos(np.minimum(cells.abs_a, 1.0)) <= terms[4]
+    if not np.count_nonzero(stop):
+        return live, cells, terms
+    fid[live[stop]] = _population(cells.a2[stop])
+    keep = ~stop
+    return live[keep], cells.take(keep), terms[:, keep]
 
 
 def _ssc_terminal(cells: _Cells, terms, params: SystemParams, dt_free: float):
@@ -241,48 +255,33 @@ def _ssc_terminal(cells: _Cells, terms, params: SystemParams, dt_free: float):
     terminal fidelities and the control-segment counts. A cell still
     running after :data:`SSC_STEP_CAP` steps gets :data:`FLAGGED` in both.
 
-    Each step is ``next_action``'s: a free tick of ``dt_free`` at a
-    switching point, the bang field up to the next one elsewhere. A cell
-    with ``s_max = 0`` never gets a field and stops where it starts. The
-    free tick is that of ``params``' ``omega``, which every cell shares."""
+    A step is ``next_action``'s tick of ``dt_free``, then its bang segment
+    (see the module notes), each after the stop test. A cell of ``s_max``
+    0 never gets a field and stops where it starts. The tick is that of
+    ``params``' ``omega``, which every cell shares."""
     fid = _population(cells.a2)
     n_controls = np.zeros(fid.size)
     live = np.flatnonzero(terms[0] > 0.0)
     cells, terms = cells.take(live), terms[:, live]
-    free = None
+    free = free_unitary(params, dt_free)
     for step in range(SSC_STEP_CAP + 1):
-        # the fidelity min(|a|^2, 1) lies in a band exactly when |a|^2 does;
-        # terms[4] is theta_max, terms[0] s_max (see _strength_terms)
-        stop = (cells.a2 >= 1.0 - DEFAULT_EPS_TARGET) | (cells.a2 <= DEFAULT_EPS_TARGET)
-        stop |= 2.0 * np.arccos(np.minimum(cells.abs_a, 1.0)) <= terms[4]
-        if np.count_nonzero(stop):
-            fid[live[stop]] = _population(cells.a2[stop])
-            keep = ~stop
-            live, cells, terms = live[keep], cells.take(keep), terms[:, keep]
-        if not live.size:
-            return fid, n_controls
-        if step == SSC_STEP_CAP:
+        live, cells, terms = _drop_stopped(fid, live, cells, terms)
+        if step == SSC_STEP_CAP or not live.size:
             break
+        # the tick is diagonal: every cell's product, kept where it is in the band
+        a, b = free.u11 * cells.a, free.u22 * cells.b
+        tick = np.abs(cells.ab.imag) <= EPS_SWITCH
+        if not _all(tick):
+            a, b = np.where(tick, a, cells.a), np.where(tick, b, cells.b)
+        live, cells, terms = _drop_stopped(fid, live, _normalised(a, b), terms)
         field = bang_field(cells.ab.imag, terms[0], EPS_SWITCH)
-        tick = field == 0.0
-        ticks = np.count_nonzero(tick)
-        if ticks and free is None:
-            free = free_unitary(params, dt_free)
-        # a confirmed segment ends in the band and a tick leaves it, so cells
-        # that start alike alternate in lockstep: a step mostly ticks or
-        # bangs whole, without gathering its cells
-        if ticks == live.size:
-            cells = _free_ticks(cells.a, cells.b, free)
-        elif not ticks:
+        bang = field != 0.0
+        if _all(bang):
             cells = _bang_segments(cells, field, terms)[0]
-            n_controls[live] += 1
         else:
-            bang = ~tick
-            ticked = _free_ticks(cells.a[tick], cells.b[tick], free)
-            ended = _bang_segments(cells.take(bang), field[bang], terms[:, bang])[0]
-            cells.put(tick, ticked)
-            cells.put(bang, ended)
-            n_controls[live[bang]] += 1
+            # a tick too short to leave the band: those cells sit out the bang
+            cells.put(bang, _bang_segments(cells.take(bang), field[bang], terms[:, bang])[0])
+        n_controls[live] += bang
     fid[live] = n_controls[live] = FLAGGED
     return fid, n_controls
 

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import math
 import os
 import pathlib
+import platform
 import re
 import stat
 import struct
@@ -335,7 +337,7 @@ class TestScenarioParsing:
         # refused before an axis is built
         section = "system" if key == "s_max" else "sweep"
         overhead = sweeps_module.SSC_STEP_OVERHEAD
-        assert sweeps_module.SSC_STEP_CAP == 100_000
+        assert sweeps_module.SSC_STEP_CAP == 50_000
 
         def text(n):
             return f"[system]\nomega = 1e75\ns_max = 0.1\n{initial}[sweep]\nkind = {sweep.format(n=n)}\n"
@@ -366,15 +368,15 @@ class TestScenarioParsing:
 
     def test_the_step_cap_refuses_a_slow_sweep_that_ran_for_half_a_minute(self, tmp_path):
         # 4 x 101 cells at two strengths far below omega ran 31-40 s before
-        # the cap: 2 loops of 1e5 steps, each step 404 cells and the overhead
+        # the cap: 2 loops of 5e4 steps, each step 404 cells and the overhead
         text = (
             "[system]\nomega = 1e75\ns_max = 0.1\n[sweep]\nkind = ssc_fidelity\n"
             "gamma_count = 4\nphi_count = 101\ns_min = 0.01\ns_max = 0.5\ns_count = 2\n"
         )
-        assert sweeps_module.SSC_STEP_OVERHEAD == 200
+        assert (sweeps_module.SSC_STEP_CAP, sweeps_module.SSC_STEP_OVERHEAD) == (50_000, 400)
         code, out, err = run_cli("sweep", write(tmp_path, "slow.ini", text), "--output", str(tmp_path / "out"))
         assert (code, out) == (1, "")
-        assert err == "[sweep] s_min: about 1.21e+08 slow-switching steps exceed the cap of 10000000\n"
+        assert err == "[sweep] s_min: about 8.04e+07 slow-switching steps exceed the cap of 10000000\n"
 
     # one cell (gamma = 0.99 pi, phi = pi/4) at strengths far below omega = 1,
     # where every strength loop runs to the step cap
@@ -386,12 +388,12 @@ class TestScenarioParsing:
         [
             # 2 strengths took 12.1 s; 100 strengths estimated 1e7 steps without
             # the overhead, and ran about 10 minutes
-            ("", f"ssc_fidelity\n{ONE_CELL}{TINY.format(n=100)}", "[sweep] s_min: about 2.01e+09"),
+            ("", f"ssc_fidelity\n{ONE_CELL}{TINY.format(n=100)}", "[sweep] s_min: about 2e+09"),
             # one loop, which pays the overhead once
             (
                 "[initial]\ngamma = 0.99\nphi = 0.25\n",
                 "fidelity_vs_strength\ns_values = 1e-9, 2e-9\n",
-                "[sweep] s_values: about 2.02e+07",
+                "[sweep] s_values: about 2.01e+07",
             ),
         ],
     )
@@ -409,10 +411,10 @@ class TestScenarioParsing:
     @pytest.mark.parametrize(
         "initial, sweep, fits",
         [
-            # each strength a loop of its own: n x 200 x (1 + 200) steps
-            ("", f"ssc_fidelity\n{ONE_CELL}{TINY}", 248),
-            # one loop over every strength: 200 x (n + 200) steps
-            ("[initial]\ngamma = 0.99\nphi = 0.25\n", f"fidelity_vs_strength\n{TINY}", 49_800),
+            # each strength a loop of its own: n x 200 x (1 + 400) steps
+            ("", f"ssc_fidelity\n{ONE_CELL}{TINY}", 124),
+            # one loop over every strength: 200 x (n + 400) steps
+            ("[initial]\ngamma = 0.99\nphi = 0.25\n", f"fidelity_vs_strength\n{TINY}", 49_600),
         ],
     )
     def test_strength_loops_pay_the_step_overhead_once_each(self, tmp_path, monkeypatch, initial, sweep, fits):
@@ -622,6 +624,37 @@ def test_unwritable_output_exits_one_with_its_path(tmp_path, command, scenario, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "a_file"]
     assert os.listdir(tmp_path / "a_directory") == []
     assert (tmp_path / "a_file").read_text() == "kept\n"
+
+
+# the sha256 of the CSVs `sweep` writes for the shipped slow-switching
+# sweeps, recorded with Python 3.11.7 and numpy 2.4.6 on x86_64
+SLOW_SWEEP_SHA256 = {
+    "sweep_ssc_fidelity.ini": {
+        "ssc_fidelity_s0.05.csv": "e6dbb8fb0b5b15e7605e03a34251ae0a4e447a71a0478e2ec55a15f9c262f23c",
+        "ssc_fidelity_s0.1.csv": "bff050f02788d30448d16117ea583ac915cc32d35f0023dc201fcb2fd241dc0b",
+        "ssc_n_max_s0.05.csv": "a36f3f5c1cf590495df21f13341892f65ea329a9413af600751663bf0ff81f7a",
+        "ssc_n_max_s0.1.csv": "a5bb41cce16a7dbab73daaf162d9df92e4500a6f9f6415c539995d60964cfa26",
+    },
+    "fidelity_vs_strength.ini": {
+        "fidelity_vs_strength.csv": "44ea1656e1f5e16e6cbcfd591957cd36dc82c0a3cd4e24af5eacf075773fea53",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_SWEEP_SHA256))
+def test_slow_switching_sweeps_write_the_recorded_bytes(tmp_path, name):
+    # where the environment differs, last bits may too: then two
+    # computations in one process must agree byte for byte
+    def digests(output):
+        code, _, err = run_cli("sweep", str(SCENARIOS / name), "--output", str(output))
+        assert (code, err) == (0, "")
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in output.iterdir()}
+
+    first = digests(tmp_path / "first")
+    if (platform.python_version(), np.__version__, platform.machine()) == ("3.11.7", "2.4.6", "x86_64"):
+        assert first == SLOW_SWEEP_SHA256[name]
+    else:
+        assert digests(tmp_path / "second") == first
 
 
 def test_table_rows_format_like_fmt():

@@ -155,25 +155,33 @@ class TestFidelityVsStrength:
 
 
 class TestStepCap:
-    # the cell at 2 theta_max, phi = 0 stops after two steps (a free tick,
-    # then one bang segment onto the target); the equator cell needs more
+    # a step is a free tick at a switching point, then a bang segment: the
+    # cell at 2 theta_max, phi = 0 stops after one step, onto the target;
+    # the equator cell needs 4
     GRID = SweepGrid((2 * THETA, math.pi / 2), (0.0,), (0.1,), OMEGA)
 
     def test_cells_still_running_at_the_cap_are_flagged(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "SSC_STEP_CAP", 2)
+        monkeypatch.setattr(sweeps, "SSC_STEP_CAP", 1)
         tables = sweep_ssc_fidelity(self.GRID, 0.1, dt_free=1e-6).tables
         assert tables["fidelity"][0, 0] >= 1.0 - 1e-9
         assert tables["n_max"][0, 0] == 1
         assert np.isnan(tables["fidelity"][1, 0])
         assert np.isnan(tables["n_max"][1, 0])
 
-    def test_a_cell_one_step_short_of_stopping_is_flagged(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "SSC_STEP_CAP", 1)
-        tables = sweep_ssc_fidelity(self.GRID, 0.1, dt_free=1e-6).tables
-        assert np.isnan(tables["fidelity"]).all() and np.isnan(tables["n_max"]).all()
+    @pytest.mark.parametrize("gamma, phi", [(2 * THETA, 0.0), (math.pi / 2, 0.0), (2.5, 0.0), (2.5, 1.0)])
+    def test_a_cell_is_flagged_when_it_needs_more_controls_than_the_cap(self, monkeypatch, gamma, phi):
+        # phi = 0 starts in the switching band, phi = 1 outside it
+        grid = SweepGrid((gamma,), (phi,), (0.1,), OMEGA)
+        needs = int(sweep_ssc_fidelity(grid, 0.1, dt_free=1e-6).tables["n_max"][0, 0])
+        for cap in (needs - 1, needs, needs + 1):
+            monkeypatch.setattr(sweeps, "SSC_STEP_CAP", cap)
+            tables = sweep_ssc_fidelity(grid, 0.1, dt_free=1e-6).tables
+            assert np.isnan(tables["fidelity"][0, 0]) == np.isnan(tables["n_max"][0, 0]) == (needs > cap)
+            if needs <= cap:
+                assert tables["n_max"][0, 0] == needs
 
     def test_fidelity_vs_strength_flags_capped_strengths(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "SSC_STEP_CAP", 2)
+        monkeypatch.setattr(sweeps, "SSC_STEP_CAP", 1)
         result = fidelity_vs_strength((0.01, 0.1), BlochAngles(2 * THETA, 0.0), OMEGA, dt_free=1e-6)
         fid = result.tables["fidelity"]
         assert np.isnan(fid[0])
@@ -374,21 +382,21 @@ class TestArrayKernelAgainstScalarReference:
 def shipped_axes(s, n):
     """A grid on the shipped scenarios' axis pattern: phi runs over
     [0, 2 pi) from 0, and with n even it holds pi too, so the in-plane
-    cells start inside the switching band and tick while the others bang."""
+    cells start inside the switching band and tick before they bang."""
     gamma = np.linspace(0.01, math.pi - 0.01, n)
     phi = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     return SweepGrid(tuple(gamma), tuple(phi), (s,), OMEGA)
 
 
 def step_kinds(monkeypatch):
-    """Counts the kernel's steps by the fields of their cells: all free
-    ticks, all bang segments, or mixed."""
+    """Counts the kernel's steps by their bang: one that takes every cell
+    still running ("whole"), or one that the cells a tick left inside the
+    switching band sit out ("split")."""
     kinds = collections.Counter()
 
     def recording(sw, s_max, eps):
         field = bang_field(sw, s_max, eps)
-        ticks = np.count_nonzero(field == 0.0)
-        kinds["tick" if ticks == field.size else "bang" if not ticks else "mixed"] += 1
+        kinds["split" if np.count_nonzero(field == 0.0) else "whole"] += 1
         return field
 
     monkeypatch.setattr(sweeps, "bang_field", recording)
@@ -413,41 +421,67 @@ def check_segment_starts(monkeypatch):
     return sizes
 
 
-class TestMixedAndLockstepSteps:
-    """The kernel steps the cells of a call as one array when all of them
-    tick or all bang, and splits the array otherwise."""
+class TestLockstepSteps:
+    """Each step ticks the cells at a switching point, then bangs every cell
+    outside the band, so the cells of a call move in lockstep."""
 
     @staticmethod
-    def assert_matches_references(grid, s, result):
+    def assert_matches_references(grid, s, result, dt_free=1e-6):
         params = SystemParams(OMEGA, s)
         ref = np.array(
-            [[scalar_ssc_terminal(g, p, params, 1e-6) for p in grid.phi_axis] for g in grid.gamma_axis]
+            [[scalar_ssc_terminal(g, p, params, dt_free) for p in grid.phi_axis] for g in grid.gamma_axis]
         )
         assert_agrees(result.tables["n_max"], ref[..., 1], exact=True)
         assert_agrees(result.tables["fidelity"], ref[..., 0])
-        # a cell swept alone never mixes: each of its steps ticks or bangs whole
+
+    def assert_cells_step_alone_as_together(self, grid, s, result):
+        # the references, and each cell swept alone, bit for bit
+        self.assert_matches_references(grid, s, result)
         for i, g in enumerate(grid.gamma_axis):
             for j, p in enumerate(grid.phi_axis):
                 alone = sweep_ssc_fidelity(SweepGrid((g,), (p,), (s,), OMEGA), s, dt_free=1e-6).tables
                 for name, table in result.tables.items():
                     assert alone[name][0, 0].tobytes() == table[i, j].tobytes(), (name, g, p)
 
+    @staticmethod
+    def assert_lockstep(result, sizes):
+        # the k-th segment call takes every cell still running: each cell
+        # that takes k or more controls, and no other
+        n_max = result.tables["n_max"]
+        assert len(sizes) == n_max.max()
+        assert sizes == [np.count_nonzero(n_max >= k) for k in range(1, len(sizes) + 1)]
+
     @pytest.mark.parametrize("s", [0.05, 0.1])
-    def test_shipped_axes_mix_ticks_and_bangs(self, s, monkeypatch):
+    def test_shipped_axes_step_in_lockstep(self, s, monkeypatch):
         grid = shipped_axes(s, 12)
         assert 0.0 in grid.phi_axis and abs(grid.phi_axis[6] - math.pi) <= 1e-15
-        kinds = step_kinds(monkeypatch)
+        sizes = check_segment_starts(monkeypatch)
         result = sweep_ssc_fidelity(grid, s, dt_free=1e-6)
-        assert kinds["mixed"] > kinds["tick"] + kinds["bang"]
-        self.assert_matches_references(grid, s, result)
+        self.assert_lockstep(result, sizes)
+        self.assert_cells_step_alone_as_together(grid, s, result)
 
     @pytest.mark.parametrize("s", [0.05, 0.1])
     def test_shifted_axes_step_in_lockstep(self, s, monkeypatch):
         grid = shifted_grid(16, s, 12)
-        kinds = step_kinds(monkeypatch)
+        sizes = check_segment_starts(monkeypatch)
         result = sweep_ssc_fidelity(grid, s, dt_free=1e-6)
-        assert kinds["mixed"] == 0 and kinds["tick"] > 0 and kinds["bang"] > 0
-        self.assert_matches_references(grid, s, result)
+        self.assert_lockstep(result, sizes)
+        self.assert_cells_step_alone_as_together(grid, s, result)
+
+    @pytest.mark.parametrize("dt_free", [1e-12, 1e-14])
+    def test_ticks_too_short_to_leave_the_band(self, dt_free, monkeypatch):
+        # at omega = 1 such a tick moves Im(a b*) by at most dt_free / 2, so
+        # a cell at a switching point ticks again and sits out the bang
+        # while the cells that left the band bang
+        grid = SweepGrid((0.6, 1.5, 2.4), (0.0, 1.0, math.pi, 4.0), (0.1,), OMEGA)
+        kinds = step_kinds(monkeypatch)
+        result = sweep_ssc_fidelity(grid, 0.1, dt_free=dt_free)
+        assert kinds["split"] > 0
+        self.assert_matches_references(grid, 0.1, result, dt_free)
+        rows = [SweepGrid((g,), grid.phi_axis, grid.s_values, OMEGA) for g in grid.gamma_axis]
+        rows = [sweep_ssc_fidelity(row, 0.1, dt_free=dt_free).tables for row in rows]
+        for name, table in result.tables.items():
+            assert np.vstack([r[name] for r in rows]).tobytes() == table.tobytes()
 
     def test_carried_quantities_match_their_state(self, monkeypatch):
         sizes = check_segment_starts(monkeypatch)
@@ -456,18 +490,18 @@ class TestMixedAndLockstepSteps:
         fidelity_vs_strength((0.0, 0.02, 0.1, 0.3), BlochAngles(1.9, 2.8), OMEGA)
         assert len(sizes) > 10
 
-    @pytest.mark.parametrize("grid", [shipped_axes(0.1, 8), shifted_grid(18, 0.1, 8)], ids=["mixed", "lockstep"])
+    @pytest.mark.parametrize("grid", [shipped_axes(0.1, 8), shifted_grid(18, 0.1, 8)], ids=["shipped", "shifted"])
     def test_drifting_ticks_are_renormalised(self, grid, monkeypatch):
         # a free tick that lengthens every state by 1e-9, beyond NORM_TOL:
         # each cell must be renormalised before its next segment, whether
-        # its step ticked whole or mixed
+        # its step ticked every cell or some
         phase = complex(math.cos(0.5e-6), -math.sin(0.5e-6)) * (1.0 + 1e-9)
         drifting = types.SimpleNamespace(u11=phase, u22=phase.conjugate())
         monkeypatch.setattr(sweeps, "free_unitary", lambda params, t: drifting)
         sizes = check_segment_starts(monkeypatch)
-        kinds = step_kinds(monkeypatch)
         sweep_ssc_fidelity(grid, 0.1)
-        assert sizes and kinds["tick"] + kinds["mixed"] > 0
+        # every segment call after the first follows a tick of every cell
+        assert len(sizes) > 1
 
     def test_zero_strength_grid_takes_no_step(self, monkeypatch):
         kinds = step_kinds(monkeypatch)
