@@ -20,13 +20,7 @@ from .engine import Policy, SimConfig, Trajectory, run
 from .propagator import controlled_unitary, default_oracle_step, evolve, oracle_integrate
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .states import BlochAngles, SystemParams, from_bloch
-from .sweeps import (
-    SweepGrid,
-    fidelity_vs_strength,
-    phase_alignment_table,
-    sweep_first_segment,
-    sweep_ssc_fidelity,
-)
+from .sweeps import SweepGrid, _ssc_terminal, fidelity_vs_strength, phase_alignment_table, sweep_first_segment
 
 CSV_HEADER = "t,re_a,im_a,re_b,im_b,V,dVdt,f,segment_kind"
 
@@ -126,12 +120,12 @@ def _sweep_files(scenario: Scenario) -> list[tuple[str, dict[str, np.ndarray]]]:
         tables = sweep_first_segment(grid).tables
         return [(f"first_segment_{n}.csv", _grid_long_columns(grid, n, t)) for n, t in tables.items()]
     if kind == "ssc_fidelity":
-        files = []
-        for s in grid.s_values:
-            one = SweepGrid(grid.gamma_axis, grid.phi_axis, (s,), grid.omega)
-            tables = sweep_ssc_fidelity(one, s, dt_free=scenario.dt_free).tables
-            files += [(f"ssc_{n}_s{s!r}.csv", _grid_long_columns(one, n, t)) for n, t in tables.items()]
-        return files
+        fid, n_max, _ = _ssc_terminal(grid, scenario.dt_free)
+        return [
+            (f"ssc_{n}_s{s!r}.csv", _grid_long_columns(grid, n, t))
+            for s, *tables in zip(grid.s_values, fid, n_max)
+            for n, t in zip(("fidelity", "n_max"), tables)
+        ]
     if kind == "fidelity_vs_strength":
         result = fidelity_vs_strength(grid.s_values, scenario.initial, grid.omega, dt_free=scenario.dt_free)
         return [("fidelity_vs_strength.csv", {"s": np.asarray(result.grid.s_values), **result.tables})]

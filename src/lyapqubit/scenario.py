@@ -53,13 +53,14 @@ sweep may ask for at most :data:`MAX_SWEEP_CELLS` (1e6) cells, the
 product of the counts of the axes it evaluates. A slow-switching sweep
 (``ssc_fidelity`` or ``fidelity_vs_strength``) may ask for at most
 :data:`MAX_SWEEP_STEPS` (1e7) cell-steps, a step being a free tick and a
-bang segment. A strength's cell takes about ``gamma_max / (2 theta_max)``
-steps, one per control, at most :data:`~lyapqubit.sweeps.SSC_STEP_CAP`,
-and each step of a strength loop costs
-:data:`~lyapqubit.sweeps.SSC_STEP_OVERHEAD` (400) more:
-``ssc_fidelity`` runs a loop per strength, ``fidelity_vs_strength`` one
-loop as long as its longest strength's. A loop at the step cap, which a
-strength far below ``omega`` reaches, exceeds the cap by itself.
+bang segment. Its cells, of every strength, step in one loop, which
+:func:`~lyapqubit.sweeps._ssc_cost` counts: a cell takes about
+``gamma / (2 theta_max) + 1`` steps at the mean ``gamma`` swept, more
+where a ``dt_free`` tick is too short to leave the switching band, at
+most :data:`~lyapqubit.sweeps.SSC_STEP_CAP`, and each step of the loop
+costs :data:`~lyapqubit.sweeps.SSC_STEP_OVERHEAD` (400) more. A loop at
+the step cap, which a strength far below ``omega`` or a ``dt_free`` far
+below 1e-12 / ``omega`` reaches, exceeds the cap by itself.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ MAX_SWITCHES = 100_000
 MAX_SWEEP_CELLS = 1_000_000
 
 #: Most slow-switching cell-steps (a tick and a bang each) a file may ask a
-#: sweep for, a step's fixed cost included: 0.15-0.3 us each, a few seconds.
+#: sweep's one loop for, its steps' fixed cost included: a few seconds.
 MAX_SWEEP_STEPS = 10_000_000
 
 
@@ -238,7 +239,7 @@ def _axis(complain, name, lo, hi, count, endpoint) -> tuple[float, ...]:
     return axis
 
 
-def _sweep_axes(sweep, reader, params, fixed, complain):
+def _sweep_axes(sweep, reader, params, fixed, dt_free, complain):
     """The ``gamma``, ``phi`` and ``s`` axes of a sweep of kind ``reader``, or
     None after complaining. An axis the kind evaluates is its span ``(min,
     max, count)``, or the strengths ``s_values``; any other is the one point
@@ -264,20 +265,19 @@ def _sweep_axes(sweep, reader, params, fixed, complain):
         return None
 
     if reader in ("ssc_fidelity", "fidelity_vs_strength"):
-        # the largest polar angle swept: the span's max, or its min when it is one point
-        gamma = axes["gamma"][0]
-        if "gamma" in spans:
-            lo, hi, count, _ = spans["gamma"]
-            gamma = hi if count > 1 else lo
-        steps = sweeps._ssc_steps(gamma, np.linspace(*spans["s"]) if "s" in spans else axes["s"], params.omega)
-        # a loop's step costs its cells and the overhead: ssc_fidelity runs a
-        # loop per strength, fidelity_vs_strength one as long as its longest
-        loops = steps.sum() if reader == "ssc_fidelity" else steps.max()
-        work = cells // steps.size * steps.sum() + sweeps.SSC_STEP_OVERHEAD * loops
-        if work > MAX_SWEEP_STEPS:
+        # the polar angles swept, first and last: the span's ends, or its one point
+        lo, hi, count, _ = spans.get("gamma", (fixed.gamma, fixed.gamma, 1, True))
+        s_values = np.linspace(*spans["s"]) if "s" in spans else axes["s"]
+
+        def work(dt):
+            return sweeps._ssc_cost(lo, hi if count > 1 else lo, s_values, params.omega, dt, cells // len(s_values))
+
+        if work(dt_free) > MAX_SWEEP_STEPS:
             key = "s_values" if "s_values" in sweep else "s_min" if "s" in spans else "s_max"
-            message = f"about {work:.3g} slow-switching steps exceed the cap of {MAX_SWEEP_STEPS}"
-            complain("system" if key == "s_max" else "sweep", key, message)
+            # a file that the default tick would let through has a dt_free too short
+            key = "dt_free" if work(None) <= MAX_SWEEP_STEPS else key
+            message = f"about {work(dt_free):.3g} slow-switching steps exceed the cap of {MAX_SWEEP_STEPS}"
+            complain({"s_max": "system", "dt_free": "simulation"}.get(key, "sweep"), key, message)
             return None
 
     for name, span in spans.items():
@@ -375,7 +375,8 @@ def parse_scenario(path: str) -> Scenario:
         message = f"max_time / sample_interval = {samples:.6g} grid samples exceed the cap of {MAX_GRID_SAMPLES}"
         complain("simulation", "sample_interval", message)
 
-    axes = None if sweep is None else _sweep_axes(sweep, reader, params, start or BlochAngles(0.0, 0.0), complain)
+    fixed = start or BlochAngles(0.0, 0.0)
+    axes = None if sweep is None else _sweep_axes(sweep, reader, params, fixed, simulation.get("dt_free"), complain)
     if diagnostics:
         raise ScenarioError(diagnostics)
     grid = None

@@ -2,13 +2,14 @@
 maps, fidelity-versus-strength curves, and the single-shot phase table.
 
 The first three evaluate their cells together, as numpy arrays, and a cell
-leaves the arrays when it stops. A slow-switching step is the standard
-policy's free tick for the cells at a switching point, then its bang
-segment for every cell outside the switching band: a segment ends at a
-switching point and a tick leaves it, so after the first step every cell
-still running ticks and bangs in lockstep. No cell's arithmetic depends
-on the other cells, so identical inputs produce identical tables, whether
-a grid is swept whole or row by row. The scalar functions step in only
+leaves the arrays when it stops. The slow-switching sweeps step all their
+cells, of every strength, in one loop. A step is the standard policy's
+free tick for the cells at a switching point, then its bang segment for
+every cell outside the switching band: a segment ends at a switching
+point and a tick leaves it, so after the first step every cell still
+running ticks and bangs in lockstep. No cell's arithmetic depends on
+another's, so a grid swept whole, by rows or by strengths gives the same
+tables, bit for bit. The scalar functions step in only
 where the closed-form switching time needs refining, and every check they
 make (field bound, unitarity, normalisation) is made on every cell.
 """
@@ -47,8 +48,8 @@ FLAGGED = float("nan")
 #: segment) after which a slow-switching cell that has not stopped is given up.
 SSC_STEP_CAP = 50_000
 
-#: A slow-switching step's fixed cost, in cell-steps: about 60 us however few
-#: cells it moves, and 0.15 us per cell (fit over 1-40,000 cells, Intel Xeon).
+#: A step's fixed cost in the one slow-switching loop, in cell-steps, whatever
+#: cells it moves: 60 us against 0.15 us a cell (1-40,000 cells, Intel Xeon).
 SSC_STEP_OVERHEAD = 400
 
 
@@ -149,17 +150,6 @@ def _strength_terms(params: Sequence[SystemParams], k: np.ndarray) -> np.ndarray
     return np.array(rows).T[:, k]
 
 
-def _ssc_steps(gamma: float, s_values, omega: float) -> np.ndarray:
-    """About how many steps :func:`_ssc_terminal` takes a cell of polar angle
-    ``gamma`` at each strength, one per control: ``gamma / (2 theta_max)``,
-    at most :data:`SSC_STEP_CAP` (also where ``theta_max`` underflows), none
-    at 0."""
-    s_values = np.asarray(s_values, dtype=float)
-    theta = np.arctan2(2.0 * s_values, omega)
-    steps = np.minimum(gamma / np.maximum(2.0 * theta, np.finfo(float).tiny), SSC_STEP_CAP)
-    return np.where(s_values > 0.0, steps, 0.0)
-
-
 def _normalised(a: np.ndarray, b: np.ndarray) -> _Cells:
     """``propagator.evolve``'s norm handling, per cell: a drift beyond
     ``NORM_TOL`` is renormalised, and a NaN, infinite or zero norm raises."""
@@ -249,21 +239,30 @@ def _drop_stopped(fid, live, cells: _Cells, terms):
     return live[keep], cells.take(keep), terms[:, keep]
 
 
-def _ssc_terminal(cells: _Cells, terms, params: SystemParams, dt_free: float):
-    """Run the standard policy from every cell until it enters the
-    fast-switching regime (or the target or antipodal band); returns the
-    terminal fidelities and the control-segment counts. A cell still
-    running after :data:`SSC_STEP_CAP` steps gets :data:`FLAGGED` in both.
+def _ssc_terminal(grid: SweepGrid, dt_free: float | None):
+    """Run the standard policy from every ``(s, gamma, phi)`` cell of
+    ``grid``, in one loop, until it enters the fast-switching regime (or
+    the target or antipodal band); returns the terminal fidelities and
+    control-segment counts, shaped ``(s, gamma, phi)``, and the ``dt_free``
+    used. A cell still running after :data:`SSC_STEP_CAP` steps gets
+    :data:`FLAGGED` in both.
 
     A step is ``next_action``'s tick of ``dt_free``, then its bang segment
-    (see the module notes), each after the stop test. A cell of ``s_max``
-    0 never gets a field and stops where it starts. The tick is that of
-    ``params``' ``omega``, which every cell shares."""
+    (see the module notes), each after the stop test. A cell of strength 0
+    never gets a field and stops where it starts."""
+    if dt_free is None:
+        dt_free = SWEEP_DT_FREE_FACTOR / grid.omega
+    params = [SystemParams(grid.omega, s) for s in grid.s_values]
+    shape = (len(params), len(grid.gamma_axis), len(grid.phi_axis))
+    # the (gamma, phi) cells once per strength, each with its strength's terms
+    cells = _initial_states(grid.gamma_axis * shape[0], grid.phi_axis)
+    terms = _strength_terms(params, np.repeat(np.arange(shape[0]), shape[1] * shape[2]))
     fid = _population(cells.a2)
     n_controls = np.zeros(fid.size)
     live = np.flatnonzero(terms[0] > 0.0)
     cells, terms = cells.take(live), terms[:, live]
-    free = free_unitary(params, dt_free)
+    # the tick depends on omega alone, which every cell shares
+    free = free_unitary(params[0], dt_free)
     for step in range(SSC_STEP_CAP + 1):
         live, cells, terms = _drop_stopped(fid, live, cells, terms)
         if step == SSC_STEP_CAP or not live.size:
@@ -283,7 +282,32 @@ def _ssc_terminal(cells: _Cells, terms, params: SystemParams, dt_free: float):
             cells.put(bang, _bang_segments(cells.take(bang), field[bang], terms[:, bang])[0])
         n_controls[live] += bang
     fid[live] = n_controls[live] = FLAGGED
-    return fid, n_controls
+    return fid.reshape(shape), n_controls.reshape(shape), dt_free
+
+
+def _ssc_cost(first: float, last: float, s_values, omega: float, dt_free: float | None, cells: int) -> float:
+    """About how many cell-steps :func:`_ssc_terminal`'s one loop takes over
+    ``cells`` cells a strength, of polar angles from ``first`` to ``last``,
+    with :data:`SSC_STEP_OVERHEAD` for each of its steps.
+
+    A cell takes ``gamma / (2 theta_max) + 1`` controls at the mean gamma,
+    and the loop as many as ``last`` takes at the weakest strength. Each
+    control takes the ticks that lift ``Im(a b*)`` out of the switching
+    band from a switching point, where ``|a b*|`` is ``sin(gamma) / 2`` for
+    a gamma between ``theta_max`` and ``last``, and no less than at the
+    antipodal band's edge. Every count stops at :data:`SSC_STEP_CAP`."""
+    s = np.asarray(s_values, dtype=float)
+    theta = np.arctan2(2.0 * s, omega)
+    angle = omega * (SWEEP_DT_FREE_FACTOR / omega if dt_free is None else dt_free)
+    edge = math.sqrt(DEFAULT_EPS_TARGET * (1.0 - DEFAULT_EPS_TARGET))
+    m = np.maximum(0.5 * np.minimum(np.sin(theta), math.sin(last)), edge)
+    ticks = np.ceil(EPS_SWITCH / np.maximum(m * abs(math.sin(angle) if angle < math.inf else 0.0), 1e-300))
+
+    def steps(gamma):
+        controls = np.minimum(gamma / np.maximum(2.0 * theta, np.finfo(float).tiny) + 1.0, SSC_STEP_CAP)
+        return np.where(s > 0.0, np.minimum(controls * ticks, SSC_STEP_CAP), 0.0)
+
+    return cells * steps(0.5 * (first + last)).sum() + SSC_STEP_OVERHEAD * steps(last).max()
 
 
 def sweep_first_segment(grid: SweepGrid) -> SweepResult:
@@ -321,17 +345,9 @@ def sweep_ssc_fidelity(
     :data:`FLAGGED` in both tables. The grid holds ``s`` as its one strength."""
     if grid.s_values != (s,):
         raise ValueError(f"slow-switching sweep of strength {s!r} needs grid strengths ({s!r},), got {grid.s_values!r}")
-    params = SystemParams(grid.omega, s)
-    if dt_free is None:
-        dt_free = SWEEP_DT_FREE_FACTOR / grid.omega
-    shape = (len(grid.gamma_axis), len(grid.phi_axis))
-    cells = _initial_states(grid.gamma_axis, grid.phi_axis)
-    fid, n_max = _ssc_terminal(cells, _strength_terms((params,), np.zeros(cells.a.size, dtype=int)), params, dt_free)
-    return SweepResult(
-        grid,
-        {"fidelity": fid.reshape(shape), "n_max": n_max.reshape(shape)},
-        {"dt_free": dt_free, "bound": ssc_fidelity_bound(params)},
-    )
+    fid, n_max, dt_free = _ssc_terminal(grid, dt_free)
+    bound = ssc_fidelity_bound(SystemParams(grid.omega, s))
+    return SweepResult(grid, {"fidelity": fid[0], "n_max": n_max[0]}, {"dt_free": dt_free, "bound": bound})
 
 
 def fidelity_vs_strength(
@@ -345,17 +361,9 @@ def fidelity_vs_strength(
     run has not stopped after :data:`SSC_STEP_CAP` steps reads
     :data:`FLAGGED`."""
     grid = SweepGrid((initial.gamma,), (initial.phi,), tuple(s_values), omega)
-    if dt_free is None:
-        dt_free = SWEEP_DT_FREE_FACTOR / omega
-    params = tuple(SystemParams(omega, s) for s in grid.s_values)
-    # the one initial cell, once per strength
-    cells = _initial_states((initial.gamma,), (initial.phi,)).take(np.zeros(len(params), dtype=int))
-    fid, _ = _ssc_terminal(cells, _strength_terms(params, np.arange(len(params))), params[0], dt_free)
-    return SweepResult(
-        grid,
-        {"fidelity": fid, "bound": np.array([ssc_fidelity_bound(P) for P in params])},
-        {"dt_free": dt_free},
-    )
+    fid, _, dt_free = _ssc_terminal(grid, dt_free)
+    bound = [ssc_fidelity_bound(SystemParams(omega, s)) for s in grid.s_values]
+    return SweepResult(grid, {"fidelity": fid[:, 0, 0], "bound": np.array(bound)}, {"dt_free": dt_free})
 
 
 def phase_alignment_table(gamma_axis: Sequence[float], params: SystemParams) -> SweepResult:

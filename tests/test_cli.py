@@ -301,21 +301,21 @@ class TestScenarioParsing:
         "initial, sweep, key, per_n, work",
         [
             # every cell of a strength far below omega costs SSC_STEP_CAP, and
-            # each step of a strength loop costs its cells and the overhead k:
-            # two loops of n cells each
+            # each step of the one loop costs its cells and the overhead k:
+            # one loop over both strengths' n cells
             (
                 "",
                 "ssc_fidelity\ngamma_count = 1\nphi_count = {n}\ns_min = 0.01\ns_max = 0.5\ns_count = 2",
                 "s_min",
                 2,
-                lambda n, k: 2 * (n + k),
+                lambda n, k: 2 * n + k,
             ),
             (
                 "",
                 "ssc_fidelity\ngamma_count = 1\nphi_count = {n}\ns_values = 0.01, 0.5",
                 "s_values",
                 2,
-                lambda n, k: 2 * (n + k),
+                lambda n, k: 2 * n + k,
             ),
             # one loop of 2 n cells
             ("", "ssc_fidelity\ngamma_count = 2\nphi_count = {n}", "s_max", 2, lambda n, k: 2 * n + k),
@@ -345,7 +345,7 @@ class TestScenarioParsing:
         def refuse(*args, **kwargs):
             raise AssertionError("an axis was built")
 
-        # one strength loop at the shipped step cap alone exceeds the cap
+        # one loop at the shipped step cap alone exceeds the cap
         assert work(1, overhead) * sweeps_module.SSC_STEP_CAP > scenario_module.MAX_SWEEP_STEPS
         with monkeypatch.context() as patch:
             patch.setattr(scenario_module, "_axis", refuse)
@@ -368,7 +368,7 @@ class TestScenarioParsing:
 
     def test_the_step_cap_refuses_a_slow_sweep_that_ran_for_half_a_minute(self, tmp_path):
         # 4 x 101 cells at two strengths far below omega ran 31-40 s before
-        # the cap: 2 loops of 5e4 steps, each step 404 cells and the overhead
+        # the cap: one loop of 5e4 steps, each step 808 cells and the overhead
         text = (
             "[system]\nomega = 1e75\ns_max = 0.1\n[sweep]\nkind = ssc_fidelity\n"
             "gamma_count = 4\nphi_count = 101\ns_min = 0.01\ns_max = 0.5\ns_count = 2\n"
@@ -376,24 +376,36 @@ class TestScenarioParsing:
         assert (sweeps_module.SSC_STEP_CAP, sweeps_module.SSC_STEP_OVERHEAD) == (50_000, 400)
         code, out, err = run_cli("sweep", write(tmp_path, "slow.ini", text), "--output", str(tmp_path / "out"))
         assert (code, out) == (1, "")
-        assert err == "[sweep] s_min: about 8.04e+07 slow-switching steps exceed the cap of 10000000\n"
+        assert err == "[sweep] s_min: about 6.04e+07 slow-switching steps exceed the cap of 10000000\n"
 
     # one cell (gamma = 0.99 pi, phi = pi/4) at strengths far below omega = 1,
-    # where every strength loop runs to the step cap
+    # where the loop runs to the step cap
     ONE_CELL = "gamma_min = 0.99\ngamma_count = 1\nphi_min = 0.25\nphi_count = 1\n"
     TINY = "s_min = 1e-9\ns_max = 1e-7\ns_count = {n}\n"
 
     @pytest.mark.parametrize(
         "initial, sweep, line",
         [
-            # 2 strengths took 12.1 s; 100 strengths estimated 1e7 steps without
-            # the overhead, and ran about 10 minutes
-            ("", f"ssc_fidelity\n{ONE_CELL}{TINY.format(n=100)}", "[sweep] s_min: about 2e+09"),
-            # one loop, which pays the overhead once
+            # 2 strengths took 12.1 s, a loop each; 100 strengths estimated 1e7
+            # steps without the overhead, and ran about 10 minutes
+            ("", f"ssc_fidelity\n{ONE_CELL}{TINY.format(n=100)}", "[sweep] s_min: about 2.5e+07"),
+            # one loop, which pays the overhead once a step
             (
                 "[initial]\ngamma = 0.99\nphi = 0.25\n",
                 "fidelity_vs_strength\ns_values = 1e-9, 2e-9\n",
                 "[sweep] s_values: about 2.01e+07",
+            ),
+            # a tick that cannot lift Im(a b*) out of the switching band is
+            # taken again at the next step: counted one step a control, 20 x 20
+            # cells at s = 0.1 ran 5.2 s at 1e-300, flagging 346 of the 400,
+            # and 2.2 s at 1e-14; the default tick fits, so dt_free is named
+            *(
+                (
+                    f"[simulation]\ndt_free = {dt_free}\n",
+                    "ssc_fidelity\ngamma_count = 20\nphi_count = 20\n",
+                    "[simulation] dt_free: about 4e+07",
+                )
+                for dt_free in ("1e-300", "1e-14")
             ),
         ],
     )
@@ -411,9 +423,8 @@ class TestScenarioParsing:
     @pytest.mark.parametrize(
         "initial, sweep, fits",
         [
-            # each strength a loop of its own: n x 200 x (1 + 400) steps
-            ("", f"ssc_fidelity\n{ONE_CELL}{TINY}", 124),
-            # one loop over every strength: 200 x (n + 400) steps
+            # one loop over every strength, of either kind: 200 x (n + 400) steps
+            ("", f"ssc_fidelity\n{ONE_CELL}{TINY}", 49_600),
             ("[initial]\ngamma = 0.99\nphi = 0.25\n", f"fidelity_vs_strength\n{TINY}", 49_600),
         ],
     )
@@ -429,6 +440,61 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(write(tmp_path, "over.ini", text(fits + 1)))
         assert str(exc.value).startswith("[sweep] s_min: about ")
+
+    # 20 x 20 cells at s = 0.1, with the tick dt_free
+    SHORT_TICKS = (
+        "[system]\nomega = 1.0\ns_max = 0.1\n[simulation]\ndt_free = {dt_free}\n"
+        "[sweep]\nkind = ssc_fidelity\ngamma_count = 20\nphi_count = 20\n"
+    )
+
+    # what these files wrote while the estimate charged one step a control,
+    # recorded with Python 3.11.7 and numpy 2.4.6 on x86_64
+    SHORT_TICK_SHA256 = {
+        "1e-12": {
+            "ssc_fidelity_s0.1.csv": "7b685d4f5d3d04aabdadb31f103d63948fe4e1c34b81bd11fffa10a16c0fb4b7",
+            "ssc_n_max_s0.1.csv": "b78dc2c189b0b34683e9cb1509b2f2921308d4e3a0b0252a2e024536a40ec768",
+        },
+        "1e-6": {
+            "ssc_fidelity_s0.1.csv": "db5c8e549481e996944a5902757055ce510a1057f931744bff1479bbb2dcc3cf",
+            "ssc_n_max_s0.1.csv": "b78dc2c189b0b34683e9cb1509b2f2921308d4e3a0b0252a2e024536a40ec768",
+        },
+    }
+
+    @pytest.mark.parametrize("dt_free", sorted(SHORT_TICK_SHA256))
+    def test_ticks_that_leave_the_band_sweep_as_before(self, tmp_path, dt_free):
+        path = write(tmp_path, "ticks.ini", self.SHORT_TICKS.format(dt_free=dt_free))
+
+        def digests(name):
+            code, _, err = run_cli("sweep", path, "--output", str(tmp_path / name), "--quiet")
+            assert (code, err) == (0, "")
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / name).iterdir()}
+
+        assert_recorded(digests, self.SHORT_TICK_SHA256[dt_free])
+
+    def test_the_step_estimate_bounds_the_cell_steps_it_counts(self, tmp_path, monkeypatch):
+        # without the fixed cost of a step, the estimate is of the cells that
+        # each step of the loop moves: it may not count fewer, nor many more
+        monkeypatch.setattr(sweeps_module, "SSC_STEP_OVERHEAD", 0)
+        sizes = count_bang_segments(monkeypatch)
+        estimates = []
+        cost = sweeps_module._ssc_cost
+
+        def recording(*args):
+            estimates.append(cost(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(sweeps_module, "_ssc_cost", recording)
+        code, _, _ = run_cli("sweep", str(SCENARIOS / "sweep_ssc_fidelity.ini"), "--output", str(tmp_path / "out"))
+        assert code == 0
+        assert sum(sizes) == 31_830
+        assert sum(sizes) <= estimates[0] <= 1.15 * sum(sizes)
+        # axes moved by a sub-cell offset, so that no cell starts at a switching point
+        rng = np.random.default_rng(5)
+        gamma = np.linspace(0.1, math.pi - 0.1, 40) + rng.uniform(-0.2, 0.2) * (math.pi - 0.2) / 39
+        phi = np.linspace(0.0, 2 * math.pi, 40, endpoint=False) + rng.uniform(0.0, 1.0) * 2 * math.pi / 40
+        sizes.clear()
+        sweeps_module._ssc_terminal(SweepGrid(gamma, phi, (0.05, 0.1), 1.0), None)
+        assert sum(sizes) <= cost(gamma[0], gamma[-1], (0.05, 0.1), 1.0, None, 1600) <= 1.15 * sum(sizes)
 
     def test_max_switches_beyond_the_cap_is_refused_before_a_run(self, tmp_path, monkeypatch):
         def refuse(config):
@@ -626,35 +692,150 @@ def test_unwritable_output_exits_one_with_its_path(tmp_path, command, scenario, 
     assert (tmp_path / "a_file").read_text() == "kept\n"
 
 
-# the sha256 of the CSVs `sweep` writes for the shipped slow-switching
-# sweeps, recorded with Python 3.11.7 and numpy 2.4.6 on x86_64
-SLOW_SWEEP_SHA256 = {
-    "sweep_ssc_fidelity.ini": {
-        "ssc_fidelity_s0.05.csv": "e6dbb8fb0b5b15e7605e03a34251ae0a4e447a71a0478e2ec55a15f9c262f23c",
-        "ssc_fidelity_s0.1.csv": "bff050f02788d30448d16117ea583ac915cc32d35f0023dc201fcb2fd241dc0b",
-        "ssc_n_max_s0.05.csv": "a36f3f5c1cf590495df21f13341892f65ea329a9413af600751663bf0ff81f7a",
-        "ssc_n_max_s0.1.csv": "a5bb41cce16a7dbab73daaf162d9df92e4500a6f9f6415c539995d60964cfa26",
-    },
-    "fidelity_vs_strength.ini": {
-        "fidelity_vs_strength.csv": "44ea1656e1f5e16e6cbcfd591957cd36dc82c0a3cd4e24af5eacf075773fea53",
-    },
+def recorded_output(command, output):
+    """The exit code, stdout and the sha256 of each file that ``command``
+    writes, a shipped scenario's output going to the directory ``output``
+    (stdout names it ``OUT``)."""
+    if command[0] in ("simulate", "sweep"):
+        target = output / "trajectory.csv" if command[0] == "simulate" else output
+        command = (command[0], str(SCENARIOS / command[1]), "--output", str(target))
+    code, out, err = run_cli(*command)
+    assert err == ""
+    files = sorted(output.iterdir()) if output.exists() else []
+    return code, out.replace(str(output), "OUT"), {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+def assert_recorded(compute, recorded):
+    """``compute(name)`` gives ``recorded`` in the environment it was recorded
+    in (Python 3.11.7, numpy 2.4.6, x86_64). Elsewhere last bits may differ,
+    so two computations in one process must agree byte for byte."""
+    first = compute("first")
+    if (platform.python_version(), np.__version__, platform.machine()) == ("3.11.7", "2.4.6", "x86_64"):
+        assert first == recorded
+    else:
+        assert compute("second") == first
+
+
+def count_bang_segments(monkeypatch):
+    """The sizes of ``sweeps._bang_segments``' calls, one a step of the
+    slow-switching loop, each the cells that the step moves."""
+    sizes = []
+    bang_segments = sweeps_module._bang_segments
+
+    def counting(cells, field, terms):
+        sizes.append(field.size)
+        return bang_segments(cells, field, terms)
+
+    monkeypatch.setattr(sweeps_module, "_bang_segments", counting)
+    return sizes
+
+
+# what the CLI writes for every shipped scenario, under the command its file
+# is for, and for `verify` and two `design` runs: exit code, stdout and the
+# sha256 of each file, recorded with Python 3.11.7 and numpy 2.4.6 on x86_64
+RECORDED_OUTPUTS = {
+    "simulate reference_extended.ini": (
+        0,
+        (
+            "terminal_fidelity=1 switch_count=5 segments=9 regime=at_target "
+            "time=12.5473981802242 status=converged\n"
+        ),
+        {
+            "trajectory.csv": "e70edbbb7af693982737a98518b5410b2ed17bcbb0d518b2e3fb9053c658f8e8",
+        },
+    ),
+    "simulate reference_standard.ini": (
+        2,
+        (
+            "terminal_fidelity=0.998890345243401 switch_count=10000 segments=19999 regime=fsc "
+            "time=14.6019537533111 status=truncated\n"
+        ),
+        {
+            "trajectory.csv": "97c461aeeb26a1e9424f9762938f3f8ee84e276d19a9047599cc1aa3e2ff0443",
+        },
+    ),
+    "sweep fidelity_vs_strength.ini": (
+        0,
+        "OUT/fidelity_vs_strength.csv\n",
+        {
+            "fidelity_vs_strength.csv": "44ea1656e1f5e16e6cbcfd591957cd36dc82c0a3cd4e24af5eacf075773fea53",
+        },
+    ),
+    "sweep phase_alignment.ini": (
+        0,
+        "OUT/phase_alignment.csv\n",
+        {
+            "phase_alignment.csv": "993f988042d09f3c85506ac7585da718b8b779a9dc59f8e76b63dd95a76dfb0d",
+        },
+    ),
+    "sweep sweep_first_segment.ini": (
+        0,
+        (
+            "OUT/first_segment_ratio_a.csv\n"
+            "OUT/first_segment_ratio_b.csv\n"
+            "OUT/first_segment_tau.csv\n"
+        ),
+        {
+            "first_segment_ratio_a.csv": "48420d636844c381fd5f910bd16ccb70542627d53a80adba95a1912e6a45b289",
+            "first_segment_ratio_b.csv": "dd2662d88b06bd1b308ca856e29192454cf764b51f3daeb7468b2aaa9c2a5b4f",
+            "first_segment_tau.csv": "8ebc7db19c2d30135fa4e9d83ef9116cc53ba76c074f1b41c7ba58af45780f5e",
+        },
+    ),
+    "sweep sweep_ssc_fidelity.ini": (
+        0,
+        (
+            "OUT/ssc_fidelity_s0.05.csv\n"
+            "OUT/ssc_n_max_s0.05.csv\n"
+            "OUT/ssc_fidelity_s0.1.csv\n"
+            "OUT/ssc_n_max_s0.1.csv\n"
+        ),
+        {
+            "ssc_fidelity_s0.05.csv": "e6dbb8fb0b5b15e7605e03a34251ae0a4e447a71a0478e2ec55a15f9c262f23c",
+            "ssc_fidelity_s0.1.csv": "bff050f02788d30448d16117ea583ac915cc32d35f0023dc201fcb2fd241dc0b",
+            "ssc_n_max_s0.05.csv": "a36f3f5c1cf590495df21f13341892f65ea329a9413af600751663bf0ff81f7a",
+            "ssc_n_max_s0.1.csv": "a5bb41cce16a7dbab73daaf162d9df92e4500a6f9f6415c539995d60964cfa26",
+        },
+    ),
+    "verify": (
+        0,
+        (
+            "propagator suite: cases=1000 max_amp_dev=3.450745e-15 tol=1e-08 status=pass\n"
+            "standard policy suite: runs=50 max_v_increase=2.220446e-16 max_norm_drift=1.743050e-14 status=pass\n"
+            "extended policy suite: runs=50 min_terminal_fidelity=0.999999999999999 status=pass\n"
+            "overall: pass\n"
+        ),
+        {},
+    ),
+    "design 0.5 1.0 3": (
+        0,
+        (
+            "designed_strength=0.133974596215561\n"
+            "steps=3\n"
+            "achieved_fidelity=1\n"
+            "switch_count=3\n"
+            "verification=pass\n"
+        ),
+        {},
+    ),
+    "design 0.5 1.0 400": (
+        0,
+        (
+            "designed_strength=0.000981748965897384\n"
+            "steps=400\n"
+            "achieved_fidelity=1\n"
+            "switch_count=400\n"
+            "verification=pass\n"
+        ),
+        {},
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SLOW_SWEEP_SHA256))
-def test_slow_switching_sweeps_write_the_recorded_bytes(tmp_path, name):
-    # where the environment differs, last bits may too: then two
-    # computations in one process must agree byte for byte
-    def digests(output):
-        code, _, err = run_cli("sweep", str(SCENARIOS / name), "--output", str(output))
-        assert (code, err) == (0, "")
-        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in output.iterdir()}
-
-    first = digests(tmp_path / "first")
-    if (platform.python_version(), np.__version__, platform.machine()) == ("3.11.7", "2.4.6", "x86_64"):
-        assert first == SLOW_SWEEP_SHA256[name]
-    else:
-        assert digests(tmp_path / "second") == first
+@pytest.mark.parametrize("command", sorted(RECORDED_OUTPUTS))
+def test_the_cli_writes_the_recorded_bytes(tmp_path, command):
+    shipped = {c.split()[1] for c in RECORDED_OUTPUTS if c.startswith(("simulate", "sweep"))}
+    assert shipped == {p.name for p in SCENARIOS.glob("*.ini")}
+    assert_recorded(lambda name: recorded_output(tuple(command.split()), tmp_path / name), RECORDED_OUTPUTS[command])
 
 
 def test_table_rows_format_like_fmt():
@@ -737,6 +918,31 @@ class TestSweep:
         assert len(rows) == 6 * 8
         fid = np.array([float(r[2]) for r in rows])
         assert (fid >= 0.9902903378454601 - 1e-9).all()
+
+    def test_strengths_swept_together_write_what_each_writes_alone(self, tmp_path, monkeypatch):
+        # with the step cap lowered to 10, s = 0.05 flags the cells that need
+        # more controls and s = 0.1 none; strength 0 takes no step
+        monkeypatch.setattr(sweeps_module, "SSC_STEP_CAP", 10)
+
+        def tables(s_values):
+            text = SWEEP_SCENARIO.replace("s_values = 0.1, 0.05", f"s_values = {s_values}")
+            scenario = write(tmp_path, "strengths.ini", text)
+            code, _, err = run_cli("sweep", scenario, "--output", str(tmp_path / s_values), "--quiet")
+            assert (code, err) == (0, "")
+            return {p.name: p.read_bytes() for p in (tmp_path / s_values).iterdir()}
+
+        together = tables("0, 0.05, 0.1")
+        alone = {**tables("0"), **tables("0.05"), **tables("0.1")}
+        assert together == alone
+        flagged = {name for name, data in together.items() if b"nan" in data}
+        assert flagged == {"ssc_fidelity_s0.05.csv", "ssc_n_max_s0.05.csv"}
+
+    def test_shipped_strengths_step_in_one_loop(self, tmp_path, monkeypatch):
+        # as many steps as s = 0.05 takes; a loop per strength took 16 and 8
+        sizes = count_bang_segments(monkeypatch)
+        code, _, _ = run_cli("sweep", str(SCENARIOS / "sweep_ssc_fidelity.ini"), "--output", str(tmp_path / "out"))
+        assert code == 0
+        assert len(sizes) == 16
 
     def test_close_strengths_get_distinct_tables(self, tmp_path):
         # two strengths that print alike at the default precision

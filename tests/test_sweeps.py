@@ -503,6 +503,22 @@ class TestLockstepSteps:
         # every segment call after the first follows a tick of every cell
         assert len(sizes) > 1
 
+    @pytest.mark.parametrize("grid", [shipped_axes(0.1, 6), shifted_grid(19, 0.1, 6)], ids=["shipped", "shifted"])
+    def test_strengths_step_together_as_alone(self, grid, monkeypatch):
+        # a G x P x S grid steps in one loop: each strength's cells end bit
+        # for bit where that strength's sweep leaves them, and each cell's
+        # strengths where fidelity_vs_strength leaves its one cell
+        s_values = (0.0, 0.02, 0.05, 0.1, 0.3)
+        sizes = check_segment_starts(monkeypatch)
+        fid, n_max, _ = sweeps._ssc_terminal(SweepGrid(grid.gamma_axis, grid.phi_axis, s_values, OMEGA), None)
+        assert len(sizes) == np.nanmax(n_max)
+        for k, s in enumerate(s_values):
+            alone = sweep_ssc_fidelity(SweepGrid(grid.gamma_axis, grid.phi_axis, (s,), OMEGA), s).tables
+            assert (alone["fidelity"].tobytes(), alone["n_max"].tobytes()) == (fid[k].tobytes(), n_max[k].tobytes())
+        for i, j in [(0, 0), (2, 3), (5, 1)]:
+            curve = fidelity_vs_strength(s_values, BlochAngles(grid.gamma_axis[i], grid.phi_axis[j]), OMEGA).tables
+            assert curve["fidelity"].tobytes() == fid[:, i, j].tobytes()
+
     def test_zero_strength_grid_takes_no_step(self, monkeypatch):
         kinds = step_kinds(monkeypatch)
         grid = SweepGrid((0.5, 2.0), (0.3, 4.0), (0.0,), OMEGA)
