@@ -33,9 +33,6 @@ from .states import (
 #: Magnitudes of Im(a b*) below this count as "at a switching point".
 EPS_SWITCH = 1e-12
 
-#: Default free-evolution trigger tick, in units of 1/omega.
-DEFAULT_DT_FREE_FACTOR = 1e-4
-
 #: Default fidelity band for the at-target / antipodal classification.
 DEFAULT_EPS_TARGET = 1e-9
 
@@ -66,12 +63,13 @@ class Regime(enum.Enum):
     ANTIPODAL = "antipodal"
 
 
-def bang_field(sw, s_max, eps=EPS_SWITCH):
+def bang_field(sw, s_max):
     """The bang law for a switching value ``sw = Im(a b*)``: ``+s_max`` below
-    ``-eps``, ``-s_max`` above ``eps`` and 0 inside the band, so that
-    ``dV/dt = 2 f Im(a b*)`` is never positive. Written as comparison
-    arithmetic, it returns a float for a float and an array for an array."""
-    return (sw < -eps) * s_max - (sw > eps) * s_max
+    ``-EPS_SWITCH``, ``-s_max`` above it and 0 inside that one switching
+    band, so that ``dV/dt = 2 f Im(a b*)`` is never positive. Written as
+    comparison arithmetic, it returns a float for a float and an array for
+    an array."""
+    return (sw < -EPS_SWITCH) * s_max - (sw > EPS_SWITCH) * s_max
 
 
 def select_field(state: PureState, params: SystemParams) -> ControlDecision:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import _kernels
-from .control import DEFAULT_DT_FREE_FACTOR, EPS_SWITCH, Regime, bang_field, classify_regime
+from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, Regime, bang_field, classify_regime
 from .extended import Policy, Segment, _bind
 from .propagator import _controlled, controlled_unitary, evolve, free_unitary
 from .states import (
@@ -37,16 +37,17 @@ from .states import (
 )
 
 
-#: Defaults of ``sample_interval`` and ``max_time``, in units of ``1/omega``.
+#: Defaults of ``dt_free``, ``sample_interval`` and ``max_time``, in units of ``1/omega``.
+DEFAULT_DT_FREE_FACTOR = 1e-4
 DEFAULT_SAMPLE_INTERVAL_FACTOR = 0.1
 DEFAULT_MAX_TIME_FACTOR = 1000.0
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full scenario description. ``None`` fields resolve to defaults scaled
-    by ``1/omega`` (``dt_free = 1e-4/omega``, ``sample_interval = 0.1/omega``,
-    ``max_time = 1000/omega``)."""
+    """Full scenario description, and the one statement of a run's defaults:
+    scenario files and the CLI leave out what they do not set. ``None``
+    fields resolve to the ``DEFAULT_*_FACTOR`` above scaled by ``1/omega``."""
 
     params: SystemParams
     initial: BlochAngles
@@ -54,7 +55,7 @@ class SimConfig:
     dt_free: float | None = None
     kick_angle: float = 1e-6
     sample_interval: float | None = None
-    eps_target: float = 1e-9
+    eps_target: float = DEFAULT_EPS_TARGET
     max_switches: int = 10_000
     max_time: float | None = None
 

@@ -75,14 +75,9 @@ def _band_floor(params: SystemParams) -> float:
     return cos2_theta - 1e-12
 
 
-def _in_band(population: float, params: SystemParams) -> bool:
-    """Whether a target population lies in the reachable band."""
-    return population >= _band_floor(params)
-
-
 def reachable_by_single_control(state: PureState, params: SystemParams) -> bool:
     """True iff ``|a|^2 >= cos^2(theta_max)``; the boundary counts as reachable."""
-    return _in_band(fidelity(state), params)
+    return fidelity(state) >= _band_floor(params)
 
 
 def _aligned_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
@@ -112,7 +107,7 @@ def required_phase(gamma: float, params: SystemParams) -> tuple[float, float]:
     """
     if not 0.0 <= gamma <= math.pi:
         raise ValueError(f"gamma must lie in [0, pi], got {gamma!r}")
-    if params.theta_max > 0.0 and not _in_band(math.cos(0.5 * gamma) ** 2, params):
+    if params.theta_max > 0.0 and math.cos(0.5 * gamma) ** 2 < _band_floor(params):
         raise InfeasibleError(
             f"gamma = {gamma!r} lies beyond the reachable band 2*theta_max = {2.0 * params.theta_max!r}"
         )

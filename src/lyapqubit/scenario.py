@@ -46,9 +46,10 @@ The work a file may ask for is capped before anything is allocated, from
 the memory it takes: about 176 B per run record (a sample or a segment,
 with its state) and 300-400 B per sweep cell with its CSV text. A run
 may ask for at most :data:`MAX_GRID_SAMPLES` (1e6) grid samples,
-``max_time / sample_interval`` with their defaults, and at most
-:data:`MAX_SWITCHES` (1e5) switches, so that the run's safety net of
-``10 * max_switches + 10_000`` segments holds about as many records. A
+``max_time / sample_interval`` of its :class:`~lyapqubit.engine.SimConfig`,
+and at most :data:`MAX_SWITCHES` (1e5) switches, so that the run's safety
+net of ``10 * max_switches + 10_000`` segments holds about as many
+records; :func:`run_caps_exceeded` states both, and ``design`` reads it. A
 sweep may ask for at most :data:`MAX_SWEEP_CELLS` (1e6) cells, the
 product of the counts of the axes it evaluates. A slow-switching sweep
 (``ssc_fidelity`` or ``fidelity_vs_strength``) may ask for at most
@@ -74,7 +75,7 @@ import numpy as np
 
 from . import sweeps
 from .control import InfeasibleError
-from .engine import DEFAULT_MAX_TIME_FACTOR, DEFAULT_SAMPLE_INTERVAL_FACTOR, Policy, SimConfig
+from .engine import Policy, SimConfig
 from .extended import required_phase
 from .states import SCALE_RANGE, BlochAngles, SystemParams
 from .sweeps import SweepGrid
@@ -94,6 +95,20 @@ MAX_SWEEP_CELLS = 1_000_000
 #: Most slow-switching cell-steps (a tick and a bang each) a file may ask a
 #: sweep's one loop for, its steps' fixed cost included: a few seconds.
 MAX_SWEEP_STEPS = 10_000_000
+
+
+def run_caps_exceeded(config: SimConfig) -> list[tuple[str, str]]:
+    """The run caps that ``config`` exceeds, as ``(key, message)`` with the
+    ``[simulation]`` key to blame: the one rule for a file's run and for
+    ``design``'s."""
+    samples = config.max_time / config.sample_interval
+    exceeded = []
+    if samples > MAX_GRID_SAMPLES:
+        message = f"max_time / sample_interval = {samples:.6g} grid samples exceed the cap of {MAX_GRID_SAMPLES}"
+        exceeded.append(("sample_interval", message))
+    if config.max_switches > MAX_SWITCHES:
+        exceeded.append(("max_switches", f"{config.max_switches} switches exceed the cap of {MAX_SWITCHES}"))
+    return exceeded
 
 
 class ScenarioError(ValueError):
@@ -185,7 +200,7 @@ _KEYS = {
         "kick_angle": _POSITIVE,
         "sample_interval": _POSITIVE,
         "eps_target": _rule(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-        "max_switches": _rule(lambda v: 1 <= v <= MAX_SWITCHES, f"must lie in [1, {MAX_SWITCHES}]", int),
+        "max_switches": _COUNT,
         "max_time": _POSITIVE,
     },
     "sweep": {
@@ -368,12 +383,9 @@ def parse_scenario(path: str) -> Scenario:
     simulation = dict(values.get("simulation", {}))
     if "kind" in values.get("policy", {}):
         simulation["policy"] = values["policy"]["kind"]
-    scale = 1.0 / params.omega
-    horizon = simulation.get("max_time", DEFAULT_MAX_TIME_FACTOR * scale)
-    samples = horizon / simulation.get("sample_interval", DEFAULT_SAMPLE_INTERVAL_FACTOR * scale)
-    if samples > MAX_GRID_SAMPLES:
-        message = f"max_time / sample_interval = {samples:.6g} grid samples exceed the cap of {MAX_GRID_SAMPLES}"
-        complain("simulation", "sample_interval", message)
+    if reader == "simulate":
+        for key, message in run_caps_exceeded(SimConfig(params, start, **simulation)):
+            complain("simulation", key, message)
 
     fixed = start or BlochAngles(0.0, 0.0)
     axes = None if sweep is None else _sweep_axes(sweep, reader, params, fixed, simulation.get("dt_free"), complain)

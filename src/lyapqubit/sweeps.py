@@ -203,9 +203,7 @@ def _bang_segments(cells: _Cells, field, terms):
     alpha = np.mod(-np.arctan2(p, q), math.pi)
     alpha[alpha <= 0.0] = math.pi
     tau = alpha / (2.0 * eplus)
-    # controlled_unitary(params, field, tau), cell by cell
-    if not _all(tau >= 0.0):
-        raise ValueError("duration must be non-negative")
+    # controlled_unitary(params, field, tau), cell by cell: tau lies in (0, pi/(2 eplus)]
     angle = eplus * tau
     c, s = np.cos(angle), np.sin(angle)
     off, turn = -1j * s * sin_t, 1j * s * cos_t
@@ -273,7 +271,7 @@ def _ssc_terminal(grid: SweepGrid, dt_free: float | None):
         if not _all(tick):
             a, b = np.where(tick, a, cells.a), np.where(tick, b, cells.b)
         live, cells, terms = _drop_stopped(fid, live, _normalised(a, b), terms)
-        field = bang_field(cells.ab.imag, terms[0], EPS_SWITCH)
+        field = bang_field(cells.ab.imag, terms[0])
         bang = field != 0.0
         if _all(bang):
             cells = _bang_segments(cells, field, terms)[0]
@@ -326,7 +324,7 @@ def sweep_first_segment(grid: SweepGrid) -> SweepResult:
     run = np.flatnonzero(~polar & ~(np.abs(cells.ab.imag) <= EPS_SWITCH))
     cells = cells.take(run)
     terms = _strength_terms(params, np.zeros(run.size, dtype=int))
-    end, tau = _bang_segments(cells, bang_field(cells.ab.imag, terms[0], EPS_SWITCH), terms)
+    end, tau = _bang_segments(cells, bang_field(cells.ab.imag, terms[0]), terms)
     tables = {name: np.full(shape, FLAGGED) for name in ("ratio_a", "ratio_b", "tau")}
     tables["ratio_a"].flat[run] = _population(cells.a2) / _population(end.a2)
     tables["ratio_b"].flat[run] = _population(end.b2) / _population(cells.b2)

@@ -17,6 +17,7 @@ from lyapqubit import (
     Regime,
     SimConfig,
     SystemParams,
+    bang_field,
     classify_regime,
     controlled_unitary,
     evolve,
@@ -29,7 +30,6 @@ from lyapqubit import (
     required_phase,
     run,
     segment_duration,
-    select_field,
     ssc_fidelity_bound,
     sweep_ssc_fidelity,
     switching_function,
@@ -195,7 +195,7 @@ def test_criterion_6_phase_ratio_law():
     gamma = 1e-3
     phi_star, _ = required_phase(gamma, P)
     state = from_bloch(BlochAngles(gamma, phi_star))
-    f = select_field(state, P).f
+    f = bang_field(switching_function(state), P.s_max)
     tau = segment_duration(state, f, P)
     out = evolve(state, controlled_unitary(P, f, tau))
     ratio = lyapunov(out) / lyapunov(state)

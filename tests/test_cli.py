@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 import os
 import pathlib
@@ -732,7 +733,8 @@ def count_bang_segments(monkeypatch):
 
 # what the CLI writes for every shipped scenario, under the command its file
 # is for, and for `verify` and two `design` runs: exit code, stdout and the
-# sha256 of each file, recorded with Python 3.11.7 and numpy 2.4.6 on x86_64
+# sha256 of each file, recorded with Python 3.11.7 and numpy 2.4.6 on x86_64;
+# `PYTHONPATH=src python tests/test_cli.py` prints it recomputed
 RECORDED_OUTPUTS = {
     "simulate reference_extended.ini": (
         0,
@@ -836,6 +838,45 @@ def test_the_cli_writes_the_recorded_bytes(tmp_path, command):
     shipped = {c.split()[1] for c in RECORDED_OUTPUTS if c.startswith(("simulate", "sweep"))}
     assert shipped == {p.name for p in SCENARIOS.glob("*.ini")}
     assert_recorded(lambda name: recorded_output(tuple(command.split()), tmp_path / name), RECORDED_OUTPUTS[command])
+
+
+def format_recorded(recorded) -> str:
+    """``recorded``, a manifest like :data:`RECORDED_OUTPUTS`, as a Python
+    statement that assigns it, one entry per command. A stdout line whose
+    string would pass column 120 is split at spaces into pieces that do
+    not."""
+    lines = ["RECORDED_OUTPUTS = {"]
+    for command, (code, stdout, files) in recorded.items():
+        pieces = []
+        for line in stdout.splitlines(keepends=True):
+            words = line.split(" ")
+            piece = words[0]
+            for word in words[1:]:
+                if 12 + len(json.dumps(f"{piece} {word}")) > 120:
+                    pieces.append(piece + " ")
+                    piece = word
+                else:
+                    piece = f"{piece} {word}"
+            pieces.append(piece)
+        lines += [f"    {json.dumps(command)}: (", f"        {code},"]
+        if len(pieces) > 1:
+            lines += ["        (", *(f"            {json.dumps(p)}" for p in pieces), "        ),"]
+        else:
+            lines.append(f"        {json.dumps(''.join(pieces))},")
+        if files:
+            lines += ["        {", *(f"            {json.dumps(n)}: {json.dumps(h)}," for n, h in files.items()), "        },"]
+        else:
+            lines.append("        {},")
+        lines.append("    ),")
+    return "\n".join(lines + ["}"])
+
+
+def test_the_manifest_formats_as_a_literal_of_itself():
+    text = format_recorded(RECORDED_OUTPUTS)
+    namespace = {}
+    exec(text, namespace)
+    assert list(namespace["RECORDED_OUTPUTS"].items()) == list(RECORDED_OUTPUTS.items())
+    assert max(map(len, text.splitlines())) <= 120
 
 
 def test_table_rows_format_like_fmt():
@@ -1107,6 +1148,28 @@ class TestDesign:
         assert "switch_count=400" in out
         assert "verification=pass" in out
 
+    @pytest.mark.parametrize("n", [31_820, 31_821, 10**6, 10**400])
+    def test_step_counts_beyond_a_files_run_caps_are_refused_before_the_run(self, monkeypatch, n):
+        # a run's grid samples, (n + 10) (pi + 1e-6) / 0.1, do not depend on
+        # omega; 31,820 steps take 999,969 and 31,821 pass the cap
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            return mock.Mock(converged=True, terminal_fidelity=1.0, switch_count=n)
+
+        monkeypatch.setattr("lyapqubit.cli.run", record)
+        code, _, err = run_cli("design", "0.5", "1.0", str(n), "--quiet")
+        if n == 31_820:
+            (config,) = configs
+            assert (code, err) == (0, "")
+            assert config.max_time / config.sample_interval <= scenario_module.MAX_GRID_SAMPLES
+            assert scenario_module.run_caps_exceeded(config) == []
+        else:
+            assert (code, configs) == (1, [])
+            assert err.startswith("design: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("omega", ["nan", "inf", "1e-300", "1e300"])
     def test_extreme_omega_exits_one(self, omega):
         code, out, err = run_cli("design", "0.5", omega, "3")
@@ -1245,3 +1308,16 @@ def test_any_scenario_file_exits_with_output_or_keyed_lines(data):
                 assert code == 1, (command, text, err)
                 lines = err.splitlines()
                 assert lines and all(line.startswith(("[", f"{command}:")) for line in lines), (command, text, err)
+
+
+if __name__ == "__main__":
+    # prints RECORDED_OUTPUTS recomputed, to replace the block above
+    with tempfile.TemporaryDirectory() as tmp:
+        print(
+            format_recorded(
+                {
+                    command: recorded_output(tuple(command.split()), pathlib.Path(tmp) / str(i))
+                    for i, command in enumerate(RECORDED_OUTPUTS)
+                }
+            )
+        )

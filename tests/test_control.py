@@ -34,16 +34,16 @@ THETA = P.theta_max
 
 class TestBangField:
     def test_sign_rule(self):
-        fields = bang_field(np.array([0.3, -0.2, 0.0]), 1.0, 0.0)
+        fields = bang_field(np.array([0.3, -0.2, 0.0]), 1.0)
         assert fields.tolist() == [-1.0, 1.0, 0.0]
 
     def test_all_zero(self):
-        assert bang_field(np.array([0.0, 0.0]), 0.5, 0.0).tolist() == [0.0, 0.0]
+        assert bang_field(np.array([0.0, 0.0]), 0.5).tolist() == [0.0, 0.0]
 
     def test_decrease_identity(self):
         values = np.array([0.4, -1.3, 0.0, 2.2, -0.0001])
         s = 0.7
-        fields = bang_field(values, s, 0.0)
+        fields = bang_field(values, s)
         total = float(np.sum(fields * values))
         assert total == pytest.approx(-s * float(np.sum(np.abs(values))), abs=1e-12)
 

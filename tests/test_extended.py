@@ -29,7 +29,6 @@ from lyapqubit import (
     required_phase,
     run,
     segment_duration,
-    select_field,
     switching_function,
     to_bloch,
 )
@@ -383,7 +382,7 @@ class TestPhaseRatioLaw:
         gamma = 1e-4
         for phi in (math.pi / 6, math.pi / 4, math.pi / 3, 2 * math.pi / 3, 7 * math.pi / 4):
             state = from_bloch(BlochAngles(gamma, phi))
-            f = select_field(state, P).f
+            f = bang_field(switching_function(state), P.s_max)
             tau = segment_duration(state, f, P)
             out = evolve(state, controlled_unitary(P, f, tau))
             ratio = lyapunov(out) / lyapunov(state)
@@ -394,7 +393,7 @@ class TestPhaseRatioLaw:
         devs = []
         for gamma in (2e-3, 1e-3, 5e-4):
             state = from_bloch(BlochAngles(gamma, phi))
-            f = select_field(state, P).f
+            f = bang_field(switching_function(state), P.s_max)
             tau = segment_duration(state, f, P)
             out = evolve(state, controlled_unitary(P, f, tau))
             devs.append(abs(lyapunov(out) / lyapunov(state) - 0.5))
@@ -403,7 +402,7 @@ class TestPhaseRatioLaw:
 
     def test_pi_half_phase_kills_residual(self):
         state = from_bloch(BlochAngles(1e-3, math.pi / 2))
-        f = select_field(state, P).f
+        f = bang_field(switching_function(state), P.s_max)
         tau = segment_duration(state, f, P)
         out = evolve(state, controlled_unitary(P, f, tau))
         assert lyapunov(out) / lyapunov(state) < 1e-5
@@ -448,7 +447,7 @@ class TestHybridPolicy:
     def test_far_state_falls_through_to_standard_law(self):
         state = from_bloch(BlochAngles(math.pi / 2, 1.0))
         (seg,) = extended_segments(state)
-        f = select_field(state, P).f
+        f = bang_field(switching_function(state), P.s_max)
         assert (seg.kind, seg.field, seg.label) == ("control", f, "")
         assert seg.duration == segment_duration(state, f, P)
         assert_recorded(seg, state)

@@ -394,8 +394,8 @@ def step_kinds(monkeypatch):
     switching band sit out ("split")."""
     kinds = collections.Counter()
 
-    def recording(sw, s_max, eps):
-        field = bang_field(sw, s_max, eps)
+    def recording(sw, s_max):
+        field = bang_field(sw, s_max)
         kinds["split" if np.count_nonzero(field == 0.0) else "whole"] += 1
         return field
 
