@@ -104,7 +104,11 @@ def run_caps_exceeded(config: SimConfig) -> list[tuple[str, str]]:
     samples = config.max_time / config.sample_interval
     exceeded = []
     if samples > MAX_GRID_SAMPLES:
-        message = f"max_time / sample_interval = {samples:.6g} grid samples exceed the cap of {MAX_GRID_SAMPLES}"
+        shown = f"{samples:.6g}"
+        if float(shown) <= MAX_GRID_SAMPLES:
+            # rounded to the cap, a count over it would read as within it
+            shown = repr(samples)
+        message = f"max_time / sample_interval = {shown} grid samples exceed the cap of {MAX_GRID_SAMPLES}"
         exceeded.append(("sample_interval", message))
     if config.max_switches > MAX_SWITCHES:
         exceeded.append(("max_switches", f"{config.max_switches} switches exceed the cap of {MAX_SWITCHES}"))

@@ -3,15 +3,15 @@ maps, fidelity-versus-strength curves, and the single-shot phase table.
 
 The first three evaluate their cells together, as numpy arrays, and a cell
 leaves the arrays when it stops. The slow-switching sweeps step all their
-cells, of every strength, in one loop. A step is the standard policy's
-free tick for the cells at a switching point, then its bang segment for
-every cell outside the switching band: a segment ends at a switching
-point and a tick leaves it, so after the first step every cell still
-running ticks and bangs in lockstep. No cell's arithmetic depends on
-another's, so a grid swept whole, by rows or by strengths gives the same
-tables, bit for bit. The scalar functions step in only
-where the closed-form switching time needs refining, and every check they
-make (field bound, unitarity, normalisation) is made on every cell.
+cells, of every strength, in one loop. A step is the standard policy's free
+tick for the cells at a switching point, then its bang segment for every cell
+outside the switching band: a segment ends at a switching point and a tick
+leaves it, so after the first step every cell still running ticks and bangs
+in lockstep. No cell's arithmetic depends on another's, so a grid swept
+whole, by rows or by strengths gives the same tables, bit for bit. The scalar
+functions step in only where the closed-form switching time needs refining.
+Every check they make (field bound, unitarity, normalisation) is made on
+every cell, unitarity as the one test the closed-form propagator leaves.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ def _normalised(a: np.ndarray, b: np.ndarray) -> _Cells:
     abs_a = np.abs(a)
     a2, b2 = abs_a**2, np.abs(b) ** 2
     n2 = a2 + b2
-    drift = ~(np.abs(n2 - 1.0) <= NORM_TOL)
-    if np.count_nonzero(drift):
+    kept = np.abs(n2 - 1.0) <= NORM_TOL
+    if not _all(kept):
+        drift = ~kept
         bad = n2[drift]
         finite = (0.0 < bad) & (bad < math.inf)
         if not finite.all():
@@ -172,14 +173,13 @@ def _normalised(a: np.ndarray, b: np.ndarray) -> _Cells:
     return _Cells(a, b, abs_a, a2, b2, a * b.conj())
 
 
-def _check_unitary(u11, u12, u21, u22) -> None:
-    """``propagator._check_unitary``'s three tests, on every cell's entries."""
-    c1 = np.abs(u11) ** 2 + np.abs(u21) ** 2
-    c2 = np.abs(u12) ** 2 + np.abs(u22) ** 2
-    cross = u11.conj() * u12 + u21.conj() * u22
-    # written so that a NaN entry fails too
-    ok = (np.abs(c1 - 1.0) <= UNITARY_TOL) & (np.abs(c2 - 1.0) <= UNITARY_TOL) & (np.abs(cross) <= UNITARY_TOL)
-    if not _all(ok):
+def _check_unitary(u11, off) -> None:
+    """``propagator._check_unitary`` on every cell's ``u11 = c - turn``,
+    ``u12 = u21 = off``, ``u22 = c + turn``, with ``turn`` and ``off``
+    imaginary: ``u22`` is ``conj(u11)`` in value, so both column norms are the
+    same floats, and the overlap is exactly 0 unless an entry is NaN or
+    infinite, which fails the norm test. That one test is all the three leave."""
+    if not _all(np.abs(np.abs(u11) ** 2 + np.abs(off) ** 2 - 1.0) <= UNITARY_TOL):
         raise ValueError("entries do not form a unitary matrix")
 
 
@@ -190,10 +190,11 @@ def _bang_segments(cells: _Cells, field, terms):
     ``Im(a b*)`` must lie outside the ``EPS_SWITCH`` band. That keeps every
     cell clear of what ``segment_duration`` rejects: ``|a|`` and ``|b|``
     exceed ``|Im(a b*)| > 1e-12``, and so does ``r = hypot(p, q) >= |p|``.
-    The duration is ``segment_duration``'s closed form, confirmed by
-    ``|Im(a b*)| <= 1e-13 r`` on the evolved state, which is also the end
-    state. A cell that fails the confirmation is redone by
-    ``segment_duration``'s solver, which also returns its end state.
+    The propagator is ``controlled_unitary``'s closed form for ``tau`` in
+    ``(0, pi/(2 eplus)]``, whose form leaves one unitarity test to make (see
+    :func:`_check_unitary`). The duration is ``segment_duration``'s closed
+    form, confirmed by ``|Im(a b*)| <= 1e-13 r`` on the evolved state, which
+    is also the end state; a cell that fails gets both from its solver.
     """
     _, eplus, sin_t, cos_t, _ = terms
     sin_t = np.copysign(sin_t, field)
@@ -203,17 +204,16 @@ def _bang_segments(cells: _Cells, field, terms):
     alpha = np.mod(-np.arctan2(p, q), math.pi)
     alpha[alpha <= 0.0] = math.pi
     tau = alpha / (2.0 * eplus)
-    # controlled_unitary(params, field, tau), cell by cell: tau lies in (0, pi/(2 eplus)]
     angle = eplus * tau
     c, s = np.cos(angle), np.sin(angle)
     off, turn = -1j * s * sin_t, 1j * s * cos_t
     u11, u22 = c - turn, c + turn
-    _check_unitary(u11, off, off, u22)
+    _check_unitary(u11, off)
     a, b = cells.a, cells.b
     end = _normalised(u11 * a + off * b, off * a + u22 * b)
-    redo = ~(np.abs(end.ab.imag) <= 1e-13 * r)
-    if np.count_nonzero(redo):
-        redo = np.flatnonzero(redo)
+    held = np.abs(end.ab.imag) <= 1e-13 * r
+    if not _all(held):
+        redo = np.flatnonzero(~held)
         for i in redo:
             state = _new_state(complex(a[i]), complex(b[i]))
             # the cell's row is its field's _dressed_terms

@@ -272,6 +272,11 @@ class TestScenarioParsing:
                 "[initial]\ngamma = 0.5\n[simulation]\nsample_interval = 1e-9\nmax_time = 100",
                 "[simulation] sample_interval: max_time / sample_interval = 1e+11 grid samples exceed the cap",
             ),
+            # one sample over the cap, which %.6g would round to it
+            (
+                "[initial]\ngamma = 0.5\n[simulation]\nsample_interval = 1\nmax_time = 1000001",
+                "[simulation] sample_interval: max_time / sample_interval = 1000001.0 grid samples exceed the cap of 1000000",
+            ),
             # against the default sample_interval, 0.1/omega
             ("[initial]\ngamma = 0.5\n[simulation]\nmax_time = 1e308", "[simulation] sample_interval: max_time"),
         ],
@@ -662,7 +667,7 @@ eps_target = 0.01
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run_cli("simulate", scenario, "--output", a, "--quiet")
         run_cli("simulate", scenario, "--output", b, "--quiet")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
 
 
 def test_output_file_gets_the_umask_mode(tmp_path):
@@ -1118,8 +1123,8 @@ gamma_count = 10
         run_cli("sweep", scenario, "--output", d1, "--quiet")
         run_cli("sweep", scenario, "--output", d2, "--quiet")
         for name in os.listdir(d1):
-            a = open(os.path.join(d1, name), "rb").read()
-            b = open(os.path.join(d2, name), "rb").read()
+            a = pathlib.Path(d1, name).read_bytes()
+            b = pathlib.Path(d2, name).read_bytes()
             assert a == b, name
 
 
@@ -1169,6 +1174,10 @@ class TestDesign:
             assert (code, configs) == (1, [])
             assert err.startswith("design: ") and err.count("\n") == 1
             assert "Traceback" not in err
+            if "grid samples" in err:
+                # 31,821 steps ask for 1,000,000.68, which %.6g would show as 1e+06
+                count = err.split("max_time / sample_interval = ")[1].split(" grid samples")[0]
+                assert float(count) > scenario_module.MAX_GRID_SAMPLES
 
     @pytest.mark.parametrize("omega", ["nan", "inf", "1e-300", "1e300"])
     def test_extreme_omega_exits_one(self, omega):

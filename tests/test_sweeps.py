@@ -29,7 +29,7 @@ from lyapqubit import (
     sweep_ssc_fidelity,
     switching_function,
 )
-from lyapqubit import control, extended, sweeps
+from lyapqubit import control, extended, propagator, sweeps
 from lyapqubit.states import NORM_TOL
 
 OMEGA = 1.0
@@ -531,14 +531,46 @@ class TestLockstepSteps:
 
 class TestArrayChecks:
     def test_unitarity_checked_on_every_cell(self):
+        # the check reads u11 and u12 = u21; u22 is conj(u11) in its form
         good = np.array([1.0 + 0j, 1j])
         zero = np.zeros(2, dtype=complex)
-        sweeps._check_unitary(good, zero, zero, good)
+        sweeps._check_unitary(good, zero)
         for u11 in (np.array([1.0 + 0j, 1.0 + 1e-9]), np.array([1.0 + 0j, math.nan])):
             with pytest.raises(ValueError, match="unitary"):
-                sweeps._check_unitary(u11, zero, zero, good)
+                sweeps._check_unitary(u11, zero)
         with pytest.raises(ValueError, match="unitary"):
-            sweeps._check_unitary(good, np.array([0.0, 1e-6]), zero, good)
+            sweeps._check_unitary(good, np.array([0.0, 1e-6]))
+
+    def test_the_norm_test_rejects_where_the_three_tests_do(self):
+        # entries built as _bang_segments builds them, from strengths and
+        # durations at 0, tiny, ordinary, far beyond a turn, NaN and +-inf,
+        # and from ordinary ones with the diagonal scaled across the tolerance
+        special = [0.0, 5e-324, 1e-300, 1e-9, 0.05, 0.5, 2.0, 7.5, 1e9, 1e300, math.nan, math.inf]
+        special += [-x for x in special]
+        rng = np.random.default_rng(24)
+        f, tau = (np.concatenate([x.ravel(), rng.uniform(-3.0, 3.0, 2000)]) for x in np.meshgrid(special, special))
+        scale = np.concatenate([np.ones(len(special) ** 2), 1.0 + rng.uniform(-2e-12, 2e-12, 2000)])
+        with np.errstate(all="ignore"):
+            theta = np.arctan2(2.0 * f, OMEGA)
+            angle = np.hypot(0.5 * OMEGA, f) * np.abs(tau)
+            c, s = scale * np.cos(angle), np.sin(angle)
+        off, turn = -1j * s * np.sin(theta), 1j * s * np.cos(theta)
+        u11, u22 = c - turn, c + turn
+
+        def rejects(check, *entries):
+            try:
+                check(*entries)
+            except ValueError:
+                return True
+            return False
+
+        three = [rejects(propagator._check_unitary, *map(complex, (u11[i], off[i], off[i], u22[i]))) for i in range(f.size)]
+        one = [rejects(sweeps._check_unitary, u11[i : i + 1], off[i : i + 1]) for i in range(f.size)]
+        assert one == three
+        # some cells pass, and some fail with finite entries and some without
+        finite = np.isfinite(u11) & np.isfinite(off)
+        assert not all(three) and any(finite[three]) and not all(finite[three])
+        assert rejects(sweeps._check_unitary, u11, off)
 
     def test_drift_renormalised_per_cell(self):
         a = np.array([0.6 + 0j, 0.6 * (1 + 1e-9)])
