@@ -171,18 +171,19 @@ def cmd_design(args) -> int:
     try:
         strength = exact_steering_strength(gamma0, args.omega, args.n)
         params = SystemParams(args.omega, strength)
+        dt_free = SWEEP_DT_FREE_FACTOR / args.omega
+        # a slow-switching step is a tick and at most half a period pi/omega;
+        # so many steps of so long a period can overflow max_time
+        config = SimConfig(
+            params=params,
+            initial=BlochAngles(gamma0, 0.0),
+            dt_free=dt_free,
+            max_switches=args.n + 10,
+            max_time=(args.n + 10) * (math.pi / args.omega + dt_free),
+        )
     except (ValueError, OverflowError) as exc:
         print(f"design: {exc}", file=sys.stderr)
         return 1
-    dt_free = SWEEP_DT_FREE_FACTOR / args.omega
-    # a slow-switching step is a tick and at most half a period pi/omega
-    config = SimConfig(
-        params=params,
-        initial=BlochAngles(gamma0, 0.0),
-        dt_free=dt_free,
-        max_switches=args.n + 10,
-        max_time=(args.n + 10) * (math.pi / args.omega + dt_free),
-    )
     exceeded = run_caps_exceeded(config)
     if exceeded:
         print(f"design: {args.n} steps ask for {exceeded[0][1]}", file=sys.stderr)

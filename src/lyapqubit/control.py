@@ -26,7 +26,6 @@ from .states import (
     SystemParams,
     _dressed_terms,
     fidelity,
-    polar_angle,
     switching_function,
 )
 
@@ -148,18 +147,22 @@ def _switch(state: PureState, f: float, terms: tuple[float, float, float]) -> tu
     raise RuntimeError("failed to bracket the switching event")  # pragma: no cover
 
 
+def _fsc_floor(params: SystemParams) -> float:
+    """``gamma = 2 acos|a| <= theta_max`` iff ``|a| >= cos(theta_max/2)``."""
+    return math.cos(0.5 * params.theta_max)
+
+
 def classify_regime(
     state: PureState, params: SystemParams, eps_target: float = DEFAULT_EPS_TARGET
 ) -> Regime:
-    """At-target / antipodal bands take precedence; otherwise the polar angle
-    splits fast switching (``gamma <= theta_max``) from slow switching."""
+    """At-target / antipodal bands take precedence; otherwise ``|a|`` splits
+    fast switching (``0 < gamma <= theta_max``) from slow switching."""
     f = fidelity(state)
     if f >= 1.0 - eps_target:
         return Regime.AT_TARGET
     if f <= eps_target:
         return Regime.ANTIPODAL
-    gamma = polar_angle(state)
-    if 0.0 < gamma <= params.theta_max:
+    if _fsc_floor(params) <= abs(state.a) < 1.0:
         return Regime.FSC
     return Regime.SSC
 

@@ -76,10 +76,12 @@ class SimConfig:
             raise ValueError(f"eps_target must lie in (0, 1), got {self.eps_target!r}")
         if not 0.0 < self.kick_angle < math.inf:
             raise ValueError(f"kick_angle must be positive and finite, got {self.kick_angle!r}")
-        if self.max_switches < 1:
-            raise ValueError(f"max_switches must be at least 1, got {self.max_switches!r}")
-        if not self.max_time > 0.0:
-            raise ValueError(f"max_time must be positive, got {self.max_time!r}")
+        # written so that NaN and inf fail too
+        if not (1 <= self.max_switches < math.inf and self.max_switches % 1 == 0):
+            raise ValueError(f"max_switches must be an integer of at least 1, got {self.max_switches!r}")
+        # the executor clips a segment to the time left, which must be finite
+        if not 0.0 < self.max_time < math.inf:
+            raise ValueError(f"max_time must be positive and finite, got {self.max_time!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +215,7 @@ def run_oracle(config: SimConfig, h: float) -> OracleRun:
     tick of the event-driven run. The horizon is ``max_time``. Samples land
     on multiples of ``stride * h`` with ``stride = round(sample_interval / h)``.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h!r}")
     if h > config.dt_free / 10.0 * (1.0 + 1e-12):
         raise ValueError(

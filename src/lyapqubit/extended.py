@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .control import DEFAULT_EPS_TARGET, InfeasibleError, _switch, bang_field
-from .propagator import Unitary2, controlled_unitary, evolve, free_unitary
+from .propagator import Unitary2, _closed, controlled_unitary, evolve, free_unitary
 from .states import TWO_PI, PureState, SystemParams, _dressed_terms, _unchecked, fidelity, switching_function, to_bloch
 
 
@@ -65,7 +65,7 @@ def _kick_unitary(angle: float) -> Unitary2:
     c = math.cos(0.5 * angle)
     s = math.sin(0.5 * angle)
     off = -1j * s
-    return Unitary2._exact(complex(c), off, off, complex(c))
+    return _closed(complex(c), off, complex(c))
 
 
 def _band_floor(params: SystemParams) -> float:

@@ -13,7 +13,12 @@ and ``E = sqrt(omega^2/4 + f^2)`` the propagator ``exp(-iHt)`` is
      [-i sin(Et) sin(theta),           cos(Et) + i sin(Et) cos(theta)]]
 
 which is symmetric (``u12 = u21``) and reduces to
-``diag(e^{-i omega t/2}, e^{i omega t/2})`` for ``f = 0``.
+``diag(e^{-i omega t/2}, e^{i omega t/2})`` for ``f = 0``. Every propagator
+the library builds, the kick and the sweeps' arrays too, is symmetric with
+``u22 = conj(u11)`` in value and ``u12`` imaginary: its column norms are the
+same floats and its columns' overlap is 0 unless an entry is NaN or infinite,
+so of the three tests a :class:`Unitary2` makes, :func:`_closed`, the one
+builder of that form, makes only ``|(|u11|^2 + |u12|^2) - 1| <= UNITARY_TOL``.
 """
 
 from __future__ import annotations
@@ -52,13 +57,6 @@ class Unitary2:
             object.__setattr__(self, name, complex(getattr(self, name)))
         _check_unitary(self.u11, self.u12, self.u21, self.u22)
 
-    @staticmethod
-    def _exact(u11: complex, u12: complex, u21: complex, u22: complex) -> "Unitary2":
-        """Build from entries that are already ``complex`` (closed forms),
-        with the same unitarity check but no re-conversion."""
-        _check_unitary(u11, u12, u21, u22)
-        return _new_unitary(u11, u12, u21, u22)
-
     def adjoint(self) -> "Unitary2":
         return Unitary2(
             self.u11.conjugate(),
@@ -69,6 +67,15 @@ class Unitary2:
 
 
 _new_unitary = _unchecked(Unitary2)
+
+
+def _closed(u11, off, u22) -> Unitary2:
+    """``[[u11, off], [off, u22]]`` of ``complex`` entries, or of arrays with
+    one cell each, after the form's one test on every cell; NaN fails it."""
+    within = abs(abs(u11) ** 2 + abs(off) ** 2 - 1.0) <= UNITARY_TOL
+    if not (within if type(within) is bool else within.all()):
+        raise ValueError("entries do not form a unitary matrix")
+    return _new_unitary(u11, off, off, u22)
 
 
 def controlled_unitary(params: SystemParams, f: float, t: float) -> Unitary2:
@@ -88,7 +95,7 @@ def _controlled(eplus: float, st: float, ct: float, t: float) -> Unitary2:
     c = math.cos(eplus * t)
     s = math.sin(eplus * t)
     off = -1j * s * st
-    return Unitary2._exact(c - 1j * s * ct, off, off, c + 1j * s * ct)
+    return _closed(c - 1j * s * ct, off, c + 1j * s * ct)
 
 
 def free_unitary(params: SystemParams, t: float) -> Unitary2:
@@ -96,7 +103,7 @@ def free_unitary(params: SystemParams, t: float) -> Unitary2:
     if not t >= 0.0:
         raise ValueError(f"duration must be non-negative, got {t!r}")
     ph = cmath.exp(-0.5j * params.omega * t)
-    return Unitary2._exact(ph, 0j, 0j, ph.conjugate())
+    return _closed(ph, 0j, ph.conjugate())
 
 
 def evolve(state: PureState, u: Unitary2) -> PureState:
@@ -121,13 +128,15 @@ def default_oracle_step(params: SystemParams) -> float:
 
 def oracle_integrate(state: PureState, params: SystemParams, f: float, t: float, h: float) -> PureState:
     """Brute-force fixed-step reference evolution at step ``h``
-    (``0 < h <= t``), independent of the closed-form propagator."""
-    if t < 0.0:
-        raise ValueError(f"duration must be non-negative, got {t!r}")
+    (``0 < h <= t`` for a finite ``t``), independent of the closed-form
+    propagator."""
+    # written so that NaN fails too; an infinite step exceeds the duration
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"duration must be non-negative and finite, got {t!r}")
+    if not h > 0.0:
+        raise ValueError(f"step size must be positive, got {h!r}")
     if t == 0.0:
         return state
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h!r}")
     if h > t * (1.0 + 1e-12):
         raise ValueError(f"step size {h!r} exceeds the duration {t!r}")
     n_full = int(t / h)

@@ -11,7 +11,7 @@ in lockstep. No cell's arithmetic depends on another's, so a grid swept
 whole, by rows or by strengths gives the same tables, bit for bit. The scalar
 functions step in only where the closed-form switching time needs refining.
 Every check they make (field bound, unitarity, normalisation) is made on
-every cell, unitarity as the one test the closed-form propagator leaves.
+every cell, unitarity by ``propagator._closed``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, _switch, bang_field, ssc_fidelity_bound
+from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, _fsc_floor, _switch, bang_field, ssc_fidelity_bound
 from .extended import _plan_in_band, required_phase
-from .propagator import UNITARY_TOL, free_unitary
+from .propagator import _closed, free_unitary
 from .states import (
     NORM_TOL,
     BlochAngles,
@@ -144,9 +144,9 @@ def _population(squared: np.ndarray) -> np.ndarray:
 
 def _strength_terms(params: Sequence[SystemParams], k: np.ndarray) -> np.ndarray:
     """Per cell ``k`` (an index into ``params``), the rows ``s_max``, ``eplus``,
-    ``sin(theta)``, ``cos(theta)`` of the field ``+s_max`` and ``theta_max``,
+    ``sin(theta)``, ``cos(theta)`` of the field ``+s_max`` and ``_fsc_floor``,
     from the scalar closed forms (which also apply the field bound)."""
-    rows = [(P.s_max, *_dressed_terms(P, P.s_max), P.theta_max) for P in params]
+    rows = [(P.s_max, *_dressed_terms(P, P.s_max), _fsc_floor(P)) for P in params]
     return np.array(rows).T[:, k]
 
 
@@ -173,16 +173,6 @@ def _normalised(a: np.ndarray, b: np.ndarray) -> _Cells:
     return _Cells(a, b, abs_a, a2, b2, a * b.conj())
 
 
-def _check_unitary(u11, off) -> None:
-    """``propagator._check_unitary`` on every cell's ``u11 = c - turn``,
-    ``u12 = u21 = off``, ``u22 = c + turn``, with ``turn`` and ``off``
-    imaginary: ``u22`` is ``conj(u11)`` in value, so both column norms are the
-    same floats, and the overlap is exactly 0 unless an entry is NaN or
-    infinite, which fails the norm test. That one test is all the three leave."""
-    if not _all(np.abs(np.abs(u11) ** 2 + np.abs(off) ** 2 - 1.0) <= UNITARY_TOL):
-        raise ValueError("entries do not form a unitary matrix")
-
-
 def _bang_segments(cells: _Cells, field, terms):
     """Every cell under its bang ``field`` up to its next switching point;
     returns the end cells and the durations.
@@ -191,10 +181,10 @@ def _bang_segments(cells: _Cells, field, terms):
     cell clear of what ``segment_duration`` rejects: ``|a|`` and ``|b|``
     exceed ``|Im(a b*)| > 1e-12``, and so does ``r = hypot(p, q) >= |p|``.
     The propagator is ``controlled_unitary``'s closed form for ``tau`` in
-    ``(0, pi/(2 eplus)]``, whose form leaves one unitarity test to make (see
-    :func:`_check_unitary`). The duration is ``segment_duration``'s closed
-    form, confirmed by ``|Im(a b*)| <= 1e-13 r`` on the evolved state, which
-    is also the end state; a cell that fails gets both from its solver.
+    ``(0, pi/(2 eplus)]``, built per cell by ``propagator._closed``. The
+    duration is ``segment_duration``'s closed form, confirmed by
+    ``|Im(a b*)| <= 1e-13 r`` on the evolved state, which is also the end
+    state; a cell that fails gets both from its solver.
     """
     _, eplus, sin_t, cos_t, _ = terms
     sin_t = np.copysign(sin_t, field)
@@ -207,10 +197,9 @@ def _bang_segments(cells: _Cells, field, terms):
     angle = eplus * tau
     c, s = np.cos(angle), np.sin(angle)
     off, turn = -1j * s * sin_t, 1j * s * cos_t
-    u11, u22 = c - turn, c + turn
-    _check_unitary(u11, off)
+    u = _closed(c - turn, off, c + turn)
     a, b = cells.a, cells.b
-    end = _normalised(u11 * a + off * b, off * a + u22 * b)
+    end = _normalised(u.u11 * a + u.u12 * b, u.u21 * a + u.u22 * b)
     held = np.abs(end.ab.imag) <= 1e-13 * r
     if not _all(held):
         redo = np.flatnonzero(~held)
@@ -227,9 +216,9 @@ def _drop_stopped(fid, live, cells: _Cells, terms):
     """The ``live`` cells, with their ``cells`` and ``terms``, outside the
     target and antipodal bands and fast switching; ``fid`` gets the others'."""
     # the fidelity min(|a|^2, 1) lies in a band exactly when |a|^2 does;
-    # terms[4] is theta_max (see _strength_terms)
+    # terms[4] is classify_regime's fast-switching floor (see _strength_terms)
     stop = (cells.a2 >= 1.0 - DEFAULT_EPS_TARGET) | (cells.a2 <= DEFAULT_EPS_TARGET)
-    stop |= 2.0 * np.arccos(np.minimum(cells.abs_a, 1.0)) <= terms[4]
+    stop |= cells.abs_a >= terms[4]
     if not np.count_nonzero(stop):
         return live, cells, terms
     fid[live[stop]] = _population(cells.a2[stop])

@@ -1179,6 +1179,12 @@ class TestDesign:
                 count = err.split("max_time / sample_interval = ")[1].split(" grid samples")[0]
                 assert float(count) > scenario_module.MAX_GRID_SAMPLES
 
+    def test_a_time_budget_beyond_the_floats_is_refused(self):
+        # 1e300 steps of a period near 1e75 overflow max_time to inf
+        code, out, err = run_cli("design", "0.5", "1e-75", str(10**300))
+        assert (code, out) == (1, "")
+        assert err == "design: max_time must be positive and finite, got inf\n"
+
     @pytest.mark.parametrize("omega", ["nan", "inf", "1e-300", "1e300"])
     def test_extreme_omega_exits_one(self, omega):
         code, out, err = run_cli("design", "0.5", omega, "3")

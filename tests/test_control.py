@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from lyapqubit import (
     BlochAngles,
     DegenerateStateError,
+    PureState,
     Regime,
     RegimeError,
     SimConfig,
@@ -27,6 +29,7 @@ from lyapqubit import (
     switching_function,
     to_bloch,
 )
+from lyapqubit.control import DEFAULT_EPS_TARGET
 
 P = SystemParams(1.0, 0.1)
 THETA = P.theta_max
@@ -237,6 +240,23 @@ class TestClassifyRegime:
     def test_zero_bound_has_no_fast_regime(self):
         p0 = SystemParams(1.0, 0.0)
         assert classify_regime(from_bloch(BlochAngles(0.5, 0.0)), p0) is Regime.SSC
+
+    @pytest.mark.parametrize("s_max", [0.01, 0.1, 0.5, 2.0, 10.0])
+    def test_fast_switching_floor(self, s_max):
+        # gamma = 2 acos|a| <= theta_max is read as |a| >= cos(theta_max/2):
+        # a few ulps either side of that floor, outside both bands, the
+        # verdict follows |a| alone
+        params = SystemParams(1.0, s_max)
+        floor = math.cos(0.5 * params.theta_max)
+        assert DEFAULT_EPS_TARGET < floor**2 < 1.0 - DEFAULT_EPS_TARGET
+        verdicts = set()
+        for k in range(-4, 5):
+            a = floor + k * math.ulp(floor)
+            state = PureState(a, cmath.exp(0.3j) * math.sqrt(1.0 - a * a))
+            fast = classify_regime(state, params) is Regime.FSC
+            assert fast == (a >= floor)
+            verdicts.add(fast)
+        assert verdicts == {True, False}
 
 
 class TestExactSteering:

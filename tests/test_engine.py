@@ -209,6 +209,19 @@ class TestRunBasics:
         assert together == alone
         assert [trajectory_csv(t) for t in together] == [trajectory_csv(t) for t in alone]
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_max_time_must_be_positive_and_finite(self, value):
+        # a run clips its last segment to the time left; with no field that
+        # segment is infinite, and an infinite budget would keep it unclipped
+        for params in (P, SystemParams(1.0, 0.0)):
+            with pytest.raises(ValueError, match="max_time must be positive and finite"):
+                SimConfig(params=params, initial=FIG1, max_time=value)
+
+    @pytest.mark.parametrize("value", [2.5, 0, -3, math.nan, math.inf])
+    def test_max_switches_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="max_switches must be an integer of at least 1"):
+            SimConfig(params=P, initial=FIG1, max_switches=value)
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1e-3])
     @pytest.mark.parametrize("name", ["dt_free", "kick_angle"])
     def test_tick_and_kick_must_be_positive_and_finite(self, name, value):
@@ -440,6 +453,11 @@ class TestRunOracle:
         cfg = fig1_config(dt_free=1e-3)
         with pytest.raises(ValueError):
             run_oracle(cfg, h=5e-4)
+        for h in (math.nan, 0.0, -1e-4):
+            with pytest.raises(ValueError, match="step size must be positive"):
+                run_oracle(cfg, h)
+        with pytest.raises(ValueError, match="too coarse"):
+            run_oracle(cfg, math.inf)
 
     def test_zero_strength_v_constant(self):
         p0 = SystemParams(1.0, 0.0)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from lyapqubit import (
     oracle_integrate,
     to_bloch,
 )
+from lyapqubit import propagator
+from lyapqubit.propagator import _closed
 from lyapqubit.states import NORM_TOL, _dressed_terms
 
 P = SystemParams(1.0, 0.1)
@@ -75,21 +78,84 @@ def _raw_unitary(u11, u12, u21, u22) -> Unitary2:
     return u
 
 
+def _rejects(check, *entries) -> bool:
+    try:
+        check(*entries)
+    except ValueError:
+        return True
+    return False
+
+
+def _controlled_entries(f: float, t: float, scale: float):
+    # as _controlled builds them from _dressed_terms, with the diagonal's
+    # cosine scaled; None where the arithmetic itself raises, before any check
+    try:
+        theta = math.atan2(2.0 * f, P.omega)
+        angle = math.hypot(0.5 * P.omega, f) * abs(t)
+        c, s = scale * math.cos(angle), math.sin(angle)
+    except (ValueError, OverflowError):
+        return None
+    return c - 1j * s * math.cos(theta), -1j * s * math.sin(theta), c + 1j * s * math.cos(theta)
+
+
+def _free_entries(t: float, scale: float):
+    # as free_unitary builds them
+    try:
+        ph = scale * cmath.exp(-0.5j * P.omega * abs(t))
+    except (ValueError, OverflowError):
+        return None
+    return ph, 0j, ph.conjugate()
+
+
+def _kick_entries(angle: float, scale: float):
+    # as extended._kick_unitary builds them
+    try:
+        c, s = scale * math.cos(0.5 * abs(angle)), math.sin(0.5 * abs(angle))
+    except (ValueError, OverflowError):
+        return None
+    return complex(c), -1j * s, complex(c)
+
+
 class TestUnitary2:
     @pytest.mark.parametrize("entries", [(math.nan, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, complex(0.0, math.nan))])
     def test_nan_entry_rejected(self, entries):
         with pytest.raises(ValueError, match="unitary"):
             Unitary2(*entries)
-        with pytest.raises(ValueError, match="unitary"):
-            Unitary2._exact(*(complex(x) for x in entries))
 
-    def test_exact_rejects_non_unitary_like_public(self):
-        entries = (1.0 + 1e-9j, 1e-6 + 0j, 0j, 1 + 0j)
+    @pytest.mark.parametrize("u11, off", [(complex(math.nan, 0.0), 0j), (1 + 0j, complex(0.0, math.nan))])
+    def test_closed_rejects_a_nan_entry(self, u11, off):
+        # _closed reads u11 and off; u22 is conj(u11) in its form
+        with pytest.raises(ValueError, match="unitary"):
+            _closed(u11, off, u11.conjugate())
+
+    def test_closed_rejects_non_unitary_like_public(self):
+        u11, off = 1 + 0j, 2e-6j
         with pytest.raises(ValueError) as public:
-            Unitary2(*entries)
-        with pytest.raises(ValueError) as exact:
-            Unitary2._exact(*entries)
-        assert str(exact.value) == str(public.value)
+            Unitary2(u11, off, off, u11.conjugate())
+        with pytest.raises(ValueError) as closed:
+            _closed(u11, off, u11.conjugate())
+        assert str(closed.value) == str(public.value)
+
+    @pytest.mark.parametrize("build", [_controlled_entries, _free_entries, _kick_entries])
+    def test_the_norm_test_rejects_where_the_three_tests_do(self, build):
+        # the scalar builders' entries, from fields, durations and kick
+        # angles at 0, tiny, ordinary, far beyond a turn, NaN and +-inf, and
+        # from ordinary ones with the diagonal scaled across the tolerance
+        special = [0.0, 5e-324, 1e-300, 1e-9, 0.05, 0.5, 2.0, 7.5, 1e9, 1e300, math.nan, math.inf]
+        special += [-x for x in special]
+        rng = np.random.default_rng(25)
+        args = [(*x, 1.0) for x in itertools.product(special, repeat=2)]
+        args += [(*rng.uniform(-3.0, 3.0, 2), 1.0 + rng.uniform(-2e-12, 2e-12)) for _ in range(2000)]
+        if build is not _controlled_entries:
+            args = [(x, scale) for x, _, scale in args]
+        cells = [e for e in (build(*x) for x in args) if e is not None]
+        three = [_rejects(propagator._check_unitary, u11, off, off, u22) for u11, off, u22 in cells]
+        one = [_rejects(_closed, *entries) for entries in cells]
+        assert one == three
+        # some cells pass, and some fail with finite entries and some without
+        finite = [all(cmath.isfinite(x) for x in entries) for entries in cells]
+        assert not all(three)
+        assert any(r and f for r, f in zip(three, finite)) and any(r and not f for r, f in zip(three, finite))
 
     def test_closed_forms_equal_public_construction(self, frozen_record):
         for u in (
@@ -243,6 +309,18 @@ class TestOracle:
             oracle_integrate(s, P, 0.1, 1.0, h=0.0)
         with pytest.raises(ValueError):
             oracle_integrate(s, P, 0.1, 1.0, h=2.0)
+        # NaN and inf fail with the guards' own messages, for a zero duration too
+        for t, h in ((1.0, math.nan), (0.0, math.nan), (0.0, -1.0)):
+            with pytest.raises(ValueError, match="step size must be positive"):
+                oracle_integrate(s, P, 0.1, t, h)
+        with pytest.raises(ValueError, match="exceeds the duration"):
+            oracle_integrate(s, P, 0.1, 1.0, math.inf)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_invalid_duration(self, t):
+        s = from_bloch(BlochAngles(1.0, 1.0))
+        with pytest.raises(ValueError, match="duration must be non-negative and finite"):
+            oracle_integrate(s, P, 0.1, t, 1e-3)
 
     def test_free_case_matches_exact_solution(self):
         s = from_bloch(BlochAngles(1.234, 0.777))

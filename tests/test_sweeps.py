@@ -30,6 +30,7 @@ from lyapqubit import (
     switching_function,
 )
 from lyapqubit import control, extended, propagator, sweeps
+from lyapqubit.propagator import _closed
 from lyapqubit.states import NORM_TOL
 
 OMEGA = 1.0
@@ -534,12 +535,13 @@ class TestArrayChecks:
         # the check reads u11 and u12 = u21; u22 is conj(u11) in its form
         good = np.array([1.0 + 0j, 1j])
         zero = np.zeros(2, dtype=complex)
-        sweeps._check_unitary(good, zero)
+        _closed(good, zero, good.conj())
+        _closed(good[:0], zero[:0], good[:0])
         for u11 in (np.array([1.0 + 0j, 1.0 + 1e-9]), np.array([1.0 + 0j, math.nan])):
             with pytest.raises(ValueError, match="unitary"):
-                sweeps._check_unitary(u11, zero)
+                _closed(u11, zero, u11.conj())
         with pytest.raises(ValueError, match="unitary"):
-            sweeps._check_unitary(good, np.array([0.0, 1e-6]))
+            _closed(good, np.array([0.0, 1e-6]), good.conj())
 
     def test_the_norm_test_rejects_where_the_three_tests_do(self):
         # entries built as _bang_segments builds them, from strengths and
@@ -565,12 +567,12 @@ class TestArrayChecks:
             return False
 
         three = [rejects(propagator._check_unitary, *map(complex, (u11[i], off[i], off[i], u22[i]))) for i in range(f.size)]
-        one = [rejects(sweeps._check_unitary, u11[i : i + 1], off[i : i + 1]) for i in range(f.size)]
+        one = [rejects(_closed, u11[i : i + 1], off[i : i + 1], u22[i : i + 1]) for i in range(f.size)]
         assert one == three
         # some cells pass, and some fail with finite entries and some without
         finite = np.isfinite(u11) & np.isfinite(off)
         assert not all(three) and any(finite[three]) and not all(finite[three])
-        assert rejects(sweeps._check_unitary, u11, off)
+        assert rejects(_closed, u11, off, u22)
 
     def test_drift_renormalised_per_cell(self):
         a = np.array([0.6 + 0j, 0.6 * (1 + 1e-9)])
@@ -586,7 +588,7 @@ class TestArrayChecks:
             sweeps._normalised(np.array([1.0 + 0j, bad]), np.array([0j, 0j]))
 
     def test_every_segment_is_checked(self, monkeypatch):
-        seen = {"_check_unitary": 0, "_normalised": 0}
+        seen = {"_closed": 0, "_normalised": 0}
 
         def counting(name):
             check = getattr(sweeps, name)
@@ -604,12 +606,35 @@ class TestArrayChecks:
         # a propagator per control segment; a norm check per segment end
         # and per free tick, of which every segment but a cell's first
         # (36 cells) follows one
-        assert seen["_check_unitary"] == controls
+        assert seen["_closed"] == controls
         assert seen["_normalised"] >= controls + (controls - 36)
-        seen.update(_check_unitary=0, _normalised=0)
+        seen.update(_closed=0, _normalised=0)
         first = sweep_first_segment(grid).tables["tau"]
-        assert seen["_check_unitary"] == np.count_nonzero(~np.isnan(first))
-        assert seen["_normalised"] == seen["_check_unitary"]
+        assert seen["_closed"] == np.count_nonzero(~np.isnan(first))
+        assert seen["_normalised"] == seen["_closed"]
+
+    def test_stop_mask_is_the_regime_rule(self):
+        # the one loop stops a cell exactly where classify_regime leaves
+        # slow switching, at every strength: seeded |a| across [0, 1], the
+        # band edges and a few ulps either side of each fast-switching floor
+        params = [SystemParams(OMEGA, s) for s in (0.01, 0.1, 0.5, 2.0, 10.0)]
+        rng = np.random.default_rng(25)
+        edges = [0.0, math.sqrt(control.DEFAULT_EPS_TARGET), math.sqrt(1.0 - control.DEFAULT_EPS_TARGET), 1.0]
+        abs_a, k = [], []
+        for i, p in enumerate(params):
+            floor = math.cos(0.5 * p.theta_max)
+            values = [*rng.uniform(0.0, 1.0, 400), *edges, *(floor + j * math.ulp(floor) for j in range(-4, 5))]
+            abs_a += values
+            k += [i] * len(values)
+        abs_a, k = np.array(abs_a), np.array(k)
+        a = abs_a.astype(complex)
+        b = np.sqrt(1.0 - abs_a**2) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, abs_a.size))
+        live = np.arange(a.size)
+        kept = sweeps._drop_stopped(np.zeros(a.size), live, sweeps._cells(a, b), sweeps._strength_terms(params, k))[0]
+        stop = ~np.isin(live, kept)
+        regime = [control.classify_regime(PureState(a[i], b[i]), params[k[i]]) for i in live]
+        assert stop.tolist() == [r is not control.Regime.SSC for r in regime]
+        assert {control.Regime.SSC, control.Regime.FSC} <= set(regime)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf])
     def test_strengths_validated(self, s):
