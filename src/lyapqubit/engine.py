@@ -42,6 +42,9 @@ DEFAULT_DT_FREE_FACTOR = 1e-4
 DEFAULT_SAMPLE_INTERVAL_FACTOR = 0.1
 DEFAULT_MAX_TIME_FACTOR = 1000.0
 
+#: The most steps ``run_oracle`` takes: about a minute of pure-Python steps.
+_MAX_ORACLE_STEPS = 10**8
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -70,8 +73,8 @@ class SimConfig:
         # the run binds its tick and kick at its start (see extended._bind)
         if not 0.0 < self.dt_free < math.inf:
             raise ValueError(f"dt_free must be positive and finite, got {self.dt_free!r}")
-        if not self.sample_interval > 0.0:
-            raise ValueError(f"sample_interval must be positive, got {self.sample_interval!r}")
+        if not 0.0 < self.sample_interval < math.inf:
+            raise ValueError(f"sample_interval must be positive and finite, got {self.sample_interval!r}")
         if not 0.0 < self.eps_target < 1.0:
             raise ValueError(f"eps_target must lie in (0, 1), got {self.eps_target!r}")
         if not 0.0 < self.kick_angle < math.inf:
@@ -214,6 +217,7 @@ def run_oracle(config: SimConfig, h: float) -> OracleRun:
     Requires ``h <= dt_free / 10`` so the sampled law resolves the trigger
     tick of the event-driven run. The horizon is ``max_time``. Samples land
     on multiples of ``stride * h`` with ``stride = round(sample_interval / h)``.
+    Refuses a step that asks for more than ``10**8`` steps.
     """
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h!r}")
@@ -223,8 +227,14 @@ def run_oracle(config: SimConfig, h: float) -> OracleRun:
         )
     params = config.params
     state0 = from_bloch(config.initial)
-    n_steps = int(math.floor(config.max_time / h + 1e-9))
-    stride = max(1, int(round(config.sample_interval / h)))
+    steps = config.max_time / h
+    if not steps <= _MAX_ORACLE_STEPS:
+        raise ValueError(
+            f"oracle step {h!r} too fine: max_time/h = {steps!r} steps exceed the cap of {_MAX_ORACLE_STEPS}"
+        )
+    n_steps = int(math.floor(steps + 1e-9))
+    # a stride past the last step takes no sample, however far past it is
+    stride = max(1, int(round(min(config.sample_interval / h, n_steps + 1))))
     up = controlled_unitary(params, params.s_max, h)
     um = controlled_unitary(params, -params.s_max, h)
     a, b, switches, sampled = _kernels.sampled_law_steps(

@@ -217,6 +217,13 @@ class TestRunBasics:
             with pytest.raises(ValueError, match="max_time must be positive and finite"):
                 SimConfig(params=params, initial=FIG1, max_time=value)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_sample_interval_must_be_positive_and_finite(self, value):
+        # an infinite interval would leave a run two samples and give the
+        # oracle no stride
+        with pytest.raises(ValueError, match="sample_interval must be positive and finite"):
+            SimConfig(params=P, initial=FIG1, sample_interval=value)
+
     @pytest.mark.parametrize("value", [2.5, 0, -3, math.nan, math.inf])
     def test_max_switches_must_be_a_positive_integer(self, value):
         with pytest.raises(ValueError, match="max_switches must be an integer of at least 1"):
@@ -458,6 +465,19 @@ class TestRunOracle:
                 run_oracle(cfg, h)
         with pytest.raises(ValueError, match="too coarse"):
             run_oracle(cfg, math.inf)
+        # a step too fine to count, or past the cap, is refused before counting
+        short = fig1_config(dt_free=1e-3, max_time=1.0)
+        for h in (5e-324, 1e-300, 0.99e-8):
+            with pytest.raises(ValueError, match="too fine"):
+                run_oracle(short, h)
+
+    def test_a_stride_past_the_horizon_takes_no_sample(self):
+        # sample_interval / h overflows a float; the rerun still runs and
+        # records only its start, as any stride past the last step does
+        cfg = fig1_config(dt_free=1e-3, max_time=1e-3, sample_interval=1e308)
+        rerun = run_oracle(cfg, 1e-4)
+        assert [s.t for s in rerun.samples] == [0.0]
+        assert rerun.total_time == 10 * 1e-4
 
     def test_zero_strength_v_constant(self):
         p0 = SystemParams(1.0, 0.0)
