@@ -1,11 +1,12 @@
 """Command-line interface: simulate, sweep, design, verify.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 truncated
-simulation, 3 verification failure. All file output is byte-deterministic
-for identical inputs, and written atomically (write then rename).
-``verify`` draws its random cases from ``--seed``. ``design`` refuses,
-with exit 1, a step count whose run exceeds the caps a scenario file's
-run has (:func:`~lyapqubit.scenario.run_caps_exceeded`).
+simulation, 3 verification failure. A command refuses with one exception
+that carries its diagnostic, which ``main`` prints before it exits 1. All
+file output is byte-deterministic for identical inputs, and written
+atomically (write then rename). ``verify`` draws its random cases from
+``--seed``. ``design`` refuses a step count whose run exceeds the caps a
+scenario file's run has (:func:`~lyapqubit.scenario.run_caps_exceeded`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from .sweeps import (
 
 CSV_HEADER = "t,re_a,im_a,re_b,im_b,V,dVdt,f,segment_kind"
 
+
+class _Refusal(Exception):
+    """A command's refusal; its text is the diagnostic ``main`` prints."""
+
+
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
@@ -46,6 +52,24 @@ def _write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write(args, path: str, text: str) -> None:
+    """:func:`_write_atomic`, refusing a file the command cannot write."""
+    try:
+        _write_atomic(path, text)
+    except OSError as exc:
+        raise _Refusal(f"{args.command}: cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _scenario(args) -> Scenario:
+    """The scenario file of ``simulate`` or ``sweep``, whose ``--output`` is required."""
+    if not args.output:
+        raise _Refusal(f"{args.command}: --output is required")
+    try:
+        return parse_scenario(args.scenario)
+    except ScenarioError as exc:
+        raise _Refusal(str(exc)) from None
 
 
 _TRAJECTORY_ROW = "%.15g," * 8 + "%s"
@@ -89,23 +113,11 @@ def _grid_long_columns(grid: SweepGrid, name: str, table: np.ndarray) -> dict[st
 
 
 def cmd_simulate(args) -> int:
-    if not args.output:
-        print("simulate: --output is required", file=sys.stderr)
-        return 1
-    try:
-        scenario = parse_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    scenario = _scenario(args)
     if scenario.sweep is not None:
-        print("simulate: scenario has a [sweep] section", file=sys.stderr)
-        return 1
+        raise _Refusal("simulate: scenario has a [sweep] section")
     traj = run(scenario.sim_config())
-    try:
-        _write_atomic(args.output, trajectory_csv(traj))
-    except OSError as exc:
-        print(f"simulate: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+    _write(args, args.output, trajectory_csv(traj))
     if not args.quiet:
         status = "converged" if traj.converged else "truncated"
         print(
@@ -138,29 +150,16 @@ def _sweep_files(scenario: Scenario) -> list[tuple[str, dict[str, np.ndarray]]]:
 
 
 def cmd_sweep(args) -> int:
-    if not args.output:
-        print("sweep: --output is required", file=sys.stderr)
-        return 1
-    try:
-        scenario = parse_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    scenario = _scenario(args)
     if scenario.sweep is None:
-        print("sweep: scenario has no [sweep] section", file=sys.stderr)
-        return 1
+        raise _Refusal("sweep: scenario has no [sweep] section")
     try:
         files = _sweep_files(scenario)
     except ValueError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 1
+        raise _Refusal(f"sweep: {exc}") from None
     for name, columns in files:
         path = os.path.join(args.output, name)
-        try:
-            _write_atomic(path, table_csv(columns))
-        except OSError as exc:
-            print(f"sweep: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
+        _write(args, path, table_csv(columns))
         if not args.quiet:
             print(path)
     return 0
@@ -182,12 +181,10 @@ def cmd_design(args) -> int:
             max_time=(args.n + 10) * (math.pi / args.omega + dt_free),
         )
     except (ValueError, OverflowError) as exc:
-        print(f"design: {exc}", file=sys.stderr)
-        return 1
+        raise _Refusal(f"design: {exc}") from None
     exceeded = run_caps_exceeded(config)
     if exceeded:
-        print(f"design: {args.n} steps ask for {exceeded[0][1]}", file=sys.stderr)
-        return 1
+        raise _Refusal(f"design: {args.n} steps ask for {exceeded[0][1]}")
     traj = run(config)
     ok = traj.converged
     if not args.quiet:
@@ -246,11 +243,9 @@ def _verify_policies(rng: np.random.Generator, runs: int, params: SystemParams):
 
 def cmd_verify(args) -> int:
     if args.count < 1:
-        print("verify: --count must be at least 1", file=sys.stderr)
-        return 1
+        raise _Refusal("verify: --count must be at least 1")
     if args.seed < 0:
-        print("verify: --seed must be a non-negative integer", file=sys.stderr)
-        return 1
+        raise _Refusal("verify: --seed must be a non-negative integer")
     params = SystemParams(1.0, 0.1)
     rng = np.random.default_rng(args.seed)
     max_dev, worst_case = _verify_propagator(rng, args.count, params)
@@ -327,7 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

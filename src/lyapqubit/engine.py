@@ -10,8 +10,8 @@ series. A grid sample inside a control segment is propagated from the
 bound law's dressed terms of its field. A record keeps states, not
 numbers derived from them, except a sample's V, computed once per
 sample.
-``run_oracle`` re-simulates the same scenario by brute force: a fixed
-step ``h`` with the feedback law re-evaluated every step, serving as
+``run_oracle`` re-simulates a standard-policy scenario by brute force: a
+fixed step ``h`` with the bang law re-evaluated every step, serving as
 ground truth for the event-driven segmentation. It returns an
 :class:`OracleRun`, which has no segments.
 """
@@ -29,6 +29,7 @@ from .states import (
     BlochAngles,
     PureState,
     SystemParams,
+    _check,
     _unchecked,
     fidelity,
     from_bloch,
@@ -45,12 +46,31 @@ DEFAULT_MAX_TIME_FACTOR = 1000.0
 #: The most steps ``run_oracle`` takes: about a minute of pure-Python steps.
 _MAX_ORACLE_STEPS = 10**8
 
+#: Most grid samples a scenario file may ask a run for, and ``run_oracle``
+#: keeps: about 180 MB of a run's records, 250 MB of a rerun's.
+MAX_GRID_SAMPLES = 1_000_000
+
+_POSITIVE_FINITE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
+
+#: :class:`SimConfig`'s rule of each setting, ``(ok, text)``, in the order it checks
+#: them; NaN and inf fail too, since a run needs a finite tick, kick and budget
+SIM_RULES = {
+    "dt_free": _POSITIVE_FINITE,
+    "sample_interval": _POSITIVE_FINITE,
+    "eps_target": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "kick_angle": _POSITIVE_FINITE,
+    "max_switches": (lambda v: 1 <= v < math.inf and v % 1 == 0, "must be an integer of at least 1"),
+    "max_time": _POSITIVE_FINITE,
+    "policy": (lambda v: v in tuple(Policy), f"must be one of {', '.join(Policy)}"),
+}
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """Full scenario description, and the one statement of a run's defaults:
     scenario files and the CLI leave out what they do not set. ``None``
-    fields resolve to the ``DEFAULT_*_FACTOR`` above scaled by ``1/omega``."""
+    fields resolve to the ``DEFAULT_*_FACTOR`` above scaled by ``1/omega``,
+    and each setting must pass its :data:`SIM_RULES` rule."""
 
     params: SystemParams
     initial: BlochAngles
@@ -70,21 +90,8 @@ class SimConfig:
             object.__setattr__(self, "sample_interval", DEFAULT_SAMPLE_INTERVAL_FACTOR * scale)
         if self.max_time is None:
             object.__setattr__(self, "max_time", DEFAULT_MAX_TIME_FACTOR * scale)
-        # the run binds its tick and kick at its start (see extended._bind)
-        if not 0.0 < self.dt_free < math.inf:
-            raise ValueError(f"dt_free must be positive and finite, got {self.dt_free!r}")
-        if not 0.0 < self.sample_interval < math.inf:
-            raise ValueError(f"sample_interval must be positive and finite, got {self.sample_interval!r}")
-        if not 0.0 < self.eps_target < 1.0:
-            raise ValueError(f"eps_target must lie in (0, 1), got {self.eps_target!r}")
-        if not 0.0 < self.kick_angle < math.inf:
-            raise ValueError(f"kick_angle must be positive and finite, got {self.kick_angle!r}")
-        # written so that NaN and inf fail too
-        if not (1 <= self.max_switches < math.inf and self.max_switches % 1 == 0):
-            raise ValueError(f"max_switches must be an integer of at least 1, got {self.max_switches!r}")
-        # the executor clips a segment to the time left, which must be finite
-        if not 0.0 < self.max_time < math.inf:
-            raise ValueError(f"max_time must be positive and finite, got {self.max_time!r}")
+        _check(SIM_RULES, self)
+        object.__setattr__(self, "policy", Policy(self.policy))
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,14 +218,19 @@ def run(config: SimConfig) -> Trajectory:
 
 
 def run_oracle(config: SimConfig, h: float) -> OracleRun:
-    """Brute-force rerun of a scenario: fixed step ``h``, feedback law
-    re-evaluated every step.
+    """Brute-force rerun of a scenario under the standard policy: fixed step
+    ``h``, bang law re-evaluated every step.
 
-    Requires ``h <= dt_free / 10`` so the sampled law resolves the trigger
-    tick of the event-driven run. The horizon is ``max_time``. Samples land
-    on multiples of ``stride * h`` with ``stride = round(sample_interval / h)``.
-    Refuses a step that asks for more than ``10**8`` steps.
+    The rerun never kicks and never stops early: it runs the whole horizon
+    ``max_time``, so from the antipodal state, where the law applies no
+    field, it stays there. Requires ``h <= dt_free / 10`` so the sampled law
+    resolves the trigger tick of the event-driven run. Samples land on
+    multiples of ``stride * h`` with ``stride = round(sample_interval / h)``.
+    Refuses the extended policy, a step that asks for more than ``10**8``
+    steps, and more than :data:`MAX_GRID_SAMPLES` samples.
     """
+    if config.policy is Policy.EXTENDED:
+        raise ValueError(f"run_oracle reruns the standard law only, not the {config.policy.value!r} policy")
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h!r}")
     if h > config.dt_free / 10.0 * (1.0 + 1e-12):
@@ -235,6 +247,12 @@ def run_oracle(config: SimConfig, h: float) -> OracleRun:
     n_steps = int(math.floor(steps + 1e-9))
     # a stride past the last step takes no sample, however far past it is
     stride = max(1, int(round(min(config.sample_interval / h, n_steps + 1))))
+    samples = n_steps // stride + 1
+    if samples > MAX_GRID_SAMPLES:
+        raise ValueError(
+            f"oracle step {h!r} and sample_interval {config.sample_interval!r} ask for {samples} samples,"
+            f" past the cap of {MAX_GRID_SAMPLES}"
+        )
     up = controlled_unitary(params, params.s_max, h)
     um = controlled_unitary(params, -params.s_max, h)
     a, b, switches, sampled = _kernels.sampled_law_steps(

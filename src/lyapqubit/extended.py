@@ -181,8 +181,9 @@ def next_action(
     shrinks the polar angle by ``2*theta_max`` until the reachable set is
     entered.
 
-    Raises ``ValueError`` for a ``dt_free`` or ``kick_angle`` that is not
-    positive and finite.
+    ``policy`` is a :class:`Policy` or its value. Raises ``ValueError``
+    for a ``dt_free`` or ``kick_angle`` that is not positive and finite,
+    and for an unknown policy.
     """
     return _bind(params, policy, dt_free, kick_angle, eps_target)[0](state, fidelity(state))
 
@@ -202,7 +203,7 @@ def _bind(params: SystemParams, policy: Policy, dt_free: float, kick_angle: floa
     kick = _kick_unitary(kick_angle)
     plus, minus = _dressed_terms(params, s_max), _dressed_terms(params, -s_max)
     antipodal = min(eps_target, DEFAULT_EPS_TARGET)
-    extended = policy is Policy.EXTENDED
+    extended = Policy(policy) is Policy.EXTENDED
     floor = _band_floor(params)
 
     def act(state: PureState, fid: float) -> tuple[Segment, ...]:

@@ -18,16 +18,18 @@ rest is rejected. A sweep's grid has the axes its kind evaluates, and on
 each other axis the one point the file fixes: ``[initial]`` ``gamma`` and
 ``phi``, and ``[system] s_max``.
 
-``[system]`` needs both keys; ``omega`` lies in [1e-75, 1e75] and every
-field strength in [0, 1e75]. ``[initial]`` needs ``gamma`` (``phi``
+``[system]`` needs both keys. ``[initial]`` needs ``gamma`` (``phi``
 defaults to 0). ``[policy] kind`` is ``standard`` or ``extended``.
 ``[simulation]`` keys the file leaves out take the defaults of
-:class:`~lyapqubit.engine.SimConfig`. Field strengths are the comma list
-``s_values``, or ``s_count`` (default 25) points from ``s_min`` to
-``s_max``, or else ``[system] s_max``; a ``first_segment`` sweep takes
-one strength. A ``phase_alignment`` sweep's ``gamma`` axis must stay in
-the band ``sin(gamma/2) <= sin(theta_max)`` that ``[system] s_max``
-reaches.
+:class:`~lyapqubit.engine.SimConfig`. A ``[system]`` or ``[simulation]``
+value, and any field strength as ``s_max``, must pass the rule its
+record states (:data:`~lyapqubit.states.PARAM_RULES` or
+:data:`~lyapqubit.engine.SIM_RULES`), whose text its diagnostic quotes.
+Field strengths are the comma list ``s_values``, or ``s_count`` (default
+25) points from ``s_min`` to ``s_max``, or else ``[system] s_max``; a
+``first_segment`` sweep takes one strength. A ``phase_alignment``
+sweep's ``gamma`` axis must stay in the band
+``sin(gamma/2) <= sin(theta_max)`` that ``[system] s_max`` reaches.
 
 Angle convention: ``gamma``/``phi`` values (including sweep bounds) are in
 units of pi, so ``phi = 1.75`` means ``7*pi/4``. ``gamma``, ``gamma_min``
@@ -75,15 +77,12 @@ import numpy as np
 
 from . import sweeps
 from .control import InfeasibleError
-from .engine import Policy, SimConfig
+from .engine import MAX_GRID_SAMPLES, SIM_RULES, Policy, SimConfig
 from .extended import required_phase
-from .states import SCALE_RANGE, BlochAngles, SystemParams
+from .states import PARAM_RULES, BlochAngles, SystemParams
 from .sweeps import SweepGrid
 
 SWEEP_KINDS = ("first_segment", "ssc_fidelity", "fidelity_vs_strength", "phase_alignment")
-
-#: Most grid samples a file may ask a run for: about 180 MB of records.
-MAX_GRID_SAMPLES = 1_000_000
 
 #: Most switches a file may ask a run for: the run's safety net of
 #: ``10 * max_switches + 10_000`` segments then holds about as many records.
@@ -186,26 +185,17 @@ def _strengths(raw: str) -> tuple[float, ...]:
     return tuple(sorted(set(_STRENGTH(p) for p in parts)))
 
 
-_POSITIVE = _rule(lambda v: v > 0.0, "must be positive")
-# the ranges SystemParams enforces
-_OMEGA = _rule(lambda v: SCALE_RANGE[0] <= v <= SCALE_RANGE[1], "must lie in [%r, %r]" % SCALE_RANGE)
-_STRENGTH = _rule(lambda v: 0.0 <= v <= SCALE_RANGE[1], f"must lie in [0, {SCALE_RANGE[1]!r}]")
+_STRENGTH = _rule(*PARAM_RULES["s_max"], float)
 _COUNT = _rule(lambda v: v >= 1, "must be at least 1", int)
 _GAMMA = _pi_units(_rule(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
 
 #: section -> key -> converter: every key a scenario file may set
 _KEYS = {
-    "system": {"omega": _OMEGA, "s_max": _STRENGTH},
+    "system": {"omega": _rule(*PARAM_RULES["omega"], float), "s_max": _STRENGTH},
     "initial": {"gamma": _GAMMA, "phi": _rule(math.isfinite, "must be finite once multiplied by pi", _pi_units(float))},
     "policy": {"kind": _one_of(Policy)},
-    # the ranges SimConfig enforces, reported here with their keys
     "simulation": {
-        "dt_free": _POSITIVE,
-        "kick_angle": _POSITIVE,
-        "sample_interval": _POSITIVE,
-        "eps_target": _rule(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-        "max_switches": _COUNT,
-        "max_time": _POSITIVE,
+        key: _rule(*rule, int if key == "max_switches" else float) for key, rule in SIM_RULES.items() if key != "policy"
     },
     "sweep": {
         "kind": _one_of(SWEEP_KINDS),

@@ -30,6 +30,12 @@ POLE_TOL = 1e-15
 #: stay normal floats.
 SCALE_RANGE = (1e-75, 1e75)
 
+#: :class:`SystemParams`' rule of each field, ``(ok, text)``; NaN fails too
+PARAM_RULES = {
+    "omega": (lambda v: SCALE_RANGE[0] <= v <= SCALE_RANGE[1], "must lie in [%r, %r]" % SCALE_RANGE),
+    "s_max": (lambda v: 0.0 <= v <= SCALE_RANGE[1], f"must lie in [0, {SCALE_RANGE[1]!r}]"),
+}
+
 
 class DegenerateStateError(ValueError):
     """The requested operation is undefined for this state."""
@@ -108,23 +114,25 @@ class BlochAngles:
         object.__setattr__(self, "phi", p)
 
 
+def _check(rules, record) -> None:
+    """Refuse the first field of ``record`` that fails its ``(ok, text)`` rule in ``rules``."""
+    for name, (ok, text) in rules.items():
+        if not ok(getattr(record, name)):
+            raise ValueError(f"{name} {text}, got {getattr(record, name)!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Level spacing ``omega`` and field-strength bound ``s_max``, within
-    the ranges :data:`SCALE_RANGE` sets."""
+    the ranges :data:`PARAM_RULES` sets."""
 
     omega: float
     s_max: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "s_max", float(self.s_max))
-        lo, hi = SCALE_RANGE
-        # written so that NaN fails too
-        if not lo <= self.omega <= hi:
-            raise ValueError(f"omega must lie in [{lo!r}, {hi!r}], got {self.omega!r}")
-        if not 0.0 <= self.s_max <= hi:
-            raise ValueError(f"s_max must lie in [0, {hi!r}], got {self.s_max!r}")
+        for name in PARAM_RULES:
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _check(PARAM_RULES, self)
 
     @property
     def theta_max(self) -> float:

@@ -55,7 +55,7 @@ SSC_STEP_OVERHEAD = 400
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes for a sweep; all axes must be non-empty and strictly increasing."""
+    """Axes for a sweep: non-empty, strictly increasing, and each strength a valid ``s_max`` at ``omega``."""
 
     gamma_axis: tuple[float, ...]
     phi_axis: tuple[float, ...]
@@ -76,10 +76,8 @@ class SweepGrid:
             raise ValueError("gamma axis must lie within [0, pi]")
         if any(not 0.0 <= p < 2.0 * math.pi for p in self.phi_axis):
             raise ValueError("phi axis must lie within [0, 2*pi)")
-        if any(s < 0.0 for s in self.s_values):
-            raise ValueError("field strengths must be non-negative")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+        for s in self.s_values:
+            SystemParams(self.omega, s)
 
 
 @dataclass(frozen=True)

@@ -1285,6 +1285,40 @@ REQUIRED = [("system", "omega"), ("system", "s_max"), ("initial", "gamma"), ("sw
 # the strength keys a file may set together
 S_FORMS = [(), ("s_values",), ("s_min", "s_max"), ("s_min", "s_max", "s_count")]
 
+# the reader's text handling of a key a record checks: counts are integers,
+# kinds are lower-cased, and every other such value is a float
+TEXT = {("simulation", "max_switches"): int, ("policy", "kind"): str.lower}
+
+
+def record_refuses(section, key, value):
+    """Whether the record that ``[section] key`` sets refuses ``value``."""
+    try:
+        if section == "system":
+            SystemParams(**{"omega": 1.0, "s_max": 0.1, key: value})
+        else:
+            SimConfig(SystemParams(1.0, 0.1), BlochAngles(0.5, 0.0), **{"policy" if key == "kind" else key: value})
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("section, key", [sk for sk in VALUES if sk[0] in ("system", "simulation", "policy")])
+def test_the_reader_refuses_a_value_exactly_when_its_record_does(section, key):
+    valid, boundary = VALUES[section, key]
+    convert = TEXT.get((section, key), float)
+    for raw in valid + boundary + HOSTILE:
+        try:
+            value = convert(raw)
+        except ValueError:
+            # text the reader cannot convert never reaches a record
+            continue
+        try:
+            read = scenario_module._KEYS[section][key](raw)
+        except ValueError:
+            read = None
+        assert (read is None) == record_refuses(section, key, value), (section, key, raw)
+        assert read is None or read == value, (section, key, raw)
+
 
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())

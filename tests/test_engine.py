@@ -244,6 +244,33 @@ class TestRunBasics:
                 next_action(from_bloch(start), P, Policy.STANDARD, values["dt_free"], values["kick_angle"], 1e-9)
 
 
+class TestPolicyByValue:
+    """A policy given by its value is the policy: a string that is none
+    raises, and ``"extended"`` runs the extended law, not the standard one."""
+
+    START = BlochAngles(2.0, 0.3)
+
+    def test_a_config_coerces_the_policy_value(self):
+        by_value = run(SimConfig(params=P, initial=self.START, policy="extended"))
+        assert by_value == run(SimConfig(params=P, initial=self.START, policy=Policy.EXTENDED))
+        # the standard law stops unconverged at its switch budget from here
+        assert by_value.converged
+        assert [seg.label for seg in by_value.segments if seg.label] == ["single_shot"]
+
+    def test_an_unknown_policy_is_refused(self):
+        with pytest.raises(ValueError, match="policy must be one of standard, extended, got 'bogus'"):
+            SimConfig(params=P, initial=self.START, policy="bogus")
+        with pytest.raises(ValueError):
+            next_action(from_bloch(self.START), P, "bogus", 1e-4, 1e-6, 1e-9)
+
+    def test_next_action_coerces_the_policy_value(self):
+        # a switching point inside the reachable band: only the extended law plans the shot
+        state = from_bloch(BlochAngles(0.1, 0.0))
+        planned = next_action(state, P, Policy.EXTENDED, 1e-4, 1e-6, 1e-9)
+        assert planned[-1].label == "single_shot"
+        assert next_action(state, P, "extended", 1e-4, 1e-6, 1e-9) == planned
+
+
 class TestStandardRunStructure:
     def test_lyapunov_monotone(self):
         traj = run(fig1_config(max_switches=2000))
@@ -470,6 +497,35 @@ class TestRunOracle:
         for h in (5e-324, 1e-300, 0.99e-8):
             with pytest.raises(ValueError, match="too fine"):
                 run_oracle(short, h)
+
+    def test_the_extended_policy_is_refused(self):
+        # the rerun steps the standard law only; it would silently rerun that
+        cfg = fig1_config(policy=Policy.EXTENDED, dt_free=1e-3, max_time=1.0)
+        with pytest.raises(ValueError, match="not the 'extended' policy"):
+            run_oracle(cfg, 1e-4)
+
+    def test_the_rerun_never_kicks(self):
+        # from the antipodal state the law applies no field, and the rerun
+        # stays there for the whole horizon, where run kicks
+        cfg = fig1_config(initial=BlochAngles(math.pi, 0.0), dt_free=1e-3, max_time=1.0)
+        rerun = run_oracle(cfg, 1e-4)
+        assert rerun.field_changes == 0 and rerun.terminal_fidelity < 1e-30
+        assert rerun.total_time == pytest.approx(1.0)
+        assert run(cfg).segments[0].kind == "kick"
+
+    def test_samples_past_the_cap_are_refused_before_stepping(self, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(engine._kernels, "sampled_law_steps", kernel)
+        h = 2.0**-20
+        # 2**20 steps, a sample after each: one sample past the cap
+        cfg = fig1_config(dt_free=16 * h, max_time=1.0, sample_interval=h)
+        with pytest.raises(ValueError, match=f"ask for {2**20 + 1} samples, past the cap of 1000000"):
+            run_oracle(cfg, h)
+        # a sample every other step is within it, and steps
+        with pytest.raises(AssertionError, match="stepped"):
+            run_oracle(dataclasses.replace(cfg, sample_interval=2 * h), h)
 
     def test_a_stride_past_the_horizon_takes_no_sample(self):
         # sample_interval / h overflows a float; the rerun still runs and

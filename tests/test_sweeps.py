@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import types
 
 import numpy as np
@@ -61,6 +62,13 @@ class TestSweepGrid:
             SweepGrid((0.1, 4.0), (0.0,), (0.1,), OMEGA)
         with pytest.raises(ValueError):
             SweepGrid((0.1,), (0.0, 7.0), (0.1,), OMEGA)
+
+    @pytest.mark.parametrize("s, omega", [(-0.1, OMEGA), (math.nan, OMEGA), (1e80, OMEGA), (0.1, math.inf), (0.1, 0.0)])
+    def test_strengths_and_omega_are_refused_as_system_params_refuses_them(self, s, omega):
+        with pytest.raises(ValueError) as params:
+            SystemParams(omega, s)
+        with pytest.raises(ValueError, match=re.escape(str(params.value))):
+            SweepGrid((0.5,), (0.0,), (s,), omega)
 
 
 class TestFirstSegment:
