@@ -19,9 +19,8 @@ from .control import (
     select_field,
     ssc_fidelity_bound,
 )
-from .engine import OracleRun, Policy, Sample, Segment, SimConfig, Trajectory, run, run_oracle
+from .engine import OracleRun, Policy, Sample, Segment, SimConfig, Trajectory, next_action, run, run_oracle
 from .extended import (
-    next_action,
     plan_single_shot,
     reachable_by_single_control,
     required_phase,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .propagator import _controlled, evolve
 from .states import (
+    PARAM_RULES,
     DegenerateStateError,
     PureState,
     SystemParams,
@@ -174,8 +175,9 @@ def exact_steering_strength(gamma0: float, omega: float, n: int) -> float:
         raise ValueError(f"step count must be a positive integer, got {n!r}")
     if not 0.0 < gamma0 < math.pi:
         raise ValueError(f"gamma0 must lie in (0, pi), got {gamma0!r}")
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    ok, text = PARAM_RULES["omega"]
+    if not ok(omega):
+        raise ValueError(f"omega {text}, got {omega!r}")
     half = gamma0 / (2.0 * n)
     if half >= 0.5 * math.pi:
         raise InfeasibleError("required mixing angle reaches pi/2")

@@ -1,15 +1,22 @@
-"""Execution of full control runs.
+"""The feedback law and the execution of full control runs.
 
-``run`` binds the feedback law of :func:`extended.next_action` once, to
-its configuration, and executes the segments the law returns, under
-either policy, each already propagated: it reads each state's fidelity
-once, for its convergence test and for the law, stops on convergence or
-on the switch, time or segment budget, clips a segment to the time left,
-counts control segments, and records every segment and a sampled time
-series. A grid sample inside a control segment is propagated from the
-bound law's dressed terms of its field. A record keeps states, not
-numbers derived from them, except a sample's V, computed once per
-sample.
+The feedback law decides what a run does next: kick, free tick, bang
+field, or (under the extended policy) the wait and the exact shot that
+``extended`` plans. It returns, as :class:`Segment` records, the segments
+it propagated to decide, so each is evolved once; the executor only stops,
+clips, records and counts. A run binds the law once to its
+:class:`SimConfig`, so the tick, the kick, both bang fields' dressed terms
+and the band floor are built at its start, and each state is read once:
+the law takes the fidelity the executor computed for its convergence test.
+:func:`next_action` is that law applied once.
+
+``run`` executes the segments the bound law returns, under either
+policy: it stops on convergence or on the switch, time or segment budget,
+clips a segment to the time left, counts control segments, and records
+every segment and a sampled time series. A grid sample inside a control
+segment is propagated from the bound law's dressed terms of its field. A
+record keeps states, not numbers derived from them, except a sample's V,
+computed once per sample.
 ``run_oracle`` re-simulates a standard-policy scenario by brute force: a
 fixed step ``h`` with the bang law re-evaluated every step, serving as
 ground truth for the event-driven segmentation. It returns an
@@ -18,18 +25,20 @@ ground truth for the event-driven segmentation. It returns an
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, replace
 
 from . import _kernels
-from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, Regime, bang_field, classify_regime
-from .extended import Policy, Segment, _bind
-from .propagator import _controlled, controlled_unitary, evolve, free_unitary
+from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, Regime, _switch, bang_field, classify_regime
+from .extended import Segment, _band_floor, _plan_in_band, _segment
+from .propagator import Unitary2, _closed, _controlled, controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
     PureState,
     SystemParams,
     _check,
+    _dressed_terms,
     _unchecked,
     fidelity,
     from_bloch,
@@ -49,6 +58,12 @@ _MAX_ORACLE_STEPS = 10**8
 #: Most grid samples a scenario file may ask a run for, and ``run_oracle``
 #: keeps: about 180 MB of a run's records, 250 MB of a rerun's.
 MAX_GRID_SAMPLES = 1_000_000
+
+
+class Policy(str, enum.Enum):
+    STANDARD = "standard"
+    EXTENDED = "extended"
+
 
 _POSITIVE_FINITE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
 
@@ -143,6 +158,78 @@ class OracleRun:
         return fidelity(self.final_state)
 
 
+def _kick_unitary(angle: float) -> Unitary2:
+    # rotation about x by `angle`; takes |g> to polar angle pi - angle at
+    # relative phase pi/2, breaking the antipodal equilibrium
+    c = math.cos(0.5 * angle)
+    s = math.sin(0.5 * angle)
+    off = -1j * s
+    return _closed(complex(c), off, complex(c))
+
+
+def next_action(state: PureState, config: SimConfig) -> tuple[Segment, ...]:
+    """The segments the feedback policy of ``config`` runs from ``state``,
+    each with the state it ends in. ``config.initial`` is not read.
+
+    An antipodal state (fidelity at most ``eps_target``, or at most
+    :data:`~lyapqubit.control.DEFAULT_EPS_TARGET` when ``eps_target`` is
+    looser: the antipodal equilibrium belongs to the dynamics, and a small
+    kick could not leave a wider band; and at least up to ``EPS_SWITCH**2``
+    when ``eps_target`` is tighter, since no free tick takes a state that
+    close to the pole out of the switching band) gets a symmetry-breaking
+    ``kick``.
+    Under the extended policy a reachable state at a switching point gets
+    the whole :func:`~lyapqubit.extended.plan_single_shot` plan, so nothing
+    is decided again after the wait. Any other switching point gets a
+    ``free`` trigger tick of ``dt_free``. When ``s_max = 0`` every state
+    gets one ``free`` segment of infinite duration; its ``state_out`` is a
+    placeholder (``state`` itself) that the executor replaces when it clips
+    the segment to its time budget, as it always does. Elsewhere the bang
+    law applies its field up to the next switching point. Termination of
+    the extended policy is guaranteed because every slow-switching step
+    shrinks the polar angle by ``2*theta_max`` until the reachable set is
+    entered.
+    """
+    return _bind(config)[0](state, fidelity(state))
+
+
+def _bind(config: SimConfig):
+    """:func:`next_action`'s law bound to one run's checked settings, as
+    ``(act, terms)``. ``act(state, fid)`` returns the segments
+    :func:`next_action` returns for ``state``, whose fidelity ``fid`` the
+    caller computed. ``terms`` maps each bang field, ``+s_max`` and
+    ``-s_max``, to its ``_dressed_terms``. The tick, the kick, the terms,
+    the antipodal floor and the band floor are built here, once per run."""
+    params, dt_free = config.params, config.dt_free
+    s_max = params.s_max
+    tick = free_unitary(params, dt_free)
+    kick = _kick_unitary(config.kick_angle)
+    plus, minus = _dressed_terms(params, s_max), _dressed_terms(params, -s_max)
+    # no free tick takes a state of fidelity at most EPS_SWITCH**2 out of the
+    # switching band, so the kick's floor never lies below it
+    antipodal = min(max(config.eps_target, EPS_SWITCH**2), DEFAULT_EPS_TARGET)
+    extended = config.policy is Policy.EXTENDED
+    floor = _band_floor(params)
+
+    def act(state: PureState, fid: float) -> tuple[Segment, ...]:
+        if fid <= antipodal:
+            return (_segment("kick", 0.0, 0.0, state, evolve(state, kick)),)
+        # decided before the single shot: with no field there is nothing to plan
+        if s_max == 0.0:
+            return (_segment("free", 0.0, math.inf, state, state),)
+        f = bang_field(switching_function(state), s_max)
+        if f != 0.0:
+            tau, end = _switch(state, f, plus if f > 0.0 else minus)
+            return (_segment("control", f, tau, state, end),)
+        # no field inside the EPS_SWITCH band: a switching point
+        if extended and fid >= floor:
+            return _plan_in_band(state, params)
+        return (_segment("free", 0.0, dt_free, state, evolve(state, tick)),)
+
+    # with s_max = 0 both keys are 0.0, and +s_max's terms win
+    return act, {-s_max: minus, s_max: plus}
+
+
 def _state_at(seg: Segment, dt: float, params: SystemParams, terms) -> PureState:
     """The state ``dt > 0`` into the free or control segment ``seg``; a
     control segment's field is a key of the bound law's ``terms``."""
@@ -161,7 +248,7 @@ def run(config: SimConfig) -> Trajectory:
     """
     params, eps_target, delta = config.params, config.eps_target, config.sample_interval
     max_time, max_switches = config.max_time, config.max_switches
-    act, terms = _bind(params, config.policy, config.dt_free, config.kick_angle, eps_target)
+    act, terms = _bind(config)
     state = from_bloch(config.initial)
     segments: list[Segment] = []
     samples: list[Sample] = []

@@ -1,4 +1,4 @@
-"""Single-shot steering and the feedback policy.
+"""Single-shot steering: the extended technique.
 
 A state can be mapped to the target by one constant-field segment (after a
 suitable free evolution) exactly when ``|a|^2 >= cos^2(theta_max)``; one
@@ -15,31 +15,18 @@ the alignment wait (a ``free`` :class:`Segment`, left out when it is zero)
 and the exact shot (a ``control`` segment labelled ``single_shot``), whose
 ``state_out`` is the state the plan reaches.
 
-The feedback law decides what a run does next: kick, free tick, bang
-field, or (under the extended policy) the wait and the exact shot. It
-returns, as :class:`Segment` records, the segments it propagated to
-decide, so each is evolved once; the executor in ``engine`` only stops,
-clips, records and counts. A run binds the law once to its settings, so
-the tick, the kick, both bang fields' dressed terms and the band floor
-are built at its start, and each state is read once: the law takes the
-fidelity the executor computed for its convergence test.
-:func:`next_action` is that law applied once.
+The feedback law that runs this plan, and the bang law of both policies,
+lives in ``engine``, beside the executor.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from .control import DEFAULT_EPS_TARGET, InfeasibleError, _switch, bang_field
-from .propagator import Unitary2, _closed, controlled_unitary, evolve, free_unitary
-from .states import TWO_PI, PureState, SystemParams, _dressed_terms, _unchecked, fidelity, switching_function, to_bloch
-
-
-class Policy(str, enum.Enum):
-    STANDARD = "standard"
-    EXTENDED = "extended"
+from .control import InfeasibleError
+from .propagator import controlled_unitary, evolve, free_unitary
+from .states import TWO_PI, PureState, SystemParams, _unchecked, fidelity, to_bloch
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,15 +44,6 @@ class Segment:
 
 
 _segment = _unchecked(Segment)
-
-
-def _kick_unitary(angle: float) -> Unitary2:
-    # rotation about x by `angle`; takes |g> to polar angle pi - angle at
-    # relative phase pi/2, breaking the antipodal equilibrium
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
-    off = -1j * s
-    return _closed(complex(c), off, complex(c))
 
 
 def _band_floor(params: SystemParams) -> float:
@@ -152,74 +130,3 @@ def _plan_in_band(state: PureState, params: SystemParams) -> tuple[Segment, ...]
         raise InfeasibleError(f"the closed-form shot misses the target: predicted fidelity {predicted!r}")
     shot = _segment("control", field, tau_prime, staged, final, "single_shot")
     return (_segment("free", 0.0, wait, state, staged), shot) if wait > 0.0 else (shot,)
-
-
-def next_action(
-    state: PureState,
-    params: SystemParams,
-    policy: Policy,
-    dt_free: float,
-    kick_angle: float,
-    eps_target: float,
-) -> tuple[Segment, ...]:
-    """The segments the feedback policy runs from ``state``, each with the
-    state it ends in.
-
-    An antipodal state (fidelity at most ``eps_target``, or at most
-    :data:`~lyapqubit.control.DEFAULT_EPS_TARGET` when ``eps_target`` is
-    looser: the antipodal equilibrium belongs to the dynamics, and a small
-    kick could not leave a wider band) gets a symmetry-breaking ``kick``.
-    Under the extended policy a reachable state at a switching point gets
-    the whole :func:`plan_single_shot` plan, so nothing is decided again
-    after the wait. Any other switching point gets a
-    ``free`` trigger tick of ``dt_free``. When ``s_max = 0`` every state
-    gets one ``free`` segment of infinite duration; its ``state_out`` is a
-    placeholder (``state`` itself) that the executor replaces when it clips
-    the segment to its time budget, as it always does. Elsewhere the bang
-    law applies its field up to the next switching point. Termination of
-    the extended policy is guaranteed because every slow-switching step
-    shrinks the polar angle by ``2*theta_max`` until the reachable set is
-    entered.
-
-    ``policy`` is a :class:`Policy` or its value. Raises ``ValueError``
-    for a ``dt_free`` or ``kick_angle`` that is not positive and finite,
-    and for an unknown policy.
-    """
-    return _bind(params, policy, dt_free, kick_angle, eps_target)[0](state, fidelity(state))
-
-
-def _bind(params: SystemParams, policy: Policy, dt_free: float, kick_angle: float, eps_target: float):
-    """:func:`next_action`'s law bound to one run's settings, as ``(act,
-    terms)``. ``act(state, fid)`` returns the segments :func:`next_action`
-    returns for ``state``, whose fidelity ``fid`` the caller computed.
-    ``terms`` maps each bang field, ``+s_max`` and ``-s_max``, to its
-    ``_dressed_terms``. The tick, the kick, the terms, the antipodal floor
-    and the band floor are built here, once per run."""
-    for name, value in (("dt_free", dt_free), ("kick_angle", kick_angle)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    s_max = params.s_max
-    tick = free_unitary(params, dt_free)
-    kick = _kick_unitary(kick_angle)
-    plus, minus = _dressed_terms(params, s_max), _dressed_terms(params, -s_max)
-    antipodal = min(eps_target, DEFAULT_EPS_TARGET)
-    extended = Policy(policy) is Policy.EXTENDED
-    floor = _band_floor(params)
-
-    def act(state: PureState, fid: float) -> tuple[Segment, ...]:
-        if fid <= antipodal:
-            return (_segment("kick", 0.0, 0.0, state, evolve(state, kick)),)
-        # decided before the single shot: with no field there is nothing to plan
-        if s_max == 0.0:
-            return (_segment("free", 0.0, math.inf, state, state),)
-        f = bang_field(switching_function(state), s_max)
-        if f != 0.0:
-            tau, end = _switch(state, f, plus if f > 0.0 else minus)
-            return (_segment("control", f, tau, state, end),)
-        # no field inside the EPS_SWITCH band: a switching point
-        if extended and fid >= floor:
-            return _plan_in_band(state, params)
-        return (_segment("free", 0.0, dt_free, state, evolve(state, tick)),)
-
-    # with s_max = 0 both keys are 0.0, and +s_max's terms win
-    return act, {-s_max: minus, s_max: plus}

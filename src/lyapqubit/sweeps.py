@@ -232,8 +232,9 @@ def _ssc_terminal(grid: SweepGrid, dt_free: float | None):
     used. A cell still running after :data:`SSC_STEP_CAP` steps gets
     :data:`FLAGGED` in both.
 
-    A step is ``next_action``'s tick of ``dt_free``, then its bang segment
-    (see the module notes), each after the stop test. A cell of strength 0
+    A step is the tick of ``dt_free`` of the feedback law in ``engine``
+    (``engine.next_action``), then its bang segment (see the module notes),
+    each after the stop test. A cell of strength 0
     never gets a field and stops where it starts."""
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / grid.omega

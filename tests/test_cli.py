@@ -1185,11 +1185,12 @@ class TestDesign:
         assert (code, out) == (1, "")
         assert err == "design: max_time must be positive and finite, got inf\n"
 
-    @pytest.mark.parametrize("omega", ["nan", "inf", "1e-300", "1e300"])
+    @pytest.mark.parametrize("omega", ["nan", "inf", "1e-300", "1e300", "0", "-1"])
     def test_extreme_omega_exits_one(self, omega):
+        # one rule, SystemParams', and one text for every omega it refuses
         code, out, err = run_cli("design", "0.5", omega, "3")
         assert code == 1
-        assert err.startswith("design: omega must")
+        assert err == f"design: omega must lie in [1e-75, 1e+75], got {float(omega)!r}\n"
         assert out == ""
 
 

@@ -283,6 +283,9 @@ class TestExactSteering:
             exact_steering_strength(0.0, 1.0, 3)
         with pytest.raises(ValueError):
             exact_steering_strength(math.pi / 2, -1.0, 3)
+        # a strength is designed only for an omega that SystemParams accepts
+        with pytest.raises(ValueError, match=r"^omega must lie in \[1e-75, 1e\+75\], got 1e-80$"):
+            exact_steering_strength(0.5, 1e-80, 3)
 
 
 class TestFidelityBound:

@@ -95,7 +95,7 @@ class TestRunBasics:
                     u = free_unitary(P, seg.duration)
                 else:
                     assert (seg.kind, seg.duration) == ("kick", 0.0)
-                    u = extended._kick_unitary(config.kick_angle)
+                    u = engine._kick_unitary(config.kick_angle)
                 replay = evolve(seg.state_in, u)
                 assert abs(replay.a - seg.state_out.a) < 1e-10
                 assert abs(replay.b - seg.state_out.b) < 1e-10
@@ -233,15 +233,9 @@ class TestRunBasics:
     @pytest.mark.parametrize("name", ["dt_free", "kick_angle"])
     def test_tick_and_kick_must_be_positive_and_finite(self, name, value):
         # a run builds its tick and kick at its start, so a config refuses
-        # what they cannot be built from; next_action refuses the same
-        # values with the same message, from a kicked start and a bang start
-        message = f"{name} must be positive and finite"
-        with pytest.raises(ValueError, match=message):
+        # what they cannot be built from
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SimConfig(params=P, initial=FIG1, **{name: value})
-        values = {"dt_free": 1e-4, "kick_angle": 1e-6, name: value}
-        for start in (BlochAngles(math.pi, 0.0), FIG1):
-            with pytest.raises(ValueError, match=message):
-                next_action(from_bloch(start), P, Policy.STANDARD, values["dt_free"], values["kick_angle"], 1e-9)
 
 
 class TestPolicyByValue:
@@ -260,15 +254,6 @@ class TestPolicyByValue:
     def test_an_unknown_policy_is_refused(self):
         with pytest.raises(ValueError, match="policy must be one of standard, extended, got 'bogus'"):
             SimConfig(params=P, initial=self.START, policy="bogus")
-        with pytest.raises(ValueError):
-            next_action(from_bloch(self.START), P, "bogus", 1e-4, 1e-6, 1e-9)
-
-    def test_next_action_coerces_the_policy_value(self):
-        # a switching point inside the reachable band: only the extended law plans the shot
-        state = from_bloch(BlochAngles(0.1, 0.0))
-        planned = next_action(state, P, Policy.EXTENDED, 1e-4, 1e-6, 1e-9)
-        assert planned[-1].label == "single_shot"
-        assert next_action(state, P, "extended", 1e-4, 1e-6, 1e-9) == planned
 
 
 class TestStandardRunStructure:
@@ -331,6 +316,20 @@ class TestStandardRunStructure:
         assert kicks >= 1 and kinds[:kicks] == ["kick"] * kicks
         assert "control" in kinds[kicks:]
         assert traj.converged and traj.terminal_fidelity >= 0.99
+
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    # tighter than the pole's own fidelity, 3.7e-33 as from_bloch builds it
+    @example(5e-324)
+    @example(1e-30)
+    @settings(max_examples=50, deadline=None)
+    def test_every_accepted_eps_target_kicks_the_antipodal_state(self, eps_target):
+        config = SimConfig(params=P, initial=BlochAngles(math.pi, 0.0), eps_target=eps_target, max_switches=1)
+        pole = from_bloch(config.initial)
+        (seg,) = next_action(pole, config)
+        assert seg.kind == "kick"
+        traj = run(config)
+        assert traj.segments[0].kind == "kick"
+        assert traj.terminal_fidelity > fidelity(pole)
 
     def test_zero_strength_leaves_v_constant(self):
         p0 = SystemParams(1.0, 0.0)
@@ -475,9 +474,7 @@ def action_chain(state, config, limit=120):
     or until the first step past ``limit`` segments."""
     segments = []
     while len(segments) < limit and fidelity(state) < 1.0 - config.eps_target:
-        segments += next_action(
-            state, config.params, config.policy, config.dt_free, config.kick_angle, config.eps_target
-        )
+        segments += next_action(state, config)
         state = segments[-1].state_out
     return segments
 

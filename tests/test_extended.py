@@ -15,6 +15,7 @@ from lyapqubit import (
     SystemParams,
     bang_field,
     controlled_unitary,
+    engine,
     evolve,
     exact_steering_strength,
     extended,
@@ -228,7 +229,10 @@ class TestPlanSingleShot:
 
             return wrapper
 
-        monkeypatch.setattr(extended, "_band_floor", counted("band", extended._band_floor))
+        # the law, in engine, binds the name engine imported from extended
+        band = counted("band", extended._band_floor)
+        for module in (extended, engine):
+            monkeypatch.setattr(module, "_band_floor", band)
         monkeypatch.setattr(extended, "_aligned_phase", counted("phase", extended._aligned_phase))
         wait, _ = extended.plan_single_shot(from_bloch(BlochAngles(THETA, 0.4)), P)
         assert wait.duration > 0.0
@@ -408,8 +412,14 @@ class TestPhaseRatioLaw:
         assert lyapunov(out) / lyapunov(state) < 1e-5
 
 
+def law_config(params=P, policy=Policy.EXTENDED, dt_free=1e-4):
+    """The settings the law reads, with the default kick of 1e-6 and
+    ``eps_target`` of 1e-9; its ``initial`` is not read."""
+    return SimConfig(params, BlochAngles(1.0, 0.0), policy=policy, dt_free=dt_free)
+
+
 def extended_segments(state, params=P, dt_free=1e-4):
-    return next_action(state, params, Policy.EXTENDED, dt_free, 1e-6, 1e-9)
+    return next_action(state, law_config(params, dt_free=dt_free))
 
 
 def assert_recorded(seg, state_in):
@@ -464,7 +474,7 @@ class TestHybridPolicy:
 
     def test_standard_policy_ticks_at_reachable_switch_point(self):
         state = from_bloch(BlochAngles(THETA, 0.0))
-        (seg,) = next_action(state, P, Policy.STANDARD, 1e-4, 1e-6, 1e-9)
+        (seg,) = next_action(state, law_config(policy=Policy.STANDARD))
         assert (seg.kind, seg.field, seg.duration, seg.label) == ("free", 0.0, 1e-4, "")
         assert seg.state_out == evolve(state, free_unitary(P, 1e-4))
 
@@ -476,7 +486,7 @@ class TestHybridPolicy:
         state = from_bloch(BlochAngles(math.pi / 2, 1.0))
         assert switching_function(state) != 0.0
         for policy in Policy:
-            (seg,) = next_action(state, zero, policy, 1e-4, 1e-6, 1e-9)
+            (seg,) = next_action(state, law_config(zero, policy))
             assert (seg.kind, seg.field, seg.duration, seg.label) == ("free", 0.0, math.inf, "")
             assert seg.state_out is state
             assert_recorded(seg, state)
@@ -502,7 +512,7 @@ class TestHybridPolicy:
         (seg,) = extended_segments(state)
         assert (seg.kind, seg.field, seg.duration, seg.label) == ("kick", 0.0, 0.0, "")
         assert_recorded(seg, state)
-        assert seg.state_out == evolve(state, extended._kick_unitary(1e-6))
+        assert seg.state_out == evolve(state, engine._kick_unitary(1e-6))
         assert to_bloch(seg.state_out).gamma == pytest.approx(math.pi - 1e-6, abs=1e-12)
 
     def test_segments_never_increase_lyapunov(self):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from lyapqubit import (
     BlochAngles,
-    Policy,
     PureState,
+    SimConfig,
     SweepGrid,
     SystemParams,
     bang_field,
@@ -250,7 +250,8 @@ def test_exact_steering_round_trip_through_sweep():
 
 
 def scalar_ssc_terminal(gamma, phi, params, dt_free, eps_target=1e-9):
-    state = from_bloch(BlochAngles(gamma, phi))
+    config = SimConfig(params, BlochAngles(gamma, phi), dt_free=dt_free, eps_target=eps_target)
+    state = from_bloch(config.initial)
     n_controls = 0
     if params.s_max == 0.0:
         return fidelity(state), 0
@@ -260,7 +261,7 @@ def scalar_ssc_terminal(gamma, phi, params, dt_free, eps_target=1e-9):
             break
         if polar_angle(state) <= params.theta_max:
             break
-        (seg,) = next_action(state, params, Policy.STANDARD, dt_free, 1e-6, eps_target)
+        (seg,) = next_action(state, config)
         state = seg.state_out
         n_controls += seg.kind == "control"
     return fidelity(state), n_controls
