@@ -10,14 +10,20 @@ chord of at most ``2 sin(Eh)``; ``Im(a b*)`` is half a Bloch component,
 so one step changes it by at most ``sin(Eh)``, read off the step's own
 entries. A test that finds ``Im(a b*)`` ``m`` such bounds (plus a rounding
 slack) clear of the switching band therefore fixes the field of the next
-``m`` steps as well as its own, and the stepper takes them untested. It
-takes them with the same products and the same renormalization in the
-same order, and ends them at the next sample, so every bit it returns is
-the one a test at every step gives. Both kernels work on bare complex
-amplitudes and return plain values: ``rk4_steps`` the final pair,
-``sampled_law_steps`` the final pair, its switch count and the list of
-``(a, b, f)`` after every ``stride``-th step, which ``engine.run_oracle``
-turns into samples.
+``m`` steps as well as its own, and the stepper takes them untested,
+ending them before the next sample. It takes them as products by the
+step divided by its column norm ``rho``, ``rho^2 = |u11|^2 + |u12|^2``,
+and renormalizes once, with the step that follows them. A step has the
+symmetric form ``[[x - iy, -iz], [-iz, x + iy]]``, whose ``U^dagger U``
+is ``(x^2 + y^2 + z^2) I`` exactly, so ``U / rho`` is unitary up to
+rounding: each product moves the norm by a few ulps, and the change of
+``Im(a b*)`` that follows is within the bound's rounding slack. The
+switch count and the field of every sample are those a test at every
+step gives, and the amplitudes differ from that stepper's only in
+rounding (within 1e-12 in the tests). Both kernels work on bare complex amplitudes and
+return plain values: ``rk4_steps`` the final pair, ``sampled_law_steps``
+the final pair, its switch count and the list of ``(a, b, f)`` after
+every ``stride``-th step, which ``engine.run_oracle`` turns into samples.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from __future__ import annotations
 import math
 
 #: Added to the per-step bound on the change of ``Im(a b*)``: the rounding of
-#: one step and its renormalization moves it by a few 1e-16, and of the
-#: test itself by about 2e-16.
+#: one step, and of its renormalization or its division by ``rho``, moves it
+#: by a few 1e-16, and of the test itself by about 2e-16.
 _TURN_SLACK = 1e-13
 
 
@@ -87,12 +93,15 @@ def sampled_law_steps(a, b, s_max, eps_sw, n_steps, stride, up, um, uf):
     # stride-th step. A test that finds Im(a b*) beyond +-far fixes the
     # field of more steps than its own (module docstring), cut at the next
     # sample and at the last step: the kernel takes all but the last of
-    # these steps in _bang_steps and the last in the loop's tail, so the
-    # switch count and the samples come out as for a test at every step.
+    # these steps in _bang_steps, by the unit-norm step, and the last in the
+    # loop's tail, whose renormalization ends the stretch, so the switch
+    # count and the samples come out as for a test at every step.
     sqrt = math.sqrt
     up11, up12, up22 = up.u11, up.u12, up.u22
     um11, um12, um22 = um.u11, um.u12, um.u22
     uf11, uf22 = uf.u11, uf.u22
+    vp11, vp12, vp22 = _unit(up)
+    vm11, vm12, vm22 = _unit(um)
     # the most Im(a b*) moves in one bang step
     dsw = max(_sin_turn(up), _sin_turn(um)) + _TURN_SLACK
     # a stretch holds at most stride - 1 steps; one of one step costs more
@@ -110,14 +119,14 @@ def sampled_law_steps(a, b, s_max, eps_sw, n_steps, stride, up, um, uf):
             f = -s_max
             if sw > far:
                 n = min(int((sw - eps_sw) / dsw), stride - k % stride, n_steps - k) - 1
-                a, b = _bang_steps(a, b, um11, um12, um22, n)
+                a, b = _bang_steps(a, b, vm11, vm12, vm22, n)
                 k += n
             a, b = um11 * a + um12 * b, um12 * a + um22 * b
         elif sw < -eps_sw:
             f = s_max
             if sw < -far:
                 n = min(int((-sw - eps_sw) / dsw), stride - k % stride, n_steps - k) - 1
-                a, b = _bang_steps(a, b, up11, up12, up22, n)
+                a, b = _bang_steps(a, b, vp11, vp12, vp22, n)
                 k += n
             a, b = up11 * a + up12 * b, up12 * a + up22 * b
         else:
@@ -143,14 +152,15 @@ def _sin_turn(u):
     return math.hypot(abs(u.u12), u.u11.imag) / math.hypot(abs(u.u11), abs(u.u12))
 
 
+def _unit(u):
+    # the entries u11, u12, u22 of the step u divided by its column norm rho
+    inv = 1.0 / math.hypot(abs(u.u11), abs(u.u12))
+    return u.u11 * inv, u.u12 * inv, u.u22 * inv
+
+
 def _bang_steps(a, b, u11, u12, u22, n):
-    # n steps of the law stepper under one bang field, untested
-    sqrt = math.sqrt
+    # n steps of the law stepper under one bang field, untested, by a step
+    # of unit norm; the caller renormalizes after them
     for _ in range(n):
         a, b = u11 * a + u12 * b, u12 * a + u22 * b
-        ar, ai = a.real, a.imag
-        br, bi = b.real, b.imag
-        inv = 1.0 / sqrt(ar * ar + ai * ai + br * br + bi * bi)
-        a *= inv
-        b *= inv
     return a, b

@@ -18,8 +18,8 @@ segment is propagated from the bound law's dressed terms of its field. A
 record keeps states, not numbers derived from them, except a sample's V,
 computed once per sample.
 ``run_oracle`` re-simulates a standard-policy scenario by brute force: a
-fixed step ``h`` with the bang law re-evaluated every step, serving as
-ground truth for the event-driven segmentation. It returns an
+fixed step ``h`` under the field the bang law picks at every step, serving
+as ground truth for the event-driven segmentation. It returns an
 :class:`OracleRun`, which has no segments.
 """
 
@@ -52,7 +52,9 @@ DEFAULT_DT_FREE_FACTOR = 1e-4
 DEFAULT_SAMPLE_INTERVAL_FACTOR = 0.1
 DEFAULT_MAX_TIME_FACTOR = 1000.0
 
-#: The most steps ``run_oracle`` takes: about a minute of pure-Python steps.
+#: The most steps ``run_oracle`` takes: 25 s of pure-Python steps in slow
+#: switching, where most steps go untested, to 80 s in fast-switching
+#: chatter, where every step is tested (about 0.24 and 0.8 us a step).
 _MAX_ORACLE_STEPS = 10**8
 
 #: Most grid samples a scenario file may ask a run for, and ``run_oracle``
@@ -85,7 +87,11 @@ class SimConfig:
     """Full scenario description, and the one statement of a run's defaults:
     scenario files and the CLI leave out what they do not set. ``None``
     fields resolve to the ``DEFAULT_*_FACTOR`` above scaled by ``1/omega``,
-    and each setting must pass its :data:`SIM_RULES` rule."""
+    and each setting must pass its :data:`SIM_RULES` rule. A run that starts
+    where the law kicks must leave the antipodal band before its safety net
+    of ``10 * max_switches + 10_000`` segments: a ``kick_angle`` too small
+    for that is refused, since the run would stop at the net, unconverged,
+    at time 0."""
 
     params: SystemParams
     initial: BlochAngles
@@ -107,6 +113,12 @@ class SimConfig:
             object.__setattr__(self, "max_time", DEFAULT_MAX_TIME_FACTOR * scale)
         _check(SIM_RULES, self)
         object.__setattr__(self, "policy", Policy(self.policy))
+        kicks, net = _least_kicks(self), _segment_net(self.max_switches)
+        if kicks >= net:
+            raise ValueError(
+                f"kick_angle {self.kick_angle!r} takes at least {kicks:.6g} kicks to leave the antipodal band,"
+                f" past the run's net of {net} segments"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,9 +217,7 @@ def _bind(config: SimConfig):
     tick = free_unitary(params, dt_free)
     kick = _kick_unitary(config.kick_angle)
     plus, minus = _dressed_terms(params, s_max), _dressed_terms(params, -s_max)
-    # no free tick takes a state of fidelity at most EPS_SWITCH**2 out of the
-    # switching band, so the kick's floor never lies below it
-    antipodal = min(max(config.eps_target, EPS_SWITCH**2), DEFAULT_EPS_TARGET)
+    antipodal = _antipodal_floor(config.eps_target)
     extended = config.policy is Policy.EXTENDED
     floor = _band_floor(params)
 
@@ -228,6 +238,29 @@ def _bind(config: SimConfig):
 
     # with s_max = 0 both keys are 0.0, and +s_max's terms win
     return act, {-s_max: minus, s_max: plus}
+
+
+def _antipodal_floor(eps_target: float) -> float:
+    """The fidelity up to which the law kicks. No free tick takes a state of
+    fidelity at most ``EPS_SWITCH**2`` out of the switching band, so the
+    floor never lies below it."""
+    return min(max(eps_target, EPS_SWITCH**2), DEFAULT_EPS_TARGET)
+
+
+def _segment_net(max_switches: int) -> int:
+    """The most segments a run of ``max_switches`` records: its safety net."""
+    return 10 * max_switches + 10_000
+
+
+def _least_kicks(config: SimConfig) -> float:
+    """At least how many kicks a run of ``config`` takes before the law acts
+    otherwise: the law kicks until the fidelity ``sin^2(delta/2)`` passes
+    the antipodal floor, and a kick turns the polar distance ``delta`` from
+    the pole by ``kick_angle`` at most. 0 for a start off the floor."""
+    start, floor = fidelity(from_bloch(config.initial)), _antipodal_floor(config.eps_target)
+    if start > floor:
+        return 0.0
+    return 2.0 * (math.asin(math.sqrt(floor)) - math.asin(math.sqrt(start))) / config.kick_angle
 
 
 def _state_at(seg: Segment, dt: float, params: SystemParams, terms) -> PureState:
@@ -256,7 +289,7 @@ def run(config: SimConfig) -> Trajectory:
     # the time of the last sample
     t_last = -math.inf
     controls = 0
-    max_segments = 10 * max_switches + 10_000
+    max_segments = _segment_net(max_switches)
 
     while True:
         fid = fidelity(state)
@@ -306,7 +339,13 @@ def run(config: SimConfig) -> Trajectory:
 
 def run_oracle(config: SimConfig, h: float) -> OracleRun:
     """Brute-force rerun of a scenario under the standard policy: fixed step
-    ``h``, bang law re-evaluated every step.
+    ``h``, under the field the bang law picks from the state at every step.
+
+    The kernel tests the law only where the field can change and takes the
+    steps between tests by the unit-norm step, renormalizing once after
+    them (see ``_kernels``): the field changes and every sample's field are
+    those of a test at every step, and the amplitudes differ from them only
+    in rounding.
 
     The rerun never kicks and never stops early: it runs the whole horizon
     ``max_time``, so from the antipodal state, where the law applies no

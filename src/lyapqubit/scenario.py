@@ -24,7 +24,9 @@ defaults to 0). ``[policy] kind`` is ``standard`` or ``extended``.
 :class:`~lyapqubit.engine.SimConfig`. A ``[system]`` or ``[simulation]``
 value, and any field strength as ``s_max``, must pass the rule its
 record states (:data:`~lyapqubit.states.PARAM_RULES` or
-:data:`~lyapqubit.engine.SIM_RULES`), whose text its diagnostic quotes.
+:data:`~lyapqubit.engine.SIM_RULES`), whose text its diagnostic quotes;
+a run's settings together must also pass
+:class:`~lyapqubit.engine.SimConfig`'s rule on ``kick_angle``.
 Field strengths are the comma list ``s_values``, or ``s_count`` (default
 25) points from ``s_min`` to ``s_max``, or else ``[system] s_max``; a
 ``first_segment`` sweep takes one strength. A ``phase_alignment``
@@ -378,7 +380,15 @@ def parse_scenario(path: str) -> Scenario:
     if "kind" in values.get("policy", {}):
         simulation["policy"] = values["policy"]["kind"]
     if reader == "simulate":
-        for key, message in run_caps_exceeded(SimConfig(params, start, **simulation)):
+        try:
+            config = SimConfig(params, start, **simulation)
+        except ValueError as exc:
+            # every value passed its own rule, so a rule across settings
+            # refused it; its text names the setting first, as _check's does
+            key, _, message = str(exc).partition(" ")
+            complain("simulation", key, message)
+            raise ScenarioError(diagnostics) from None
+        for key, message in run_caps_exceeded(config):
             complain("simulation", key, message)
 
     fixed = start or BlochAngles(0.0, 0.0)

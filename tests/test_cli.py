@@ -518,6 +518,20 @@ class TestScenarioParsing:
         assert shipped.max_switches == 10_000 < scenario_module.MAX_SWITCHES
         assert SimConfig(shipped.params, shipped.initial, max_switches=1_000_000).max_switches == 1_000_000
 
+    def test_a_kick_too_small_to_leave_the_pole_is_refused_before_a_run(self, tmp_path, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("lyapqubit.cli.run", refuse)
+        text = FIG1_SCENARIO.replace("gamma = 0.5", "gamma = 1").replace("max_switches = 2000", "kick_angle = 1e-300")
+        code, _, err = run_cli("simulate", write(tmp_path, "kick.ini", text), "--output", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert err == (
+            "[simulation] kick_angle: 1e-300 takes at least 6.32456e+295 kicks to leave the antipodal band,"
+            " past the run's net of 110000 segments\n"
+        )
+        assert not os.path.exists(tmp_path / "x.csv")
+
     def test_reads_names_known_keys_and_every_key_has_a_reader(self):
         reads = scenario_module.READS
         assert list(reads) == ["simulate", *scenario_module.SWEEP_KINDS]

@@ -237,6 +237,25 @@ class TestRunBasics:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SimConfig(params=P, initial=FIG1, **{name: value})
 
+    def test_a_kick_too_small_to_leave_the_pole_is_refused(self):
+        # from the pole, kicks must turn the state by 2 asin(sqrt(1e-9)) before
+        # the law acts; at the edge that takes as many kicks as the run's net
+        # of 10 * 1 + 10_000 segments holds
+        pole = BlochAngles(math.pi, 0.0)
+        edge = 2.0 * math.asin(math.sqrt(1e-9)) / 10_010
+        net = "past the run's net of 10010 segments"
+        with pytest.raises(ValueError, match=f"kick_angle {0.999 * edge!r} takes at least 10020 kicks .*, {net}"):
+            SimConfig(params=P, initial=pole, kick_angle=0.999 * edge, max_switches=1)
+        config = SimConfig(params=P, initial=pole, kick_angle=1.001 * edge, max_switches=1)
+        traj = run(config)
+        kicks = sum(seg.kind == "kick" for seg in traj.segments)
+        # the count is a lower bound, and just above the edge the run leaves
+        # the band within its net
+        assert 9_999 < engine._least_kicks(config) <= kicks < len(traj.segments) <= 10_010
+        assert traj.switch_count == 1
+        # a start off the pole never kicks, however small the kick
+        assert SimConfig(params=P, initial=FIG1, kick_angle=5e-324, max_switches=1).kick_angle == 5e-324
+
 
 class TestPolicyByValue:
     """A policy given by its value is the policy: a string that is none

@@ -1,6 +1,7 @@
 """The RK4 kernel, which takes powers of the one-step matrix, against plain
 stepping; the law stepper, which tests the law only where the field can
-change, against the stepper that tests it every step."""
+change and takes the untested steps by the unit-norm step, against the
+stepper that tests it every step."""
 
 import inspect
 import math
@@ -15,6 +16,7 @@ from lyapqubit import SystemParams, controlled_unitary, free_unitary
 from lyapqubit import _kernels
 from lyapqubit._kernels import rk4_steps, sampled_law_steps
 from lyapqubit.control import EPS_SWITCH
+from lyapqubit.propagator import UNITARY_TOL, _closed
 
 
 def _rk4_stepping(a, b, omega, f, n_steps, h):
@@ -106,6 +108,18 @@ def _bits(value):
     return value
 
 
+def _assert_agrees(result, reference):
+    # the switch count, the number of samples and every sample's field are
+    # the reference's; the amplitudes, final and sampled, agree within 1e-12
+    a, b, switches, samples = result
+    ref_a, ref_b, ref_switches, ref_samples = reference
+    assert switches == ref_switches
+    assert len(samples) == len(ref_samples)
+    assert [_bits(f) for *_, f in samples] == [_bits(f) for *_, f in ref_samples]
+    pairs = [((a, b), (ref_a, ref_b))] + [(s[:2], r[:2]) for s, r in zip(samples, ref_samples)]
+    assert max(max(abs(x - y) for x, y in zip(got, want)) for got, want in pairs) <= 1e-12
+
+
 def _law_args(omega, ratio, eh, gamma, phi, n_steps, stride):
     # the kernel's arguments for the start (gamma, phi) and a step h with E h = eh
     s_max = ratio * omega
@@ -156,8 +170,15 @@ class TestSampledLawSteps:
     # E h near 1, where sin(E h) is well below E h
     @example(_law_args(0.5, 3.0, 0.2, 2.0, 4.0, 3000, 100))
     @example(_law_args(0.5, 3.0, 1.0, 2.0, 4.0, 3000, 100))
+    # stretches down to the pole, then fast-switching chatter: 18,766 switches
+    @example(_law_args(1.0, 1.0, 1e-3, 1.0, 0.3, 40_000, 1000))
     def test_bits_equal_the_law_tested_every_step(self, args):
-        assert _bits(sampled_law_steps(*args)) == _bits(_law_every_step(*args))
+        # untested steps round otherwise than tested ones; with stride <= 2
+        # the kernel takes none, and every bit is the reference's
+        result, reference = sampled_law_steps(*args), _law_every_step(*args)
+        _assert_agrees(result, reference)
+        if args[5] <= 2:
+            assert _bits(result) == _bits(reference)
 
     def test_a_slow_switching_rerun_tests_the_law_rarely(self, monkeypatch):
         # the oracle workload's shape: a sample every 10,000 steps and no
@@ -174,4 +195,30 @@ class TestSampledLawSteps:
         result = sampled_law_steps(*args)
         assert result[2] == 0
         assert untested == [9_999] * 5
-        assert _bits(result) == _bits(_law_every_step(*args))
+        _assert_agrees(result, _law_every_step(*args))
+
+    # the oracle workload's slow switching, and stretches down to the pole
+    # that end in chatter
+    @pytest.mark.parametrize("ratio, eh, n_steps, stride", [(0.1, 1e-5, 50_000, 10_000), (1.0, 1e-3, 40_000, 1000)])
+    @pytest.mark.parametrize("drift", [-1.0, 1.0])
+    def test_steps_off_unit_norm_are_divided_by_it(self, monkeypatch, drift, ratio, eh, n_steps, stride):
+        # _closed accepts bang steps whose column norm^2 is off 1 by up to
+        # UNITARY_TOL; a stretch divides it out, so m untested steps move the
+        # norm by a few ulps each, not by m * UNITARY_TOL / 2
+        drifts = []
+
+        def measured(a, b, u11, u12, u22, n):
+            a, b = bang_steps(a, b, u11, u12, u22, n)
+            drifts.append((n, abs(math.sqrt(abs(a) ** 2 + abs(b) ** 2) - 1.0)))
+            return a, b
+
+        bang_steps = _kernels._bang_steps
+        monkeypatch.setattr(_kernels, "_bang_steps", measured)
+        args = list(_law_args(1.0, ratio, eh * math.hypot(0.5, ratio), 1.0, 0.3, n_steps, stride))
+        for i, sign in ((6, drift), (7, -drift)):
+            u, c = args[i], math.sqrt(1.0 + sign * 0.99 * UNITARY_TOL)
+            args[i] = _closed(u.u11 * c, u.u12 * c, u.u22 * c)
+            assert abs(abs(args[i].u11) ** 2 + abs(args[i].u12) ** 2 - 1.0) > 0.9 * UNITARY_TOL
+        _assert_agrees(sampled_law_steps(*args), _law_every_step(*args))
+        assert sum(n for n, _ in drifts) >= 400
+        assert all(d <= n * 1e-15 for n, d in drifts)
