@@ -5,8 +5,8 @@ field, or (under the extended policy) the wait and the exact shot that
 ``extended`` plans. It returns, as :class:`Segment` records, the segments
 it propagated to decide, so each is evolved once; the executor only stops,
 clips, records and counts. A run binds the law once to its
-:class:`SimConfig`, so the tick, the kick, both bang fields' dressed terms
-and the band floor are built at its start, and each state is read once:
+:class:`SimConfig`, so the tick, both bang fields' dressed terms and the
+band floor are built at its start, and each state is read once:
 the law takes the fidelity the executor computed for its convergence test.
 :func:`next_action` is that law applied once.
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from . import _kernels
 from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, Regime, _switch, bang_field, classify_regime
 from .extended import Segment, _band_floor, _plan_in_band, _segment
-from .propagator import Unitary2, _closed, _controlled, controlled_unitary, evolve, free_unitary
+from .propagator import _closed, _controlled, controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
     PureState,
@@ -61,6 +61,11 @@ _MAX_ORACLE_STEPS = 10**8
 #: keeps: about 180 MB of a run's records, 250 MB of a rerun's.
 MAX_GRID_SAMPLES = 1_000_000
 
+#: The law's kick at the antipodal state, where it applies no field: a
+#: rotation about x by 1e-6 rad, taking |g> to polar angle pi - 1e-6 at
+#: relative phase pi/2, which breaks the antipodal equilibrium
+_KICK = _closed(complex(math.cos(5e-7)), -1j * math.sin(5e-7), complex(math.cos(5e-7)))
+
 
 class Policy(str, enum.Enum):
     STANDARD = "standard"
@@ -70,12 +75,11 @@ class Policy(str, enum.Enum):
 _POSITIVE_FINITE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
 
 #: :class:`SimConfig`'s rule of each setting, ``(ok, text)``, in the order it checks
-#: them; NaN and inf fail too, since a run needs a finite tick, kick and budget
+#: them; NaN and inf fail too, since a run needs a finite tick and budget
 SIM_RULES = {
     "dt_free": _POSITIVE_FINITE,
     "sample_interval": _POSITIVE_FINITE,
     "eps_target": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "kick_angle": _POSITIVE_FINITE,
     "max_switches": (lambda v: 1 <= v < math.inf and v % 1 == 0, "must be an integer of at least 1"),
     "max_time": _POSITIVE_FINITE,
     "policy": (lambda v: v in tuple(Policy), f"must be one of {', '.join(Policy)}"),
@@ -87,17 +91,12 @@ class SimConfig:
     """Full scenario description, and the one statement of a run's defaults:
     scenario files and the CLI leave out what they do not set. ``None``
     fields resolve to the ``DEFAULT_*_FACTOR`` above scaled by ``1/omega``,
-    and each setting must pass its :data:`SIM_RULES` rule. A run that starts
-    where the law kicks must leave the antipodal band before its safety net
-    of ``10 * max_switches + 10_000`` segments: a ``kick_angle`` too small
-    for that is refused, since the run would stop at the net, unconverged,
-    at time 0."""
+    and each setting must pass its :data:`SIM_RULES` rule."""
 
     params: SystemParams
     initial: BlochAngles
     policy: Policy = Policy.STANDARD
     dt_free: float | None = None
-    kick_angle: float = 1e-6
     sample_interval: float | None = None
     eps_target: float = DEFAULT_EPS_TARGET
     max_switches: int = 10_000
@@ -113,12 +112,6 @@ class SimConfig:
             object.__setattr__(self, "max_time", DEFAULT_MAX_TIME_FACTOR * scale)
         _check(SIM_RULES, self)
         object.__setattr__(self, "policy", Policy(self.policy))
-        kicks, net = _least_kicks(self), _segment_net(self.max_switches)
-        if kicks >= net:
-            raise ValueError(
-                f"kick_angle {self.kick_angle!r} takes at least {kicks:.6g} kicks to leave the antipodal band,"
-                f" past the run's net of {net} segments"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,15 +163,6 @@ class OracleRun:
         return fidelity(self.final_state)
 
 
-def _kick_unitary(angle: float) -> Unitary2:
-    # rotation about x by `angle`; takes |g> to polar angle pi - angle at
-    # relative phase pi/2, breaking the antipodal equilibrium
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
-    off = -1j * s
-    return _closed(complex(c), off, complex(c))
-
-
 def next_action(state: PureState, config: SimConfig) -> tuple[Segment, ...]:
     """The segments the feedback policy of ``config`` runs from ``state``,
     each with the state it ends in. ``config.initial`` is not read.
@@ -188,8 +172,8 @@ def next_action(state: PureState, config: SimConfig) -> tuple[Segment, ...]:
     looser: the antipodal equilibrium belongs to the dynamics, and a small
     kick could not leave a wider band; and at least up to ``EPS_SWITCH**2``
     when ``eps_target`` is tighter, since no free tick takes a state that
-    close to the pole out of the switching band) gets a symmetry-breaking
-    ``kick``.
+    close to the pole out of the switching band) gets a ``kick``: the
+    fixed 1e-6 rad x-rotation that breaks the antipodal equilibrium.
     Under the extended policy a reachable state at a switching point gets
     the whole :func:`~lyapqubit.extended.plan_single_shot` plan, so nothing
     is decided again after the wait. Any other switching point gets a
@@ -210,20 +194,20 @@ def _bind(config: SimConfig):
     ``(act, terms)``. ``act(state, fid)`` returns the segments
     :func:`next_action` returns for ``state``, whose fidelity ``fid`` the
     caller computed. ``terms`` maps each bang field, ``+s_max`` and
-    ``-s_max``, to its ``_dressed_terms``. The tick, the kick, the terms,
-    the antipodal floor and the band floor are built here, once per run."""
+    ``-s_max``, to its ``_dressed_terms``. The tick, the terms, the
+    antipodal floor and the band floor are built here, once per run."""
     params, dt_free = config.params, config.dt_free
     s_max = params.s_max
     tick = free_unitary(params, dt_free)
-    kick = _kick_unitary(config.kick_angle)
     plus, minus = _dressed_terms(params, s_max), _dressed_terms(params, -s_max)
-    antipodal = _antipodal_floor(config.eps_target)
+    # the fidelity up to which the law kicks, as next_action states it
+    antipodal = min(max(config.eps_target, EPS_SWITCH**2), DEFAULT_EPS_TARGET)
     extended = config.policy is Policy.EXTENDED
     floor = _band_floor(params)
 
     def act(state: PureState, fid: float) -> tuple[Segment, ...]:
         if fid <= antipodal:
-            return (_segment("kick", 0.0, 0.0, state, evolve(state, kick)),)
+            return (_segment("kick", 0.0, 0.0, state, evolve(state, _KICK)),)
         # decided before the single shot: with no field there is nothing to plan
         if s_max == 0.0:
             return (_segment("free", 0.0, math.inf, state, state),)
@@ -238,29 +222,6 @@ def _bind(config: SimConfig):
 
     # with s_max = 0 both keys are 0.0, and +s_max's terms win
     return act, {-s_max: minus, s_max: plus}
-
-
-def _antipodal_floor(eps_target: float) -> float:
-    """The fidelity up to which the law kicks. No free tick takes a state of
-    fidelity at most ``EPS_SWITCH**2`` out of the switching band, so the
-    floor never lies below it."""
-    return min(max(eps_target, EPS_SWITCH**2), DEFAULT_EPS_TARGET)
-
-
-def _segment_net(max_switches: int) -> int:
-    """The most segments a run of ``max_switches`` records: its safety net."""
-    return 10 * max_switches + 10_000
-
-
-def _least_kicks(config: SimConfig) -> float:
-    """At least how many kicks a run of ``config`` takes before the law acts
-    otherwise: the law kicks until the fidelity ``sin^2(delta/2)`` passes
-    the antipodal floor, and a kick turns the polar distance ``delta`` from
-    the pole by ``kick_angle`` at most. 0 for a start off the floor."""
-    start, floor = fidelity(from_bloch(config.initial)), _antipodal_floor(config.eps_target)
-    if start > floor:
-        return 0.0
-    return 2.0 * (math.asin(math.sqrt(floor)) - math.asin(math.sqrt(start))) / config.kick_angle
 
 
 def _state_at(seg: Segment, dt: float, params: SystemParams, terms) -> PureState:
@@ -289,7 +250,8 @@ def run(config: SimConfig) -> Trajectory:
     # the time of the last sample
     t_last = -math.inf
     controls = 0
-    max_segments = _segment_net(max_switches)
+    # the most segments a run records: its safety net
+    max_segments = 10 * max_switches + 10_000
 
     while True:
         fid = fidelity(state)

@@ -5,8 +5,8 @@ Sections and keys::
     [system]      omega, s_max
     [initial]     gamma, phi
     [policy]      kind
-    [simulation]  dt_free, kick_angle, sample_interval, eps_target,
-                  max_switches, max_time
+    [simulation]  dt_free, sample_interval, eps_target, max_switches,
+                  max_time
     [sweep]       kind, gamma_min, gamma_max, gamma_count,
                   phi_min, phi_max, phi_count,
                   s_values, s_min, s_max, s_count
@@ -24,9 +24,7 @@ defaults to 0). ``[policy] kind`` is ``standard`` or ``extended``.
 :class:`~lyapqubit.engine.SimConfig`. A ``[system]`` or ``[simulation]``
 value, and any field strength as ``s_max``, must pass the rule its
 record states (:data:`~lyapqubit.states.PARAM_RULES` or
-:data:`~lyapqubit.engine.SIM_RULES`), whose text its diagnostic quotes;
-a run's settings together must also pass
-:class:`~lyapqubit.engine.SimConfig`'s rule on ``kick_angle``.
+:data:`~lyapqubit.engine.SIM_RULES`), whose text its diagnostic quotes.
 Field strengths are the comma list ``s_values``, or ``s_count`` (default
 25) points from ``s_min`` to ``s_max``, or else ``[system] s_max``; a
 ``first_segment`` sweep takes one strength. A ``phase_alignment``
@@ -40,11 +38,10 @@ which is exclusive, in (0, 2]; the initial ``phi`` is reduced modulo 2. By
 default an evaluated axis runs ``gamma`` from 0.01 to pi - 0.01 radians
 or ``phi`` over [0, 2*pi), 101 points; a ``*_max`` must exceed its
 ``*_min`` unless the count is 1, and the points must lie further apart
-than float spacing. ``kick_angle`` is in radians (it is not a
-pi fraction). Times carry the same unit as ``1/omega``; the file always
-states ``omega`` explicitly. Counts (``max_switches`` and the ``*_count``
-keys) are integers >= 1. Unknown sections or keys are rejected; every
-problem is reported with its section and key.
+than float spacing. Times carry the same unit as ``1/omega``; the file
+always states ``omega`` explicitly. Counts (``max_switches`` and the
+``*_count`` keys) are integers >= 1. Unknown sections or keys are
+rejected; every problem is reported with its section and key.
 
 The work a file may ask for is capped before anything is allocated, from
 the memory it takes: about 176 B per run record (a sample or a segment,
@@ -312,7 +309,7 @@ def parse_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([f"{path}: cannot read ({exc})"]) from exc
     except configparser.Error as exc:
         raise ScenarioError([f"{path}: parse error: {exc}"]) from exc
@@ -380,15 +377,7 @@ def parse_scenario(path: str) -> Scenario:
     if "kind" in values.get("policy", {}):
         simulation["policy"] = values["policy"]["kind"]
     if reader == "simulate":
-        try:
-            config = SimConfig(params, start, **simulation)
-        except ValueError as exc:
-            # every value passed its own rule, so a rule across settings
-            # refused it; its text names the setting first, as _check's does
-            key, _, message = str(exc).partition(" ")
-            complain("simulation", key, message)
-            raise ScenarioError(diagnostics) from None
-        for key, message in run_caps_exceeded(config):
+        for key, message in run_caps_exceeded(SimConfig(params, start, **simulation)):
             complain("simulation", key, message)
 
     fixed = start or BlochAngles(0.0, 0.0)

@@ -108,6 +108,15 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             parse_scenario("/nonexistent/path.ini")
 
+    def test_a_file_that_is_not_utf8_exits_one(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[system]\nomega = 1.0\ns_max = 0.1\n[initial]\ngamma = 0.5 \xff\n")
+        code, _, err = run_cli("simulate", str(path), "--output", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert err.startswith(f"{path}: cannot read (") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x.csv")
+
     @pytest.mark.parametrize(
         "old, new, where",
         [
@@ -138,6 +147,8 @@ class TestScenarioParsing:
                 "[initial] gamma: a ssc_fidelity sweep does not read it",
             ),
             ("sample_interval = 0.1", "sample_interval = 1e-9", "[simulation] sample_interval:"),
+            # the kick is the law's constant, not a setting
+            ("max_time = 100", "max_time = 100\nkick_angle = 0.1", "[simulation] kick_angle: unknown key"),
         ],
     )
     def test_out_of_range_value_exits_one_with_its_key(self, tmp_path, old, new, where):
@@ -517,20 +528,6 @@ class TestScenarioParsing:
         shipped = parse_scenario(str(SCENARIOS / "reference_standard.ini")).sim_config()
         assert shipped.max_switches == 10_000 < scenario_module.MAX_SWITCHES
         assert SimConfig(shipped.params, shipped.initial, max_switches=1_000_000).max_switches == 1_000_000
-
-    def test_a_kick_too_small_to_leave_the_pole_is_refused_before_a_run(self, tmp_path, monkeypatch):
-        def refuse(config):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr("lyapqubit.cli.run", refuse)
-        text = FIG1_SCENARIO.replace("gamma = 0.5", "gamma = 1").replace("max_switches = 2000", "kick_angle = 1e-300")
-        code, _, err = run_cli("simulate", write(tmp_path, "kick.ini", text), "--output", str(tmp_path / "x.csv"))
-        assert code == 1
-        assert err == (
-            "[simulation] kick_angle: 1e-300 takes at least 6.32456e+295 kicks to leave the antipodal band,"
-            " past the run's net of 110000 segments\n"
-        )
-        assert not os.path.exists(tmp_path / "x.csv")
 
     def test_reads_names_known_keys_and_every_key_has_a_reader(self):
         reads = scenario_module.READS
@@ -1094,9 +1091,9 @@ gamma_count = 10
             ),
             (
                 "fidelity_vs_strength",
-                "[initial]\ngamma = 0.5\n[policy]\nkind = standard\n[simulation]\nkick_angle = 0.1\nmax_time = 5",
+                "[initial]\ngamma = 0.5\n[policy]\nkind = standard\n[simulation]\nmax_time = 5",
                 # nor gamma_max: it evaluates the strength axis only
-                ["[policy] kind", "[simulation] kick_angle", "[simulation] max_time", "[sweep] gamma_max"],
+                ["[policy] kind", "[simulation] max_time", "[sweep] gamma_max"],
             ),
             ("phase_alignment", "[simulation]\ndt_free = 1e-4", ["[simulation] dt_free"]),
             # only fidelity_vs_strength reads [initial]; a section with no keys is named alone
@@ -1278,7 +1275,6 @@ VALUES = {
     ("initial", "phi"): (["1.75", "0"], ["2", "-0.5"]),
     ("policy", "kind"): (["standard", "extended"], ["EXTENDED"]),
     ("simulation", "dt_free"): (["1e-4", "1e-2"], []),
-    ("simulation", "kick_angle"): (["1e-6", "0.3"], []),
     ("simulation", "sample_interval"): (["0.1", "1"], []),
     ("simulation", "eps_target"): (["1e-9", "0.01"], ["0", "1"]),
     ("simulation", "max_switches"): (["1", "20"], ["0", str(scenario_module.MAX_SWITCHES + 1)]),

@@ -95,7 +95,7 @@ class TestRunBasics:
                     u = free_unitary(P, seg.duration)
                 else:
                     assert (seg.kind, seg.duration) == ("kick", 0.0)
-                    u = engine._kick_unitary(config.kick_angle)
+                    u = engine._KICK
                 replay = evolve(seg.state_in, u)
                 assert abs(replay.a - seg.state_out.a) < 1e-10
                 assert abs(replay.b - seg.state_out.b) < 1e-10
@@ -230,31 +230,11 @@ class TestRunBasics:
             SimConfig(params=P, initial=FIG1, max_switches=value)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1e-3])
-    @pytest.mark.parametrize("name", ["dt_free", "kick_angle"])
-    def test_tick_and_kick_must_be_positive_and_finite(self, name, value):
-        # a run builds its tick and kick at its start, so a config refuses
-        # what they cannot be built from
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            SimConfig(params=P, initial=FIG1, **{name: value})
-
-    def test_a_kick_too_small_to_leave_the_pole_is_refused(self):
-        # from the pole, kicks must turn the state by 2 asin(sqrt(1e-9)) before
-        # the law acts; at the edge that takes as many kicks as the run's net
-        # of 10 * 1 + 10_000 segments holds
-        pole = BlochAngles(math.pi, 0.0)
-        edge = 2.0 * math.asin(math.sqrt(1e-9)) / 10_010
-        net = "past the run's net of 10010 segments"
-        with pytest.raises(ValueError, match=f"kick_angle {0.999 * edge!r} takes at least 10020 kicks .*, {net}"):
-            SimConfig(params=P, initial=pole, kick_angle=0.999 * edge, max_switches=1)
-        config = SimConfig(params=P, initial=pole, kick_angle=1.001 * edge, max_switches=1)
-        traj = run(config)
-        kicks = sum(seg.kind == "kick" for seg in traj.segments)
-        # the count is a lower bound, and just above the edge the run leaves
-        # the band within its net
-        assert 9_999 < engine._least_kicks(config) <= kicks < len(traj.segments) <= 10_010
-        assert traj.switch_count == 1
-        # a start off the pole never kicks, however small the kick
-        assert SimConfig(params=P, initial=FIG1, kick_angle=5e-324, max_switches=1).kick_angle == 5e-324
+    def test_tick_must_be_positive_and_finite(self, value):
+        # a run builds its tick at its start, so a config refuses what it
+        # cannot be built from
+        with pytest.raises(ValueError, match="dt_free must be positive and finite"):
+            SimConfig(params=P, initial=FIG1, dt_free=value)
 
 
 class TestPolicyByValue:
@@ -336,12 +316,21 @@ class TestStandardRunStructure:
         assert "control" in kinds[kicks:]
         assert traj.converged and traj.terminal_fidelity >= 0.99
 
-    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        # a start's polar distance from the pole, as a share of the widest
+        # antipodal band, and its phase
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    )
     # tighter than the pole's own fidelity, 3.7e-33 as from_bloch builds it
-    @example(5e-324)
-    @example(1e-30)
+    @example(5e-324, 0.0, 0.0)
+    @example(1e-30, 0.0, 0.0)
+    # the band's edge opposite the kick's direction: the kicks cross the pole
+    # and the band's width, 2 * 2 asin(sqrt(1e-9)) / 1e-6 < 127 of them
+    @example(1e-9, 1.0, 1.5 * math.pi)
     @settings(max_examples=50, deadline=None)
-    def test_every_accepted_eps_target_kicks_the_antipodal_state(self, eps_target):
+    def test_every_accepted_eps_target_kicks_the_antipodal_state(self, eps_target, depth, phi):
         config = SimConfig(params=P, initial=BlochAngles(math.pi, 0.0), eps_target=eps_target, max_switches=1)
         pole = from_bloch(config.initial)
         (seg,) = next_action(pole, config)
@@ -349,6 +338,14 @@ class TestStandardRunStructure:
         traj = run(config)
         assert traj.segments[0].kind == "kick"
         assert traj.terminal_fidelity > fidelity(pole)
+        # the fixed kick leaves the band far inside the smallest safety net
+        # of 10 * 1 + 10_000 segments, from the pole and from any start in it
+        gamma = math.pi - depth * 2.0 * math.asin(math.sqrt(control.DEFAULT_EPS_TARGET))
+        start = dataclasses.replace(config, initial=BlochAngles(gamma, phi))
+        for config, traj in ((config, traj), (start, run(start))):
+            kicks = sum(seg.kind == "kick" for seg in traj.segments)
+            assert kicks <= 128 and (traj.converged or traj.segments[kicks].kind != "kick")
+            assert (kicks > 0) == (next_action(from_bloch(config.initial), config)[0].kind == "kick")
 
     def test_zero_strength_leaves_v_constant(self):
         p0 = SystemParams(1.0, 0.0)

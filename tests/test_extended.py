@@ -512,7 +512,7 @@ class TestHybridPolicy:
         (seg,) = extended_segments(state)
         assert (seg.kind, seg.field, seg.duration, seg.label) == ("kick", 0.0, 0.0, "")
         assert_recorded(seg, state)
-        assert seg.state_out == evolve(state, engine._kick_unitary(1e-6))
+        assert seg.state_out == evolve(state, engine._KICK)
         assert to_bloch(seg.state_out).gamma == pytest.approx(math.pi - 1e-6, abs=1e-12)
 
     def test_segments_never_increase_lyapunov(self):

@@ -108,7 +108,7 @@ def _free_entries(t: float, scale: float):
 
 
 def _kick_entries(angle: float, scale: float):
-    # as extended._kick_unitary builds them
+    # as engine builds its kick, _KICK, here at any angle
     try:
         c, s = scale * math.cos(0.5 * abs(angle)), math.sin(0.5 * abs(angle))
     except (ValueError, OverflowError):
