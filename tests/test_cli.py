@@ -108,14 +108,25 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             parse_scenario("/nonexistent/path.ini")
 
-    def test_a_file_that_is_not_utf8_exits_one(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"[system]\nomega = 1.0\ns_max = 0.1\n[initial]\ngamma = 0.5 \xff\n",
+            # a comment saved as Latin-1, and a file saved as UTF-16
+            "# phi = 315\xb0\n[system]\nomega = 1.0\ns_max = 0.1\n".encode("latin-1"),
+            "[system]\nomega = 1.0\ns_max = 0.1\n".encode("utf-16"),
+        ],
+        ids=["stray_byte", "latin1_comment", "utf16"],
+    )
+    @pytest.mark.parametrize("command, output", [("simulate", "x.csv"), ("sweep", "out")])
+    def test_a_file_that_is_not_utf8_exits_one(self, tmp_path, command, output, data):
         path = tmp_path / "bad.ini"
-        path.write_bytes(b"[system]\nomega = 1.0\ns_max = 0.1\n[initial]\ngamma = 0.5 \xff\n")
-        code, _, err = run_cli("simulate", str(path), "--output", str(tmp_path / "x.csv"))
+        path.write_bytes(data)
+        code, _, err = run_cli(command, str(path), "--output", str(tmp_path / output))
         assert code == 1
         assert err.startswith(f"{path}: cannot read (") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert not os.path.exists(tmp_path / "x.csv")
+        assert not os.path.exists(tmp_path / output)
 
     @pytest.mark.parametrize(
         "old, new, where",
@@ -194,6 +205,8 @@ class TestScenarioParsing:
             # no kind, so no reader
             ("kind = fancy", "[sweep] kind: expected one of first_segment,"),
             ("gamma_count = 3", "[sweep] kind: expected one of first_segment,"),
+            # the kick is the law's constant, in a sweep's file too
+            ("kind = ssc_fidelity\n[simulation]\nkick_angle = 0.1", "[simulation] kick_angle: unknown key"),
         ],
     )
     def test_sweep_key_conflict_exits_one_with_its_key(self, tmp_path, sweep, where):

@@ -22,7 +22,7 @@ from lyapqubit import (
     oracle_integrate,
     to_bloch,
 )
-from lyapqubit import propagator
+from lyapqubit import engine, propagator
 from lyapqubit.propagator import _closed
 from lyapqubit.states import NORM_TOL, _dressed_terms
 
@@ -167,6 +167,16 @@ class TestUnitary2:
         ):
             frozen_record(u, Unitary2(u.u11, u.u12, u.u21, u.u22))
             assert all(type(getattr(u, n)) is complex for n in ("u11", "u12", "u21", "u22"))
+
+
+    def test_the_kick_is_the_x_rotation_its_builder_makes(self, frozen_record):
+        # engine builds its one kick at import, at 1e-6 rad
+        u = engine._KICK
+        assert (u.u11, u.u12, u.u22) == _kick_entries(1e-6, 1.0) and u.u21 == u.u12
+        frozen_record(u, Unitary2(u.u11, u.u12, u.u21, u.u22))
+        assert unitarity_defect(u) < 1e-15
+        out = to_bloch(evolve(from_bloch(BlochAngles(math.pi, 0.0)), u))
+        assert out.gamma == pytest.approx(math.pi - 1e-6, abs=1e-12)
 
 
 class TestControlledUnitary:
