@@ -178,10 +178,7 @@ def exact_steering_strength(gamma0: float, omega: float, n: int) -> float:
     ok, text = PARAM_RULES["omega"]
     if not ok(omega):
         raise ValueError(f"omega {text}, got {omega!r}")
-    half = gamma0 / (2.0 * n)
-    if half >= 0.5 * math.pi:
-        raise InfeasibleError("required mixing angle reaches pi/2")
-    return 0.5 * omega * math.tan(half)
+    return 0.5 * omega * math.tan(gamma0 / (2.0 * n))
 
 
 def ssc_fidelity_bound(params: SystemParams) -> float:

@@ -12,11 +12,11 @@ the law takes the fidelity the executor computed for its convergence test.
 
 ``run`` executes the segments the bound law returns, under either
 policy: it stops on convergence or on the switch, time or segment budget,
-clips a segment to the time left, counts control segments, and records
-every segment and a sampled time series. A grid sample inside a control
-segment is propagated from the bound law's dressed terms of its field. A
-record keeps states, not numbers derived from them, except a sample's V,
-computed once per sample.
+clips a segment to the time left, counts control segments, and keeps
+every segment: the whole record of a run. Its samples are replayed from it
+on first read, a grid sample inside a control segment from the bound law's
+dressed terms of its field. A record keeps states, not numbers derived from
+them, except a sample's V, computed once per sample.
 ``run_oracle`` re-simulates a standard-policy scenario by brute force: a
 fixed step ``h`` under the field the bang law picks at every step, serving
 as ground truth for the event-driven segmentation. It returns an
@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import _kernels
 from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, Regime, _switch, bang_field, classify_regime
@@ -57,8 +58,8 @@ DEFAULT_MAX_TIME_FACTOR = 1000.0
 #: chatter, where every step is tested (about 0.24 and 0.8 us a step).
 _MAX_ORACLE_STEPS = 10**8
 
-#: Most grid samples a scenario file may ask a run for, and ``run_oracle``
-#: keeps: about 180 MB of a run's records, 250 MB of a rerun's.
+#: Most grid samples a scenario file may ask a run for, a run's record
+#: replays and ``run_oracle`` keeps: about 180 MB of a run's, 250 MB of a rerun's.
 MAX_GRID_SAMPLES = 1_000_000
 
 #: The law's kick at the antipodal state, where it applies no field: a
@@ -132,11 +133,11 @@ _sample = _unchecked(Sample)
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The record of one run. Unless ``converged``, a budget stopped it.
-    ``switch_count`` counts ``control`` segments."""
+    """The record of one run: the segments it executed under ``config``. Unless
+    ``converged``, a budget stopped it. ``switch_count`` counts ``control`` segments."""
 
+    config: SimConfig
     segments: tuple[Segment, ...]
-    samples: tuple[Sample, ...]
     switch_count: int
     converged: bool
     final_regime: Regime
@@ -146,6 +147,33 @@ class Trajectory:
     @property
     def terminal_fidelity(self) -> float:
         return fidelity(self.final_state)
+
+    @cached_property
+    def samples(self) -> tuple[Sample, ...]:
+        """The time series replayed from ``segments`` on first read, of at most :data:`MAX_GRID_SAMPLES`."""
+        params, delta = self.config.params, self.config.sample_interval
+        if self.total_time / delta > MAX_GRID_SAMPLES:
+            raise ValueError(f"{self.total_time / delta!r} grid samples exceed the cap of {MAX_GRID_SAMPLES}")
+        terms = _bind(self.config)[1]
+        samples: list[Sample] = []
+        t = 0.0
+        for seg in self.segments:
+            # the segment's start, unless a sample lies there (after a kick), then its grid points
+            if not samples or t > samples[-1].t:
+                samples.append(_sample(t, seg.state_in, lyapunov(seg.state_in), seg.field, seg.kind))
+            end = t + seg.duration
+            j = math.floor(t / delta) + 1
+            while j * delta < end - 1e-15 * max(1.0, end):
+                tg = j * delta
+                if tg > t:
+                    at = _state_at(seg, tg - t, params, terms)
+                    samples.append(_sample(tg, at, lyapunov(at), seg.field, seg.kind))
+                j += 1
+            t = end
+        f, kind = (self.segments[-1].field, self.segments[-1].kind) if self.segments else (0.0, "free")
+        if not samples or t > samples[-1].t:
+            samples.append(_sample(t, self.final_state, lyapunov(self.final_state), f, kind))
+        return tuple(samples)
 
 
 @dataclass(frozen=True)
@@ -238,17 +266,14 @@ def run(config: SimConfig) -> Trajectory:
     the switch, time or segment budget; the final regime annotation tells
     a fast-switching plateau apart from other stops. The extended policy
     finishes with an exactly planned single-shot segment, labelled
-    ``single_shot``.
+    ``single_shot``. The record holds segments; samples replay on read.
     """
-    params, eps_target, delta = config.params, config.eps_target, config.sample_interval
+    params, eps_target = config.params, config.eps_target
     max_time, max_switches = config.max_time, config.max_switches
     act, terms = _bind(config)
     state = from_bloch(config.initial)
     segments: list[Segment] = []
-    samples: list[Sample] = []
     t = 0.0
-    # the time of the last sample
-    t_last = -math.inf
     controls = 0
     # the most segments a run records: its safety net
     max_segments = 10 * max_switches + 10_000
@@ -264,33 +289,16 @@ def run(config: SimConfig) -> Trajectory:
             clipped = seg.duration > left
             if clipped:
                 seg = replace(seg, duration=left, state_out=_state_at(seg, left, params, terms))
-            # the segment's start, unless a sample lies there already (as
-            # after a kick), then its grid points
-            if t > t_last:
-                samples.append(_sample(t, seg.state_in, lyapunov(seg.state_in), seg.field, seg.kind))
-                t_last = t
-            end = t + seg.duration
-            j = math.floor(t / delta) + 1
-            while j * delta < end - 1e-15 * max(1.0, end):
-                tg = j * delta
-                if tg > t:
-                    at = _state_at(seg, tg - t, params, terms)
-                    samples.append(_sample(tg, at, lyapunov(at), seg.field, seg.kind))
-                    t_last = tg
-                j += 1
             segments.append(seg)
             controls += seg.kind == "control"
             state = seg.state_out
-            t = end
+            t += seg.duration
             if clipped:
                 break
 
-    f, kind = (segments[-1].field, segments[-1].kind) if segments else (0.0, "free")
-    if t > t_last:
-        samples.append(_sample(t, state, lyapunov(state), f, kind))
     return Trajectory(
+        config=config,
         segments=tuple(segments),
-        samples=tuple(samples),
         switch_count=controls,
         converged=converged,
         final_regime=classify_regime(state, params, eps_target),

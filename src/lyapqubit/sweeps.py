@@ -7,11 +7,12 @@ cells, of every strength, in one loop. A step is the standard policy's free
 tick for the cells at a switching point, then its bang segment for every cell
 outside the switching band: a segment ends at a switching point and a tick
 leaves it, so after the first step every cell still running ticks and bangs
-in lockstep. No cell's arithmetic depends on another's, so a grid swept
-whole, by rows or by strengths gives the same tables, bit for bit. The scalar
-functions step in only where the closed-form switching time needs refining.
-Every check they make (field bound, unitarity, normalisation) is made on
-every cell, unitarity by ``propagator._closed``.
+in lockstep. No cell's arithmetic depends on another's, and no array's size
+changes how it rounds (see ``_cells``), so a grid swept whole, by rows or by
+strengths gives the same tables, bit for bit. The scalar functions step in
+only where the closed-form switching time needs refining. Every check they
+make (field bound, unitarity, normalisation) is made on every cell,
+unitarity by ``propagator._closed``.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class _Cells(NamedTuple):
 
 def _cells(a: np.ndarray, b: np.ndarray) -> _Cells:
     abs_a = np.abs(a)
-    return _Cells(a, b, abs_a, abs_a**2, np.abs(b) ** 2, a * b.conj())
+    # not a * b.conj(): on large arrays numpy computes it in place as b.conj() * a, which rounds otherwise
+    return _Cells(a, b, abs_a, abs_a**2, np.abs(b) ** 2, np.multiply(a, b.conj()))
 
 
 def _all(mask: np.ndarray) -> bool:
@@ -168,7 +170,8 @@ def _normalised(a: np.ndarray, b: np.ndarray) -> _Cells:
         a2[drift] = abs_a[drift] ** 2
         if not _all(np.abs(a2[drift] + b2[drift] - 1.0) <= NORM_TOL):
             raise ValueError("state not normalized after renormalisation")
-    return _Cells(a, b, abs_a, a2, b2, a * b.conj())
+    # np.multiply keeps the operands' order at every array size, as in _cells
+    return _Cells(a, b, abs_a, a2, b2, np.multiply(a, b.conj()))
 
 
 def _bang_segments(cells: _Cells, field, terms):

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import io
 import json
@@ -21,14 +22,18 @@ from hypothesis import given, settings, strategies as st
 from lyapqubit import (
     BlochAngles,
     Policy,
+    PureState,
     ScenarioError,
     SimConfig,
     SweepGrid,
     SystemParams,
+    controlled_unitary,
+    evolve,
     fidelity_vs_strength,
     parse_scenario,
     phase_alignment_table,
 )
+from lyapqubit import cli as cli_module
 from lyapqubit import scenario as scenario_module
 from lyapqubit import sweeps as sweeps_module
 from lyapqubit.cli import _fmt, _write_atomic, main, table_csv
@@ -1258,12 +1263,23 @@ class TestVerify:
         assert code == 1
 
     def test_negative_seed_exits_one_without_traceback(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "lyapqubit", "verify", "--seed", "-1"], capture_output=True, text=True
-        )
-        assert out.returncode == 1
-        assert out.stderr == "verify: --seed must be a non-negative integer\n"
-        assert out.stdout == ""
+        code, out, err = run_cli("verify", "--seed", "-1")
+        assert code == 1
+        assert err == "verify: --seed must be a non-negative integer\n"
+        assert out == ""
+
+    def test_a_propagator_miss_fails_and_names_the_case(self, monkeypatch):
+        # a global phase of 1e-6 rad moves the amplitudes 100 times the tolerance
+        def perturbed(state, params, f, t, h):
+            s = evolve(state, controlled_unitary(params, f, t))
+            return PureState(s.a * cmath.exp(1e-6j), s.b * cmath.exp(1e-6j))
+
+        monkeypatch.setattr(cli_module, "oracle_integrate", perturbed)
+        code, out, err = run_cli("verify", "--count", "5", "--seed", "7")
+        assert code == 3
+        assert "propagator suite: cases=5 " in out and " status=fail" in out
+        assert "overall: fail" in out
+        assert err.startswith("failing propagator case: gamma=")
 
 
 def test_module_entry_point(tmp_path):

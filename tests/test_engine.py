@@ -1,6 +1,8 @@
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -131,9 +133,10 @@ class TestRunBasics:
             assert len(traj.segments) == n
             assert len(calls) == n
 
-    def test_run_computes_lyapunov_once_per_sample(self, monkeypatch):
-        # a record keeps states, so with no grid samples the only V computed
-        # is each sample's: one per segment start plus the final state
+    def test_samples_compute_lyapunov_once_per_sample_on_first_read(self, monkeypatch):
+        # run records segments only and computes no V; the first read of the
+        # samples computes each sample's V, here one per segment start plus
+        # the final state, and a second read computes none
         calls = []
 
         def counted(state):
@@ -146,8 +149,33 @@ class TestRunBasics:
             calls.clear()
             traj = run(fig1_config(policy=policy, max_switches=200, sample_interval=1e9))
             assert len(traj.segments) == n
+            assert calls == []
             assert len(traj.samples) == n + 1
             assert len(calls) == n + 1
+            assert traj.samples is traj.samples
+            assert len(calls) == n + 1
+
+    def test_samples_past_the_grid_cap_are_refused_when_read(self):
+        # no field: one free segment clipped to max_time = 1000, which the
+        # record holds at once; its replay would take 1e9 grid samples
+        traj = run(SimConfig(SystemParams(1.0, 0.0), BlochAngles(1.0, 0.3), sample_interval=1e-6))
+        assert len(traj.segments) == 1
+        with pytest.raises(ValueError, match=r"^1000000000\.0 grid samples exceed the cap of 1000000$"):
+            traj.samples
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_a_record_survives_pickle_and_deepcopy(self, policy):
+        # copied before and after the samples are read; equality and hash
+        # do not depend on whether a record has replayed them
+        traj = run(fig1_config(policy=policy, max_switches=50))
+        twins = [pickle.loads(pickle.dumps(traj)), copy.deepcopy(traj)]
+        assert len(traj.samples) > len(traj.segments)
+        twins += [pickle.loads(pickle.dumps(traj)), copy.deepcopy(traj)]
+        for twin in twins:
+            assert twin == traj
+            assert hash(twin) == hash(traj)
+        for twin in twins:
+            assert twin.samples == traj.samples
 
     def test_segment_safety_net_stops_a_stalled_run(self):
         # a tick too short to move the phase leaves a switching point where

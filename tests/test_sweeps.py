@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import re
 import types
@@ -338,6 +339,17 @@ class TestArrayKernelAgainstScalarReference:
         rows = [sweep_ssc_fidelity(row, 0.05).tables for row in rows]
         for name, table in whole.items():
             assert np.array_equal(np.vstack([r[name] for r in rows]), table)
+
+    def test_a_cells_bits_do_not_depend_on_the_grids_size(self):
+        # 90,000 cells pass the size (16,384) from which numpy would compute
+        # a * b.conj() in place as b.conj() * a, which rounds otherwise
+        gamma = np.linspace(0.01, math.pi - 0.01, 300)
+        grid = SweepGrid(tuple(gamma), tuple(np.linspace(0.0, 2 * math.pi, 300, endpoint=False)), (0.5,), OMEGA)
+        whole = sweep_ssc_fidelity(grid, 0.5).tables
+        blocks = [dataclasses.replace(grid, gamma_axis=tuple(gamma[i : i + 30])) for i in range(0, 300, 30)]
+        blocks = [sweep_ssc_fidelity(block, 0.5).tables for block in blocks]
+        for name, table in whole.items():
+            assert np.vstack([b[name] for b in blocks]).tobytes() == table.tobytes()
 
     def test_fallback_cell_takes_segment_durations_tau(self, monkeypatch):
         # found by scanning shifted slow-switching grids: one segment of this
