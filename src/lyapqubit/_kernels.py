@@ -2,8 +2,11 @@
 
 A fixed-step fourth-order integrator and the brute-force stepper that
 applies the bang-bang law at every step. For a constant field one
-classical RK4 step is a fixed 2x2 matrix, so the integrator takes its
-``n_steps``-th power by repeated squaring instead of stepping. The law
+classical RK4 step is a fixed 2x2 matrix, a positive scalar times a
+rotation by an angle ``phi``, so the integrator takes its ``n_steps``-th
+power in closed polar form, as the rotation by ``n phi``, instead of
+stepping. The integrator is built from ``omega`` and the field alone and
+never uses the closed-form propagators it checks. The law
 stepper takes every step, but it need not test the law at every step.
 One bang step rotates the Bloch vector by ``2Eh``, which moves it by a
 chord of at most ``2 sin(Eh)``; ``Im(a b*)`` is half a Bloch component,
@@ -40,47 +43,24 @@ def rk4_steps(a, b, omega, f, n_steps, h):
     # n_steps of classical RK4 on i d|psi>/dt = H |psi>, H = (omega/2) sz + f sx,
     # renormalized after every step. On this linear system one step is the
     # matrix M = sum_{k<=4} (-ihH)^k / k!, and H^2 = E^2 I reduces it to
-    # M = c I - i d H with c = 1 - x^2/2 + x^4/24, d = h (1 - x^2/6), x = hE.
-    # Renormalizing multiplies by a positive scalar, which commutes with M, so
-    # the result is M^n |psi> renormalized once. M is |det M|^(1/2) times a
-    # unitary (its eigenvalues c -+ i d E share a modulus); dividing that
-    # scalar out keeps the powers from over- or underflowing.
+    # M = c I - i d H with c = 1 - x^2/2 + x^4/24, d = h (1 - x^2/6), x = hE,
+    # so M = |M| (cos(phi) I - i sin(phi) H/E) with phi = atan2(d E, c), and
+    # M^n = |M|^n (cos(n phi) I - i sin(n phi) H/E). Renormalizing multiplies
+    # by a positive scalar, which commutes with M, so the result is that
+    # unitary applied once and renormalized once.
     if n_steps <= 0:
         return a, b
     hw = 0.5 * omega
     e2 = hw * hw + f * f
+    e = math.sqrt(e2)
     x2 = h * h * e2
     c = 1.0 - 0.5 * x2 + x2 * x2 / 24.0
     d = h * (1.0 - x2 / 6.0)
-    inv = 1.0 / math.sqrt(c * c + d * d * e2)
-    p11 = complex(c * inv, -d * hw * inv)
-    p22 = complex(c * inv, d * hw * inv)
-    p12 = complex(0.0, -d * f * inv)
-    p21 = p12
-    # binary powering: r accumulates M^n while p runs through M^(2^j)
-    r11 = complex(1.0, 0.0)
-    r12 = complex(0.0, 0.0)
-    r21 = complex(0.0, 0.0)
-    r22 = complex(1.0, 0.0)
-    n = n_steps
-    while True:
-        if n & 1:
-            r11, r12, r21, r22 = (
-                p11 * r11 + p12 * r21,
-                p11 * r12 + p12 * r22,
-                p21 * r11 + p22 * r21,
-                p21 * r12 + p22 * r22,
-            )
-        n >>= 1
-        if n == 0:
-            break
-        p11, p12, p21, p22 = (
-            p11 * p11 + p12 * p21,
-            p11 * p12 + p12 * p22,
-            p21 * p11 + p22 * p21,
-            p21 * p12 + p22 * p22,
-        )
-    a, b = r11 * a + r12 * b, r21 * a + r22 * b
+    turn = n_steps * math.atan2(d * e, c)  # n phi
+    cn = math.cos(turn)
+    sn = math.sin(turn) / e
+    r11, r12 = complex(cn, -sn * hw), complex(0.0, -sn * f)
+    a, b = r11 * a + r12 * b, r12 * a + r11.conjugate() * b
     inv = 1.0 / math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
     return a * inv, b * inv
 

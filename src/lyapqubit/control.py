@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .propagator import _controlled, evolve
+from .propagator import _controlled, _evolve
 from .states import (
     PARAM_RULES,
     DegenerateStateError,
@@ -112,12 +112,12 @@ def _switch(state: PureState, f: float, terms: tuple[float, float, float]) -> tu
     tau0 = alpha / (2.0 * eplus)
 
     # _controlled skips the duration check: every probe is positive
-    end = evolve(state, _controlled(eplus, sin_theta, cos_theta, tau0))
+    end = _evolve(state, *_controlled(eplus, sin_theta, cos_theta, tau0))
     if abs(switching_function(end)) <= 1e-13 * r:
         return tau0, end
 
     def g(tau: float) -> tuple[float, PureState]:
-        end = evolve(state, _controlled(eplus, sin_theta, cos_theta, tau))
+        end = _evolve(state, *_controlled(eplus, sin_theta, cos_theta, tau))
         return switching_function(end), end
 
     delta = max(1e-9 / eplus, 1e-12 * tau0)

@@ -33,7 +33,7 @@ from functools import cached_property
 from . import _kernels
 from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, Regime, _switch, bang_field, classify_regime
 from .extended import Segment, _band_floor, _plan_in_band, _segment
-from .propagator import _closed, _controlled, controlled_unitary, evolve, free_unitary
+from .propagator import _closed, _controlled, _evolve, controlled_unitary, evolve, free_unitary
 from .states import (
     BlochAngles,
     PureState,
@@ -255,8 +255,9 @@ def _bind(config: SimConfig):
 def _state_at(seg: Segment, dt: float, params: SystemParams, terms) -> PureState:
     """The state ``dt > 0`` into the free or control segment ``seg``; a
     control segment's field is a key of the bound law's ``terms``."""
-    u = _controlled(*terms[seg.field], dt) if seg.kind == "control" else free_unitary(params, dt)
-    return evolve(seg.state_in, u)
+    if seg.kind == "control":
+        return _evolve(seg.state_in, *_controlled(*terms[seg.field], dt))
+    return evolve(seg.state_in, free_unitary(params, dt))
 
 
 def run(config: SimConfig) -> Trajectory:

@@ -835,7 +835,7 @@ RECORDED_OUTPUTS = {
     "verify": (
         0,
         (
-            "propagator suite: cases=1000 max_amp_dev=3.450745e-15 tol=1e-08 status=pass\n"
+            "propagator suite: cases=1000 max_amp_dev=3.547506e-15 tol=1e-08 status=pass\n"
             "standard policy suite: runs=50 max_v_increase=2.220446e-16 max_norm_drift=1.743050e-14 status=pass\n"
             "extended policy suite: runs=50 min_terminal_fidelity=0.999999999999999 status=pass\n"
             "overall: pass\n"

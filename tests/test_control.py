@@ -29,7 +29,8 @@ from lyapqubit import (
     switching_function,
     to_bloch,
 )
-from lyapqubit.control import DEFAULT_EPS_TARGET
+from lyapqubit.control import DEFAULT_EPS_TARGET, _switch
+from lyapqubit.states import _dressed_terms
 
 P = SystemParams(1.0, 0.1)
 THETA = P.theta_max
@@ -157,6 +158,22 @@ class TestSegmentDuration:
             return switching_function(evolve(state, controlled_unitary(params, 0.05, t)))
 
         assert g(tau) == 0.0 or g(tau - 1e-14) * g(tau + 1e-14) < 0.0
+
+    def test_the_confirmed_state_is_the_public_propagators(self):
+        # the probes apply the closed form's entries without building a
+        # Unitary2; the state a switch ends in must be the public one, bit for
+        # bit, after the first probe and after bisection (the state above)
+        rng = np.random.default_rng(5)
+        angles = [BlochAngles(rng.uniform(0.01, math.pi - 0.01), rng.uniform(0, 2 * math.pi)) for _ in range(200)]
+        cases = [(from_bloch(a), P) for a in angles]
+        flat = PureState(0.48578736063503686 - 0.8726560733113722j, 0.024231990181781838 - 0.043529629126045515j)
+        cases.append((flat, SystemParams(1.0, 0.05)))
+        for state, params in cases:
+            f = bang_field(switching_function(state), params.s_max)
+            if f == 0.0:
+                continue
+            tau, end = _switch(state, f, _dressed_terms(params, f))
+            assert end == evolve(state, controlled_unitary(params, f, tau))
 
     def test_pole_state_degenerate(self):
         from lyapqubit import PureState

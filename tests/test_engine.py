@@ -28,7 +28,7 @@ from lyapqubit import (
     run_oracle,
     switching_function,
 )
-from lyapqubit import control, engine, extended
+from lyapqubit import control, engine, extended, propagator
 from lyapqubit.cli import trajectory_csv
 from lyapqubit.states import NORM_TOL
 
@@ -118,15 +118,20 @@ class TestRunBasics:
         assert last.duration == pytest.approx(0.5 * full.duration, rel=1e-9)
 
     def test_run_evolves_each_segment_once(self, monkeypatch):
-        # with no grid samples, the policy's own propagation is the only one
+        # with no grid samples, the policy's own propagation is the only one:
+        # by a Unitary2 through evolve, or by a closed form's entries through
+        # _evolve, each where its module imports it
         calls = []
 
-        def counted(state, u):
-            calls.append(u)
-            return evolve(state, u)
+        def counting(move):
+            def counted(state, *u):
+                calls.append(u)
+                return move(state, *u)
 
-        for module in (control, extended, engine):
-            monkeypatch.setattr(module, "evolve", counted)
+            return counted
+
+        for module, name in ((control, "_evolve"), (engine, "_evolve"), (engine, "evolve"), (extended, "evolve")):
+            monkeypatch.setattr(module, name, counting(getattr(propagator, name)))
         for policy, n in ((Policy.STANDARD, 399), (Policy.EXTENDED, 9)):
             calls.clear()
             traj = run(fig1_config(policy=policy, max_switches=200, sample_interval=1e9))

@@ -1,8 +1,9 @@
-"""The RK4 kernel, which takes powers of the one-step matrix, against plain
-stepping; the law stepper, which tests the law only where the field can
+"""The RK4 kernel, which takes the power of the one-step matrix in polar
+form, against plain stepping; the law stepper, which tests the law only where the field can
 change and takes the untested steps by the unit-norm step, against the
 stepper that tests it every step."""
 
+import cmath
 import inspect
 import math
 import struct
@@ -46,6 +47,28 @@ def test_rk4_power_matches_stepping(n_steps, f):
     # be the one n explicit steps give, on the step the oracle uses by default
     h = 1e-4 * 2 * math.pi
     args = (0.6 + 0.0j, 0.48 + 0.64j, 1.0, f, n_steps, h)
+    a1, b1 = rk4_steps(*args)
+    a2, b2 = _rk4_stepping(*args)
+    assert abs(a1 - a2) <= 1e-12
+    assert abs(b1 - b2) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    omega=st.floats(1e-3, 1e3),
+    ratio=st.floats(-1.0, 1.0),
+    frac=st.floats(0.0, 1.0, exclude_min=True),
+    n_steps=st.integers(1, 2000),
+    gamma=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2 * math.pi),
+)
+def test_rk4_polar_power_agrees_with_stepping(omega, ratio, frac, n_steps, gamma, phi):
+    # any omega, |f| <= omega and h up to 1/1000 of the free period: the
+    # polar power is the n explicit steps to rounding
+    h = frac * 2 * math.pi / omega / 1000
+    a = complex(math.cos(gamma / 2), 0.0)
+    b = cmath.exp(1j * phi) * math.sin(gamma / 2)
+    args = (a, b, omega, ratio * omega, n_steps, h)
     a1, b1 = rk4_steps(*args)
     a2, b2 = _rk4_stepping(*args)
     assert abs(a1 - a2) <= 1e-12

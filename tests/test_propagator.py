@@ -22,7 +22,7 @@ from lyapqubit import (
     oracle_integrate,
     to_bloch,
 )
-from lyapqubit import engine, propagator
+from lyapqubit import engine, propagator, states
 from lyapqubit.propagator import _closed
 from lyapqubit.states import NORM_TOL, _dressed_terms
 
@@ -228,6 +228,31 @@ class TestControlledUnitary:
         with pytest.raises(ValueError, match="duration"):
             free_unitary(P, math.nan)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_a_duration_that_is_not_finite_is_refused_by_its_text(self, t):
+        # the oracle's text; an infinite duration used to reach math.sin
+        # ("math domain error") or the unitarity test
+        for build in (lambda: controlled_unitary(P, 0.1, t), lambda: free_unitary(P, t)):
+            with pytest.raises(ValueError, match=r"^duration must be non-negative and finite, got "):
+                build()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=math.pi),
+        st.floats(min_value=0.0, max_value=2 * math.pi),
+        st.sampled_from([P.s_max, -P.s_max]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    def test_the_entries_move_a_state_as_the_unitary_does(self, gamma, phi, f, frac):
+        # a run's probes and clipped or sampled states apply the closed form's
+        # entries without building its Unitary2: the same state, bit for bit
+        state = from_bloch(BlochAngles(gamma, phi))
+        terms = _dressed_terms(P, f)
+        t = frac * math.pi / terms[0]
+        assert propagator._evolve(state, *propagator._controlled(*terms, t)) == evolve(
+            state, controlled_unitary(P, f, t)
+        )
+
     @given(
         st.floats(min_value=-0.1, max_value=0.1),
         st.floats(min_value=0.0, max_value=1e6),
@@ -331,6 +356,39 @@ class TestOracle:
         s = from_bloch(BlochAngles(1.0, 1.0))
         with pytest.raises(ValueError, match="duration must be non-negative and finite"):
             oracle_integrate(s, P, 0.1, t, 1e-3)
+
+    def test_a_step_count_that_overflows_is_refused(self):
+        # t/h = inf used to raise OverflowError from int(); a finite count,
+        # however large, is one call of the polar power
+        s = from_bloch(BlochAngles(1.0, 1.0))
+        with pytest.raises(ValueError, match=r"too fine: t/h = inf "):
+            oracle_integrate(s, P, 0.1, 1.0, 1e-310)
+        fine = oracle_integrate(s, P, 0.1, 1.0, 1e-300)
+        exact = evolve(s, controlled_unitary(P, 0.1, 1.0))
+        assert max(abs(fine.a - exact.a), abs(fine.b - exact.b)) < 1e-14
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+    def test_a_field_that_is_not_finite_is_refused(self, f):
+        # a NaN field used to read "state not normalized: ... nan"
+        s = from_bloch(BlochAngles(1.0, 1.0))
+        for t in (1.0, 0.0):
+            with pytest.raises(ValueError, match=r"^field must be finite, got "):
+                oracle_integrate(s, P, f, t, 1e-3)
+
+    def test_the_rk4_half_uses_no_closed_form(self, monkeypatch):
+        # oracle_integrate and its kernel must reach the same bits with every
+        # closed-form builder refusing to run
+        s = from_bloch(BlochAngles(2.2, 1.1))
+        cases = [(0.1, 5.0, 1e-3), (-0.07, 3.3, 7e-4), (0.0, 2.0, 1e-3)]
+        before = [oracle_integrate(s, P, *case) for case in cases]
+
+        def refuse(*args):
+            raise AssertionError("closed form used")
+
+        for name in ("controlled_unitary", "_controlled", "_dressed_terms", "free_unitary", "_closed", "_tested"):
+            monkeypatch.setattr(propagator, name, refuse)
+        monkeypatch.setattr(states, "_dressed_terms", refuse)
+        assert [oracle_integrate(s, P, *case) for case in cases] == before
 
     def test_free_case_matches_exact_solution(self):
         s = from_bloch(BlochAngles(1.234, 0.777))
