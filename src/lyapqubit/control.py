@@ -84,28 +84,28 @@ def segment_duration(state: PureState, f: float, params: SystemParams) -> float:
     switching sinusoid; it is then confirmed (and refined when floating-point
     residue remains) by bisection on a bracket of the switching function of
     the actually evolved state. The result always lies in
-    ``(0, pi/(2 eplus)]``.
+    ``(0, pi/(2 eplus)]``. It refuses, in turn, a field beyond the bound,
+    a zero field, a polar state and a dressed eigenstate.
     """
-    return _switch(state, f, _dressed_terms(params, f))[0]
-
-
-def _switch(state: PureState, f: float, terms: tuple[float, float, float]) -> tuple[float, PureState]:
-    """:func:`segment_duration`'s ``tau`` and the state evolved over it
-    under ``f``, the one that confirmed it. ``terms`` are the field's
-    ``_dressed_terms``, which serve the coefficients and every probe."""
+    terms = _dressed_terms(params, f)
     if f == 0.0:
         raise ValueError("a zero field never produces a switching event")
     if abs(state.a) < 1e-12 or abs(state.b) < 1e-12:
         raise DegenerateStateError("polar states have no switching geometry")
+    return _switch(state, f, terms)[0]
+
+
+def _switch(state: PureState, f: float, terms: tuple[float, float, float]) -> tuple[float, PureState]:
+    """:func:`segment_duration`'s ``tau`` and the end state that confirmed it,
+    under the bang law's ``f`` (so ``|a|, |b| >= |Im(a b*)| > EPS_SWITCH``) with
+    its ``_dressed_terms`` ``terms``, which serve the coefficients and every probe."""
     eplus, sin_theta, cos_theta = terms
     ab = state.a * state.b.conjugate()
     p = ab.imag
     q = 0.5 * sin_theta * (abs(state.a) ** 2 - abs(state.b) ** 2) - cos_theta * ab.real
     r = math.hypot(p, q)
     if r < 1e-15:
-        raise DegenerateStateError(
-            "switching function vanishes identically (dressed eigenstate)"
-        )
+        raise DegenerateStateError("switching function vanishes identically (dressed eigenstate)")
     alpha = (-math.atan2(p, q)) % math.pi
     if alpha <= 0.0:
         alpha = math.pi

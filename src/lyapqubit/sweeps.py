@@ -3,16 +3,17 @@ maps, fidelity-versus-strength curves, and the single-shot phase table.
 
 The first three evaluate their cells together, as numpy arrays, and a cell
 leaves the arrays when it stops. The slow-switching sweeps step all their
-cells, of every strength, in one loop. A step is the standard policy's free
-tick for the cells at a switching point, then its bang segment for every cell
-outside the switching band: a segment ends at a switching point and a tick
+cells, of every strength, in one loop. A step is one stop test, then the
+standard policy's free tick for the cells at a switching point (diagonal with
+unit entries, it leaves ``|a|`` as tested), then its bang segment for every
+cell outside the switching band: a segment ends at a switching point and a tick
 leaves it, so after the first step every cell still running ticks and bangs
 in lockstep. No cell's arithmetic depends on another's, and no array's size
 changes how it rounds (see ``_cells``), so a grid swept whole, by rows or by
 strengths gives the same tables, bit for bit. The scalar functions step in
 only where the closed-form switching time needs refining. Every check they
 make (field bound, unitarity, normalisation) is made on every cell,
-unitarity by ``propagator._closed``.
+unitarity by ``propagator._tested``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .control import DEFAULT_EPS_TARGET, EPS_SWITCH, _fsc_floor, _switch, bang_field, ssc_fidelity_bound
+from .engine import SIM_RULES
 from .extended import _plan_in_band, required_phase
-from .propagator import _closed, free_unitary
+from .propagator import _tested, free_unitary
 from .states import (
     NORM_TOL,
     BlochAngles,
@@ -178,11 +180,11 @@ def _bang_segments(cells: _Cells, field, terms):
     """Every cell under its bang ``field`` up to its next switching point;
     returns the end cells and the durations.
 
-    ``Im(a b*)`` must lie outside the ``EPS_SWITCH`` band. That keeps every
-    cell clear of what ``segment_duration`` rejects: ``|a|`` and ``|b|``
-    exceed ``|Im(a b*)| > 1e-12``, and so does ``r = hypot(p, q) >= |p|``.
+    ``field`` is the bang law's, so ``|Im(a b*)| = |p| > EPS_SWITCH``: ``|a|``,
+    ``|b|`` and ``r = hypot(p, q) >= |p|`` exceed 1e-12, and ``alpha`` lies
+    in ``(0, pi]``, with none of ``segment_duration``'s refusals or branches.
     The propagator is ``controlled_unitary``'s closed form for ``tau`` in
-    ``(0, pi/(2 eplus)]``, built per cell by ``propagator._closed``. The
+    ``(0, pi/(2 eplus)]``, its entries per cell from ``propagator._tested``. The
     duration is ``segment_duration``'s closed form, confirmed by
     ``|Im(a b*)| <= 1e-13 r`` on the evolved state, which is also the end
     state; a cell that fails gets both from its solver.
@@ -193,14 +195,13 @@ def _bang_segments(cells: _Cells, field, terms):
     q = 0.5 * sin_t * (cells.a2 - cells.b2) - cos_t * cells.ab.real
     r = np.hypot(p, q)
     alpha = np.mod(-np.arctan2(p, q), math.pi)
-    alpha[alpha <= 0.0] = math.pi
     tau = alpha / (2.0 * eplus)
     angle = eplus * tau
     c, s = np.cos(angle), np.sin(angle)
     off, turn = -1j * s * sin_t, 1j * s * cos_t
-    u = _closed(c - turn, off, c + turn)
+    u11, u12, u21, u22 = _tested(c - turn, off, c + turn)
     a, b = cells.a, cells.b
-    end = _normalised(u.u11 * a + u.u12 * b, u.u21 * a + u.u22 * b)
+    end = _normalised(u11 * a + u12 * b, u21 * a + u22 * b)
     held = np.abs(end.ab.imag) <= 1e-13 * r
     if not _all(held):
         redo = np.flatnonzero(~held)
@@ -237,10 +238,13 @@ def _ssc_terminal(grid: SweepGrid, dt_free: float | None):
 
     A step is the tick of ``dt_free`` of the feedback law in ``engine``
     (``engine.next_action``), then its bang segment (see the module notes),
-    each after the stop test. A cell of strength 0
-    never gets a field and stops where it starts."""
+    both after the step's one stop test. A cell of strength 0 never gets a
+    field and stops where it starts. ``dt_free`` obeys a run's rule."""
+    ok, text = SIM_RULES["dt_free"]
     if dt_free is None:
         dt_free = SWEEP_DT_FREE_FACTOR / grid.omega
+    elif not ok(dt_free):
+        raise ValueError(f"dt_free {text}, got {dt_free!r}")
     params = [SystemParams(grid.omega, s) for s in grid.s_values]
     shape = (len(params), len(grid.gamma_axis), len(grid.phi_axis))
     # the (gamma, phi) cells once per strength, each with its strength's terms
@@ -261,7 +265,7 @@ def _ssc_terminal(grid: SweepGrid, dt_free: float | None):
         tick = np.abs(cells.ab.imag) <= EPS_SWITCH
         if not _all(tick):
             a, b = np.where(tick, a, cells.a), np.where(tick, b, cells.b)
-        live, cells, terms = _drop_stopped(fid, live, _normalised(a, b), terms)
+        cells = _normalised(a, b)
         field = bang_field(cells.ab.imag, terms[0])
         bang = field != 0.0
         if _all(bang):
@@ -303,19 +307,19 @@ def sweep_first_segment(grid: SweepGrid) -> SweepResult:
     """Population ratios ``|a0|^2/|a_tau|^2`` and ``|b_tau|^2/|b0|^2`` plus the
     duration of the first control segment, per initial ``(gamma, phi)`` cell.
 
-    Cells with ``phi`` in ``{0, pi}`` (no field is triggered without a free
-    tick) carry NaN sentinels, as do the polar cells ``gamma`` in ``{0, pi}``.
+    A cell carries NaN sentinels where the bang law applies no field without a
+    free tick: at ``phi`` in ``{0, pi}``, ``gamma`` in ``{0, pi}`` and zero strength.
     """
     if len(grid.s_values) != 1:
         raise ValueError("first-segment sweep expects exactly one field strength")
     params = (SystemParams(grid.omega, grid.s_values[0]),)
     shape = (len(grid.gamma_axis), len(grid.phi_axis))
     cells = _initial_states(grid.gamma_axis, grid.phi_axis)
-    polar = np.repeat([g <= 0.0 or g >= math.pi for g in grid.gamma_axis], shape[1])
-    run = np.flatnonzero(~polar & ~(np.abs(cells.ab.imag) <= EPS_SWITCH))
+    terms = _strength_terms(params, np.zeros(cells.a.size, dtype=int))
+    field = bang_field(cells.ab.imag, terms[0])
+    run = np.flatnonzero(field != 0.0)
     cells = cells.take(run)
-    terms = _strength_terms(params, np.zeros(run.size, dtype=int))
-    end, tau = _bang_segments(cells, bang_field(cells.ab.imag, terms[0]), terms)
+    end, tau = _bang_segments(cells, field[run], terms[:, run])
     tables = {name: np.full(shape, FLAGGED) for name in ("ratio_a", "ratio_b", "tau")}
     tables["ratio_a"].flat[run] = _population(cells.a2) / _population(end.a2)
     tables["ratio_b"].flat[run] = _population(end.b2) / _population(cells.b2)

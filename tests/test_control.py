@@ -7,6 +7,7 @@ import pytest
 from lyapqubit import (
     BlochAngles,
     DegenerateStateError,
+    FieldBoundError,
     PureState,
     Regime,
     RegimeError,
@@ -138,6 +139,24 @@ class TestSegmentDuration:
     def test_zero_field_rejected(self, fig1_state):
         with pytest.raises(ValueError):
             segment_duration(fig1_state, 0.0, P)
+
+    @pytest.mark.parametrize(
+        "state, f, error, text",
+        [
+            # the field bound first, even at a pole, then a zero field,
+            # then the pole, then a dressed eigenstate of the field
+            (PureState(1.0, 0.0), 0.2, FieldBoundError, "exceeds the bound"),
+            (PureState(0.0, 1.0), math.nan, FieldBoundError, "exceeds the bound"),
+            (PureState(1.0, 0.0), 0.0, ValueError, "zero field"),
+            (PureState(1e-13, 1.0), 0.1, DegenerateStateError, "polar states"),
+            (PureState(1.0, 1e-13j), -0.1, DegenerateStateError, "polar states"),
+            (from_bloch(BlochAngles(THETA, 0.0)), 0.1, DegenerateStateError, "vanishes identically"),
+        ],
+    )
+    def test_refusals_come_in_order(self, state, f, error, text):
+        with pytest.raises(ValueError, match=text) as refused:
+            segment_duration(state, f, P)
+        assert type(refused.value) is error
 
     def test_bisection_fallback_on_flat_window(self):
         # a state from the seeded sweeps benchmark where the closed-form

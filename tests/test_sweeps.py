@@ -323,14 +323,45 @@ class TestArrayKernelAgainstScalarReference:
 
     def test_first_segment_grid(self):
         shifted = shifted_grid(12, 0.1, 25)
-        # with the poles and the in-plane phases, which are skipped
-        grid = SweepGrid(
-            (0.0, *shifted.gamma_axis, math.pi), tuple(sorted((*shifted.phi_axis, 0.0, math.pi))), (0.1,), OMEGA
-        )
-        result = sweep_first_segment(grid)
-        ref = np.array([[scalar_first_segment(g, p, P) for p in grid.phi_axis] for g in grid.gamma_axis])
-        for k, name in enumerate(("ratio_a", "ratio_b", "tau")):
-            assert_agrees(result.tables[name], ref[..., k])
+        # with the poles and the in-plane phases, which are skipped, and at
+        # zero strength, where every cell is
+        for s in (0.1, 0.0):
+            params = SystemParams(OMEGA, s)
+            grid = SweepGrid(
+                (0.0, *shifted.gamma_axis, math.pi), tuple(sorted((*shifted.phi_axis, 0.0, math.pi))), (s,), OMEGA
+            )
+            result = sweep_first_segment(grid)
+            ref = np.array([[scalar_first_segment(g, p, params) for p in grid.phi_axis] for g in grid.gamma_axis])
+            for k, name in enumerate(("ratio_a", "ratio_b", "tau")):
+                assert_agrees(result.tables[name], ref[..., k])
+        # the last input, zero strength
+        assert all(np.isnan(table).all() for table in result.tables.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gamma=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=4, unique=True),
+        phi=st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True), min_size=1, max_size=4, unique=True),
+        # strengths and ticks spread evenly over their decades
+        s_values=st.lists(
+            st.floats(math.log(0.05), math.log(10.0)).map(math.exp), min_size=1, max_size=3, unique=True
+        ),
+        with_zero=st.booleans(),
+        omega=st.floats(0.5, 2.0),
+        tick=st.floats(-10.0, -4.0).map(lambda e: 10.0**e),
+    )
+    def test_drawn_grids_stop_where_the_reference_does(self, gamma, phi, s_values, with_zero, omega, tick):
+        # the reference tests the stop rule after every tick, the loop once a
+        # step, before its tick; they must stop each cell at the same step
+        s_values = sorted({*s_values, 0.0} if with_zero else s_values)
+        grid = SweepGrid(tuple(sorted(gamma)), tuple(sorted(phi)), tuple(s_values), omega)
+        fid, n_max, _ = sweeps._ssc_terminal(grid, tick / omega)
+        for i, s in enumerate(grid.s_values):
+            params = SystemParams(omega, s)
+            ref = np.array(
+                [[scalar_ssc_terminal(g, p, params, tick / omega) for p in grid.phi_axis] for g in grid.gamma_axis]
+            )
+            assert_agrees(n_max[i], ref[..., 1], exact=True)
+            assert_agrees(fid[i], ref[..., 0])
 
     def test_rows_stack_to_the_whole_grid(self):
         grid = shifted_grid(13, 0.05, 8)
@@ -609,7 +640,7 @@ class TestArrayChecks:
             sweeps._normalised(np.array([1.0 + 0j, bad]), np.array([0j, 0j]))
 
     def test_every_segment_is_checked(self, monkeypatch):
-        seen = {"_closed": 0, "_normalised": 0}
+        seen = {"_tested": 0, "_normalised": 0}
 
         def counting(name):
             check = getattr(sweeps, name)
@@ -624,15 +655,15 @@ class TestArrayChecks:
             monkeypatch.setattr(sweeps, name, counting(name))
         grid = shifted_grid(14, 0.1, 6)
         controls = int(sweep_ssc_fidelity(grid, 0.1).tables["n_max"].sum())
-        # a propagator per control segment; a norm check per segment end
+        # a tested propagator per control segment; a norm check per segment end
         # and per free tick, of which every segment but a cell's first
         # (36 cells) follows one
-        assert seen["_closed"] == controls
+        assert seen["_tested"] == controls
         assert seen["_normalised"] >= controls + (controls - 36)
-        seen.update(_closed=0, _normalised=0)
+        seen.update(_tested=0, _normalised=0)
         first = sweep_first_segment(grid).tables["tau"]
-        assert seen["_closed"] == np.count_nonzero(~np.isnan(first))
-        assert seen["_normalised"] == seen["_closed"]
+        assert seen["_tested"] == np.count_nonzero(~np.isnan(first))
+        assert seen["_normalised"] == seen["_tested"]
 
     def test_stop_mask_is_the_regime_rule(self):
         # the one loop stops a cell exactly where classify_regime leaves
@@ -656,6 +687,15 @@ class TestArrayChecks:
         regime = [control.classify_regime(PureState(a[i], b[i]), params[k[i]]) for i in live]
         assert stop.tolist() == [r is not control.Regime.SSC for r in regime]
         assert {control.Regime.SSC, control.Regime.FSC} <= set(regime)
+
+    @pytest.mark.parametrize("dt_free", [0.0, -1.0, math.inf, math.nan])
+    def test_a_tick_is_refused_by_the_runs_rule(self, dt_free):
+        grid = SweepGrid((1.0,), (0.5,), (0.1,), OMEGA)
+        text = re.escape(f"dt_free must be positive and finite, got {dt_free!r}")
+        with pytest.raises(ValueError, match=text):
+            sweep_ssc_fidelity(grid, 0.1, dt_free=dt_free)
+        with pytest.raises(ValueError, match=text):
+            fidelity_vs_strength((0.0, 0.1), BlochAngles(1.0, 0.5), OMEGA, dt_free=dt_free)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf])
     def test_strengths_validated(self, s):
